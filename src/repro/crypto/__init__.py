@@ -28,7 +28,7 @@ from repro.crypto.backend import (
     use_backend,
 )
 from repro.crypto.des import Des
-from repro.crypto.dh import DhKeyExchange
+from repro.crypto.dh import dh_private, dh_public, dh_session_key
 from repro.crypto.hashes import hkdf, hmac_sha256, sha256
 from repro.crypto.keys import KeyPair, SymmetricKey
 from repro.crypto.rc4 import Rc4
@@ -44,7 +44,9 @@ __all__ = [
     "make_backend",
     "set_backend",
     "use_backend",
-    "DhKeyExchange",
+    "dh_private",
+    "dh_public",
+    "dh_session_key",
     "KeyPair",
     "Rc4",
     "RsaPrivateKey",

@@ -1,17 +1,21 @@
 """Pluggable crypto backends: a pure-Python reference oracle and a fast path.
 
 Every symmetric-cipher operation on the checkpoint hot path (envelope
-sealing, MEE page sealing, the SGX-v2 migratable-page stream) goes through
-one :class:`CryptoBackend`.  Two implementations exist:
+sealing, MEE page sealing, the SGX-v2 migratable-page stream) and every
+private-key exponentiation of the attested channel (Diffie-Hellman steps,
+RSA signatures) goes through one :class:`CryptoBackend`.  Two
+implementations exist:
 
 * ``reference`` — this repository's from-scratch ciphers, invoked exactly
-  as the original call sites did (fresh cipher object per operation).  It
-  is the correctness oracle: slow, obvious, test-vector-verified.
+  as the original call sites did (fresh cipher object per operation), and
+  builtin ``pow`` for every exponentiation.  It is the correctness oracle:
+  slow, obvious, test-vector-verified.
 * ``fast`` — byte-identical output, produced cheaply: cipher objects are
-  cached per key instead of rebuilt per page, and when the optional
-  ``cryptography`` package is importable the AES-CTR / AES-CBC / RC4
-  work is delegated to OpenSSL.  Without ``cryptography`` the fast
-  backend still wins by amortizing key schedules and batching XORs.
+  cached per key instead of rebuilt per page, RSA signatures use the CRT,
+  and when the optional ``cryptography`` package is importable the
+  AES-CTR / AES-CBC / RC4 work and the DH exponentiations are delegated
+  to OpenSSL.  Without ``cryptography`` the fast backend still wins by
+  amortizing key schedules, batching XORs and signing with the CRT.
 
 The backend changes *wall-clock* cost only.  Virtual (modelled) time is
 charged by :class:`repro.sim.costs.CostModel` per algorithm and is
@@ -27,13 +31,16 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.crypto.aes import Aes128
 from repro.crypto.des import Des
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_process, pkcs7_pad, pkcs7_unpad
 from repro.crypto.rc4 import Rc4
 from repro.errors import CryptoError
+
+if TYPE_CHECKING:
+    from repro.crypto.rsa import RsaPrivateKey
 
 BACKEND_ENV = "REPRO_CRYPTO_BACKEND"
 BACKEND_NAMES = ("reference", "fast")
@@ -47,14 +54,16 @@ try:  # optional accelerator; never a hard dependency
         from cryptography.hazmat.decrepit.ciphers.algorithms import ARC4 as _CgArc4
     except ImportError:  # pragma: no cover - older cryptography layouts
         _CgArc4 = getattr(algorithms, "ARC4", None)
+    from cryptography.hazmat.primitives.asymmetric import dh as _cg_dh
+
     _HAVE_CRYPTOGRAPHY = True
 except ImportError:  # pragma: no cover - stdlib-only environments
-    Cipher = algorithms = _cg_modes = _CgArc4 = None
+    Cipher = algorithms = _cg_modes = _CgArc4 = _cg_dh = None
     _HAVE_CRYPTOGRAPHY = False
 
 
 class CryptoBackend:
-    """Uniform symmetric-cipher interface the hot paths call into.
+    """Uniform cipher and exponentiation interface the hot paths call into.
 
     All methods are deterministic functions of their inputs; the two
     implementations below must agree byte-for-byte on every one.
@@ -78,6 +87,14 @@ class CryptoBackend:
     def aes_cbc_decrypt(self, key16: bytes, iv: bytes, data: bytes) -> bytes:
         raise NotImplementedError
 
+    def dh_modexp(self, base: int, exponent: int, prime: int) -> int:
+        """``base ** exponent mod prime`` in a safe-prime DH group."""
+        raise NotImplementedError
+
+    def rsa_private(self, key: RsaPrivateKey, m: int) -> int:
+        """``m ** key.d mod key.n``: the RSA private-key operation."""
+        raise NotImplementedError
+
 
 class ReferenceBackend(CryptoBackend):
     """The original pure-Python call sites, verbatim: the oracle."""
@@ -98,6 +115,12 @@ class ReferenceBackend(CryptoBackend):
 
     def aes_cbc_decrypt(self, key16: bytes, iv: bytes, data: bytes) -> bytes:
         return cbc_decrypt(Aes128(key16), iv, data)
+
+    def dh_modexp(self, base: int, exponent: int, prime: int) -> int:
+        return pow(base, exponent, prime)
+
+    def rsa_private(self, key: RsaPrivateKey, m: int) -> int:
+        return pow(m, key.d, key.n)
 
 
 class _KeyedCache:
@@ -132,6 +155,13 @@ class FastBackend(CryptoBackend):
     OpenSSL's CTR mode increments the whole 128-bit block — identical as
     long as the low 64 bits never wrap, which :meth:`aes_ctr` checks and
     otherwise falls back to the reference construction.
+
+    DH equivalence with OpenSSL: a DH exchange with private value
+    ``exponent`` and peer value ``base`` computes exactly
+    ``base ** exponent mod prime``.  OpenSSL aborts (it does not raise) on
+    a result of 1 or ``prime - 1``; a base in ``[2, prime - 2]`` and a
+    nonzero exponent below the subgroup order ``(prime - 1) / 2`` never
+    produce either, so only such inputs are delegated.
     """
 
     name = "fast"
@@ -140,6 +170,7 @@ class FastBackend(CryptoBackend):
         self._aes = _KeyedCache(Aes128)
         self._des = _KeyedCache(Des)
         self._arc4_broken = not _HAVE_CRYPTOGRAPHY or _CgArc4 is None
+        self._dh_groups: dict[int, object] = {}
 
     # ---------------------------------------------------------------- rc4
     def rc4(self, stream_key: bytes, data: bytes) -> bytes:
@@ -187,6 +218,35 @@ class FastBackend(CryptoBackend):
             padded = decryptor.update(data) + decryptor.finalize()
             return pkcs7_unpad(padded, 16)
         return cbc_decrypt(self._aes.get(key16), iv, data)
+
+    # ---------------------------------------------------------------- public key
+    def dh_modexp(self, base: int, exponent: int, prime: int) -> int:
+        if (
+            _HAVE_CRYPTOGRAPHY
+            and 2 <= base <= prime - 2
+            and 0 < exponent
+            and exponent.bit_length() < prime.bit_length() - 1
+        ):
+            group = self._dh_groups.get(prime)
+            if group is None:
+                group = self._dh_groups[prime] = _cg_dh.DHParameterNumbers(prime, 2)
+            try:
+                peer = _cg_dh.DHPublicNumbers(base, group)
+                # OpenSSL never checks a private key's public half against
+                # its exponent, so the peer value stands in for it.
+                private = _cg_dh.DHPrivateNumbers(exponent, peer).private_key()
+                return int.from_bytes(private.exchange(peer.public_key()), "big")
+            except ValueError:
+                pass  # OpenSSL refused this input; builtin pow is exact
+        return pow(base, exponent, prime)
+
+    def rsa_private(self, key: RsaPrivateKey, m: int) -> int:
+        crt = key.crt_params()
+        if crt is None:
+            return pow(m, key.d, key.n)
+        p, q, dp, dq, qinv = crt
+        m_q = pow(m, dq, q)
+        return m_q + q * (qinv * (pow(m, dp, p) - m_q) % p)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:

@@ -3,11 +3,14 @@
 The paper: "The source and the target control threads leverage
 Diffie-Hellman key exchange protocol to build a secure channel" (§V-B).
 This is classic finite-field DH; the shared secret is hashed into a
-256-bit session key.
+256-bit session key.  Every protocol party (enclave control threads, the
+owner, the agent enclave) goes through the helpers below; the
+exponentiation itself runs on the active crypto backend.
 """
 
 from __future__ import annotations
 
+from repro.crypto.backend import get_backend
 from repro.crypto.hashes import sha256
 from repro.errors import CryptoError
 from repro.sim.rng import DeterministicRng
@@ -30,20 +33,28 @@ MODP_2048_P = int(
 MODP_2048_G = 2
 
 
-class DhKeyExchange:
-    """One party's half of a Diffie-Hellman exchange."""
+def dh_private(rng: DeterministicRng) -> int:
+    """A fresh 256-bit private exponent (top bit set, so never short)."""
+    return rng.getrandbits(256) | (1 << 255)
 
-    def __init__(self, rng: DeterministicRng) -> None:
-        self._private = rng.getrandbits(256) | (1 << 255)
-        self.public = pow(MODP_2048_G, self._private, MODP_2048_P)
 
-    def shared_secret(self, peer_public: int) -> bytes:
-        """Complete the exchange and return a 32-byte session key.
+def dh_public(private: int) -> int:
+    """This party's public half, ``g ** private mod p``."""
+    return get_backend().dh_modexp(MODP_2048_G, private, MODP_2048_P)
 
-        Rejects degenerate peer values (0, 1, p-1) that would force a
-        predictable shared secret — a real small-subgroup check.
-        """
-        if not 1 < peer_public < MODP_2048_P - 1:
-            raise CryptoError("degenerate DH public value")
-        secret = pow(peer_public, self._private, MODP_2048_P)
-        return sha256(secret.to_bytes(256, "big"))
+
+def dh_check_peer(peer_public: int) -> None:
+    """Refuse a degenerate peer value with :class:`CryptoError`.
+
+    0, 1, p-1 and anything outside the field would force a predictable
+    shared secret — a real small-subgroup check.
+    """
+    if not 1 < peer_public < MODP_2048_P - 1:
+        raise CryptoError("degenerate DH public value")
+
+
+def dh_session_key(peer_public: int, private: int) -> bytes:
+    """Complete the exchange and return a 32-byte session key."""
+    dh_check_peer(peer_public)
+    shared = get_backend().dh_modexp(peer_public, private, MODP_2048_P)
+    return sha256(shared.to_bytes(256, "big"))

@@ -8,13 +8,17 @@ plaintext while the private key is in ciphertext."), and enclave owners.
 Key generation uses Miller-Rabin with 1024-bit moduli — small by modern
 deployment standards but honest in structure, and fast enough that tests
 can generate fresh keys.  Signing is full-block EMSA-style padding over a
-SHA-256 digest.
+SHA-256 digest; the private exponentiation runs on the active crypto
+backend, which may use the CRT factors kept in :data:`_CRT_PARAMS`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import gcd
 
+from repro.crypto.backend import get_backend
 from repro.crypto.hashes import sha256
 from repro.errors import SignatureError
 from repro.sim.rng import DeterministicRng
@@ -118,26 +122,84 @@ class RsaPrivateKey:
 
     def sign(self, message: bytes) -> bytes:
         padded = _pad_digest(sha256(message), self.modulus_bytes)
-        return pow(padded, self.d, self.n).to_bytes(self.modulus_bytes, "big")
+        return get_backend().rsa_private(self, padded).to_bytes(self.modulus_bytes, "big")
+
+    def crt_params(self) -> tuple[int, int, int, int, int] | None:
+        """``(p, q, d mod p-1, d mod q-1, q^-1 mod p)``, or ``None``.
+
+        Read from a process-wide memo keyed by ``(n, d)``: key generation
+        fills it, and a key rebuilt from bare ``(n, e, d)`` (the image key
+        an enclave keeps in memory) has its factors recovered once.  The
+        key object itself stays ``(n, e, d)``.
+        """
+        slot = (self.n, self.d)
+        if slot not in _CRT_PARAMS:
+            factors = _recover_factors(self.n, self.e, self.d)
+            _CRT_PARAMS[slot] = factors and _crt_from_factors(*factors, self.d)
+        return _CRT_PARAMS[slot]
 
 
-#: Keygen memo: deterministic seeds always produce the same key, so the
-#: testbed (which builds many machines/images per test) skips repeat work.
-_KEYGEN_CACHE: dict[tuple[str, int], RsaPrivateKey] = {}
+#: CRT parameters by ``(n, d)``; ``None`` marks a key that would not factor.
+_CRT_PARAMS: dict[tuple[int, int], tuple[int, int, int, int, int] | None] = {}
+
+
+def _crt_from_factors(p: int, q: int, d: int) -> tuple[int, int, int, int, int]:
+    return p, q, d % (p - 1), d % (q - 1), pow(q, -1, p)
+
+
+def _recover_factors(n: int, e: int, d: int) -> tuple[int, int] | None:
+    """Factor ``n`` from a matching exponent pair (Boneh's method).
+
+    ``e*d - 1`` is a multiple of the group exponent, so for most bases a
+    square root of 1 other than +-1 turns up while halving it; that root
+    shares exactly one prime with ``n``.
+    """
+    k = e * d - 1
+    if k <= 0:
+        return None
+    twos = (k & -k).bit_length() - 1
+    odd = k >> twos
+    for base in _SMALL_PRIMES:
+        x = pow(base, odd, n)
+        for _ in range(twos):
+            if x in (1, n - 1):
+                break
+            y = x * x % n
+            if y == 1:
+                p = gcd(x - 1, n)
+                return p, n // p
+            x = y
+    return None
+
+
+#: Keygen memo, keyed by the generator's exact state: a hit returns the key
+#: a miss would have generated and leaves the generator where a miss would
+#: have, so the testbed (which builds many machines/images per test) skips
+#: repeat work without changing any later draw.
+#: States are stored packed (2.5 KB, not the 25 KB of a tuple of ints).
+_KEYGEN_CACHE: dict[tuple[tuple, int], tuple[RsaPrivateKey, tuple]] = {}
+
+
+def _pack_state(state: tuple) -> tuple:
+    version, internal, gauss = state
+    return version, array("I", internal).tobytes(), gauss
+
+
+def _unpack_state(packed: tuple) -> tuple:
+    version, internal, gauss = packed
+    return version, tuple(array("I", internal)), gauss
 
 
 def generate_rsa_keypair(rng: DeterministicRng, bits: int = 1024) -> RsaPrivateKey:
-    """Generate an RSA keypair with modulus of roughly ``bits`` bits.
-
-    Results are memoized by the generator's seed: the same seed would
-    deterministically reproduce the same primes anyway.
-    """
-    cache_key = (str(getattr(rng, "seed", "")), bits)
-    if cache_key[0] and cache_key in _KEYGEN_CACHE:
-        return _KEYGEN_CACHE[cache_key]
+    """Generate an RSA keypair with modulus of roughly ``bits`` bits."""
+    cache_key = (_pack_state(rng.getstate()), bits)
+    hit = _KEYGEN_CACHE.get(cache_key)
+    if hit is not None:
+        keypair, after = hit
+        rng.setstate(_unpack_state(after))
+        return keypair
     keypair = _generate_rsa_keypair_uncached(rng, bits)
-    if cache_key[0]:
-        _KEYGEN_CACHE[cache_key] = keypair
+    _KEYGEN_CACHE[cache_key] = (keypair, _pack_state(rng.getstate()))
     return keypair
 
 
@@ -151,4 +213,6 @@ def _generate_rsa_keypair_uncached(rng: DeterministicRng, bits: int) -> RsaPriva
         phi = (p - 1) * (q - 1)
         if phi % e == 0:
             continue
-        return RsaPrivateKey(n=p * q, e=e, d=pow(e, -1, phi))
+        key = RsaPrivateKey(n=p * q, e=e, d=pow(e, -1, phi))
+        _CRT_PARAMS[(key.n, key.d)] = _crt_from_factors(p, q, key.d)
+        return key

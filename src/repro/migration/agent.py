@@ -16,8 +16,7 @@ enclave with that measurement (preserving P-5, single instance).
 from __future__ import annotations
 
 from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
-from repro.crypto.dh import MODP_2048_G, MODP_2048_P
-from repro.crypto.hashes import sha256
+from repro.crypto.dh import dh_check_peer, dh_private, dh_public, dh_session_key
 from repro.crypto.keys import SymmetricKey
 from repro.durability.wal import PARTY_AGENT
 from repro.errors import AttestationError, ChannelError, MigrationError, NetworkFault
@@ -72,8 +71,8 @@ def agent_store_escrow(
     boot = rt.load_obj(OBJ_BOOT)
     if boot is None:
         raise ChannelError("no escrow exchange in progress")
-    shared = pow(source_dh_public, boot["dh_private"], MODP_2048_P)
-    session_key = SymmetricKey(sha256(shared.to_bytes(256, "big")), "agent-escrow")
+    shared_key = dh_session_key(source_dh_public, boot["dh_private"])
+    session_key = SymmetricKey(shared_key, "agent-escrow")
     payload = unpack(
         open_envelope(session_key, Envelope.from_bytes(sealed), aad=b"agent-escrow")
     )
@@ -141,6 +140,9 @@ def agent_release_key(
         raise AttestationError("local attestation failed: report not for this agent/CPU")
     if report.report_data != _bind_report_data("agent-release", requester_dh_public):
         raise AttestationError("report does not bind the offered DH value")
+    # Refuse a degenerate DH half now: past the release commit below, a
+    # refusal would burn the escrow.
+    dh_check_peer(requester_dh_public)
     table = rt.load_obj(OBJ_ESCROW, default={}) or {}
     key_id = report.mrenclave.hex()
     record = table.get(key_id)
@@ -155,10 +157,9 @@ def agent_release_key(
     # can never be handed out twice across a crash.
     rt.journal_record("escrow-release", {"key_id": key_id})
 
-    private = rt.rdrand.getrandbits(256) | (1 << 255)
-    agent_dh_public = pow(MODP_2048_G, private, MODP_2048_P)
-    shared = pow(requester_dh_public, private, MODP_2048_P)
-    session_key = SymmetricKey(sha256(shared.to_bytes(256, "big")), "agent-release")
+    private = dh_private(rt.rdrand)
+    agent_dh_public = dh_public(private)
+    session_key = SymmetricKey(dh_session_key(requester_dh_public, private), "agent-release")
     sealed = seal_envelope(
         session_key,
         pack(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
-from repro.crypto.dh import MODP_2048_G, MODP_2048_P
+from repro.crypto.dh import dh_private, dh_public, dh_session_key
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
@@ -84,13 +84,19 @@ def _ensure_not_destroyed(rt: EnclaveRuntime) -> None:
         raise SelfDestroyed("this enclave instance handed over its state and will not run")
 
 
-def _bind_report_data(purpose: str, dh_public: int) -> bytes:
+def _bind_report_data(purpose: str, public: int) -> bytes:
     """Bind a DH public value into EREPORT's report_data field.
 
     Padded to the architectural 64-byte report_data width so comparisons
     against REPORT/QUOTE fields are exact.
     """
-    return sha256(purpose.encode() + dh_public.to_bytes(256, "big")).ljust(64, b"\x00")
+    return sha256(purpose.encode() + public.to_bytes(256, "big")).ljust(64, b"\x00")
+
+
+def _fresh_dh_public(rt: EnclaveRuntime) -> int:
+    """Draw a DH private value into the boot slot; return its public half."""
+    rt.fresh_dh_private_store(OBJ_BOOT)
+    return dh_public(rt.load_obj(OBJ_BOOT)["dh_private"])
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +234,8 @@ def generate_checkpoint(
 
 def provision_request(rt: EnclaveRuntime, qe: QuotingEnclave) -> tuple[Quote, int]:
     """Start owner provisioning: fresh DH half + quote binding it."""
-    rt.fresh_dh_private_store(OBJ_BOOT)
-    private = rt.load_obj(OBJ_BOOT)["dh_private"]
-    dh_public = pow(MODP_2048_G, private, MODP_2048_P)
-    quote = quote_for(rt.session, qe, _bind_report_data("provision", dh_public))
-    return quote, dh_public
+    public = _fresh_dh_public(rt)
+    return quote_for(rt.session, qe, _bind_report_data("provision", public)), public
 
 
 def provision_complete(rt: EnclaveRuntime, owner_dh_public: int, sealed: bytes) -> None:
@@ -240,8 +243,8 @@ def provision_complete(rt: EnclaveRuntime, owner_dh_public: int, sealed: bytes) 
     boot = rt.load_obj(OBJ_BOOT)
     if boot is None:
         raise AttestationError("no provisioning in progress")
-    shared = pow(owner_dh_public, boot["dh_private"], MODP_2048_P)
-    session_key = SymmetricKey(sha256(shared.to_bytes(256, "big")), "provision-session")
+    shared_key = dh_session_key(owner_dh_public, boot["dh_private"])
+    session_key = SymmetricKey(shared_key, "provision-session")
     payload = unpack(open_envelope(session_key, Envelope.from_bytes(sealed), aad=b"provision"))
     rt.store_obj(
         OBJ_IMAGE_PRIVKEY,
@@ -269,11 +272,8 @@ def owner_key_request(rt: EnclaveRuntime, qe: QuotingEnclave, purpose: str) -> t
     (get K_encrypt back into a fresh enclave).  The owner logs every
     grant, which is what makes rollbacks auditable.
     """
-    rt.fresh_dh_private_store(OBJ_BOOT)
-    private = rt.load_obj(OBJ_BOOT)["dh_private"]
-    dh_public = pow(MODP_2048_G, private, MODP_2048_P)
-    quote = quote_for(rt.session, qe, _bind_report_data(purpose, dh_public))
-    return quote, dh_public
+    public = _fresh_dh_public(rt)
+    return quote_for(rt.session, qe, _bind_report_data(purpose, public)), public
 
 
 def owner_key_install(
@@ -283,8 +283,8 @@ def owner_key_install(
     boot = rt.load_obj(OBJ_BOOT)
     if boot is None:
         raise ChannelError("no owner key request in progress")
-    shared = pow(owner_dh_public, boot["dh_private"], MODP_2048_P)
-    session_key = SymmetricKey(sha256(shared.to_bytes(256, "big")), "owner-session")
+    shared_key = dh_session_key(owner_dh_public, boot["dh_private"])
+    session_key = SymmetricKey(shared_key, "owner-session")
     payload = unpack(
         open_envelope(session_key, Envelope.from_bytes(sealed), aad=purpose.encode())
     )
@@ -298,11 +298,8 @@ def owner_key_install(
 
 def target_channel_request(rt: EnclaveRuntime, qe: QuotingEnclave) -> tuple[Quote, int]:
     """Target side: fresh DH half + quote, sent to the source enclave."""
-    rt.fresh_dh_private_store(OBJ_BOOT)
-    private = rt.load_obj(OBJ_BOOT)["dh_private"]
-    dh_public = pow(MODP_2048_G, private, MODP_2048_P)
-    quote = quote_for(rt.session, qe, _bind_report_data("migrate-target", dh_public))
-    return quote, dh_public
+    public = _fresh_dh_public(rt)
+    return quote_for(rt.session, qe, _bind_report_data("migrate-target", public)), public
 
 
 def source_open_channel(
@@ -329,10 +326,9 @@ def source_open_channel(
     if avr.report_data != _bind_report_data("migrate-target", target_dh_public):
         raise AttestationError("target quote does not bind the offered DH value")
 
-    private = rt.rdrand.getrandbits(256) | (1 << 255)
-    source_dh_public = pow(MODP_2048_G, private, MODP_2048_P)
-    shared = pow(target_dh_public, private, MODP_2048_P)
-    session_key = sha256(shared.to_bytes(256, "big"))
+    private = dh_private(rt.rdrand)
+    source_dh_public = dh_public(private)
+    session_key = dh_session_key(target_dh_public, private)
 
     # Authenticate the source to the target with the image private key
     # (§V-B: "All the messages from the source enclave to the target
@@ -367,13 +363,11 @@ def target_complete_channel(
     key_page = unpack(rt.read(rt.layout.key_page_vaddr, rt.layout.key_page_len))
     image_public = RsaPublicKey(key_page["pub_n"], key_page["pub_e"])
     private = boot["dh_private"]
-    target_dh_public = pow(MODP_2048_G, private, MODP_2048_P)
     transcript = pack(
-        {"source_pub": source_dh_public, "target_pub": target_dh_public, "purpose": "migrate"}
+        {"source_pub": source_dh_public, "target_pub": dh_public(private), "purpose": "migrate"}
     )
     image_public.verify(transcript, signature)  # raises SignatureError
-    shared = pow(source_dh_public, private, MODP_2048_P)
-    session_key = sha256(shared.to_bytes(256, "big"))
+    session_key = dh_session_key(source_dh_public, private)
     channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
     channel.update({"session_key": session_key, "role": "target"})
     rt.store_obj(OBJ_CHANNEL, channel)
@@ -665,10 +659,9 @@ def source_escrow_to_agent(
     if not channel.get("ckpt_done"):
         raise MigrationError("no checkpoint was generated for this migration")
 
-    private = rt.rdrand.getrandbits(256) | (1 << 255)
-    source_dh_public = pow(MODP_2048_G, private, MODP_2048_P)
-    shared = pow(agent_dh_public, private, MODP_2048_P)
-    session_key = SymmetricKey(sha256(shared.to_bytes(256, "big")), "agent-escrow")
+    private = dh_private(rt.rdrand)
+    source_dh_public = dh_public(private)
+    session_key = SymmetricKey(dh_session_key(agent_dh_public, private), "agent-escrow")
     # The agent path has no direct source↔target session, so any sealed
     # storage rides inside the escrow payload and is re-bound when the
     # agent releases the key to the attested target.
@@ -709,15 +702,11 @@ def target_request_key_from_agent(rt: EnclaveRuntime, agent_mrenclave: bytes):
     from repro.sgx.instructions import ereport
     from repro.sgx.structures import TargetInfo
 
-    rt.fresh_dh_private_store(OBJ_BOOT)
-    private = rt.load_obj(OBJ_BOOT)["dh_private"]
-    dh_public = pow(MODP_2048_G, private, MODP_2048_P)
+    public = _fresh_dh_public(rt)
     report = ereport(
-        rt.session,
-        TargetInfo(agent_mrenclave),
-        _bind_report_data("agent-release", dh_public),
+        rt.session, TargetInfo(agent_mrenclave), _bind_report_data("agent-release", public)
     )
-    return report, dh_public
+    return report, public
 
 
 def target_install_agent_key(
@@ -727,8 +716,8 @@ def target_install_agent_key(
     boot = rt.load_obj(OBJ_BOOT)
     if boot is None:
         raise ChannelError("no agent key request in progress")
-    shared = pow(agent_dh_public, boot["dh_private"], MODP_2048_P)
-    session_key = SymmetricKey(sha256(shared.to_bytes(256, "big")), "agent-release")
+    shared_key = dh_session_key(agent_dh_public, boot["dh_private"])
+    session_key = SymmetricKey(shared_key, "agent-release")
     payload = unpack(
         open_envelope(session_key, Envelope.from_bytes(sealed), aad=b"agent-release")
     )

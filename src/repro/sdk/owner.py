@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.authenc import seal_envelope
-from repro.crypto.dh import MODP_2048_G, MODP_2048_P
-from repro.crypto.hashes import sha256
+from repro.crypto.dh import dh_private, dh_public, dh_session_key
 from repro.crypto.keys import SymmetricKey
 from repro.errors import AttestationError
 from repro.sdk.builder import BuiltImage
+from repro.sdk.control import _bind_report_data
 from repro.serde import pack
 from repro.sgx.attestation import AttestationService, verify_avr
 from repro.sgx.structures import Quote
@@ -85,25 +85,24 @@ class EnclaveOwner:
             raise AttestationError(f"owner does not manage image {image_name!r}")
         return record
 
-    def _attest(self, record: _ImageRecord, quote: Quote, purpose: str, dh_public: int) -> None:
+    def _attest(
+        self, record: _ImageRecord, quote: Quote, purpose: str, enclave_public: int
+    ) -> None:
         """Verify a quote through IAS and check the DH binding."""
         # App -> owner -> IAS -> owner: two WAN round trips.
         self.clock.advance(self.costs.wan_round_trip_ns())
         avr = self.ias.verify_quote(quote)
         self.clock.advance(self.costs.wan_round_trip_ns())
         verify_avr(avr, self.ias.public_key, expected_mrenclave=record.built.image.mrenclave)
-        expected = sha256(purpose.encode() + dh_public.to_bytes(256, "big")).ljust(64, b"\x00")
-        if avr.report_data != expected:
+        if avr.report_data != _bind_report_data(purpose, enclave_public):
             raise AttestationError("quote does not bind the offered DH value")
 
-    def _answer(self, dh_public: int, payload: dict, aad: bytes) -> tuple[int, bytes]:
+    def _answer(self, enclave_public: int, payload: dict, aad: bytes) -> tuple[int, bytes]:
         """Complete the DH exchange and seal ``payload`` for the enclave."""
-        private = self.rng.getrandbits(256) | (1 << 255)
-        owner_public = pow(MODP_2048_G, private, MODP_2048_P)
-        shared = pow(dh_public, private, MODP_2048_P)
-        session_key = SymmetricKey(sha256(shared.to_bytes(256, "big")), "owner-session")
+        private = dh_private(self.rng)
+        session_key = SymmetricKey(dh_session_key(enclave_public, private), "owner-session")
         sealed = seal_envelope(session_key, pack(payload), self.rng.bytes(16), "aes", aad=aad)
-        return owner_public, sealed.to_bytes()
+        return dh_public(private), sealed.to_bytes()
 
     # ------------------------------------------------------------- launch
     def provision(self, image_name: str, quote: Quote, dh_public: int) -> tuple[int, bytes]:

@@ -19,6 +19,7 @@ import struct
 from typing import Any, Callable
 
 from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
+from repro.crypto.dh import dh_private
 from repro.errors import (
     EnclavePageFault,
     MigrationError,
@@ -471,5 +472,4 @@ class EnclaveRuntime:
 
     def fresh_dh_private_store(self, slot: str = OBJ_BOOT) -> None:
         """Generate and persist a DH private key inside the enclave."""
-        private = self.rdrand.getrandbits(256) | (1 << 255)
-        self.store_obj(slot, {"dh_private": private})
+        self.store_obj(slot, {"dh_private": dh_private(self.rdrand)})

@@ -46,6 +46,14 @@ class DeterministicRng:
         """Return a pseudo-random float in ``[0, 1)``."""
         return self._rng.random()
 
+    def getstate(self) -> tuple:
+        """The generator's exact state, for :meth:`setstate`."""
+        return self._rng.getstate()
+
+    def setstate(self, state: tuple) -> None:
+        """Rewind or fast-forward to a state from :meth:`getstate`."""
+        self._rng.setstate(state)
+
     def fork(self, label: str) -> "DeterministicRng":
         """Derive an independent child generator from this one.
 

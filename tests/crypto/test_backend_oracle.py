@@ -6,7 +6,9 @@ byte-identical ciphertext for every algorithm, key, nonce, payload size
 (empty and non-block-aligned included) and CTR counter offset.  Property
 tests drive both backends over randomized inputs and demand equality;
 envelope tests additionally prove the two interoperate (seal on one,
-open on the other) and agree on tamper rejection.
+open on the other) and agree on tamper rejection.  The public-key paths
+(DH exponentiation on OpenSSL, CRT signing) are held to the same bar,
+including when OpenSSL is missing or refuses an input.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import backend as backend_module
 from repro.crypto.authenc import CIPHER_NAMES, open_envelope, seal_envelope
 from repro.crypto.backend import (
     BACKEND_NAMES,
@@ -24,8 +27,11 @@ from repro.crypto.backend import (
     set_backend,
     use_backend,
 )
+from repro.crypto.dh import MODP_2048_P, dh_private, dh_public, dh_session_key
 from repro.crypto.keys import SymmetricKey
+from repro.crypto.rsa import _CRT_PARAMS, RsaPrivateKey, generate_rsa_keypair
 from repro.errors import CryptoError, IntegrityError
+from repro.sim.rng import DeterministicRng
 
 REF = ReferenceBackend()
 FAST = FastBackend()
@@ -33,6 +39,8 @@ FAST = FastBackend()
 payloads = st.binary(min_size=0, max_size=3000)
 keys = st.binary(min_size=16, max_size=48)
 counters = st.integers(min_value=0, max_value=2**62)
+dh_bases = st.integers(min_value=2, max_value=MODP_2048_P - 2)
+dh_exponents = st.integers(min_value=0, max_value=2**256 - 1)
 
 
 class TestPrimitiveParity:
@@ -83,6 +91,75 @@ class TestPrimitiveParity:
             data = bytes(range(256)) * (n // 256 + 1)
             data = data[:n]
             assert FAST.aes_ctr(b"k" * 16, b"n" * 8, data) == REF.aes_ctr(b"k" * 16, b"n" * 8, data)
+
+
+class TestPublicKeyParity:
+    @settings(max_examples=25, deadline=None)
+    @given(base=dh_bases, exponent=dh_exponents)
+    def test_dh_modexp(self, base, exponent):
+        expected = REF.dh_modexp(base, exponent, MODP_2048_P)
+        assert FAST.dh_modexp(base, exponent, MODP_2048_P) == expected
+
+    @pytest.mark.skipif(not backend_module._HAVE_CRYPTOGRAPHY, reason="needs cryptography")
+    def test_dh_modexp_runs_on_openssl(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(backend_module, "pow", lambda *a: calls.append(a), raising=False)
+        FAST.dh_modexp(2, dh_private(DeterministicRng("openssl")), MODP_2048_P)
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", ["crt-a", "crt-b"])
+    def test_crt_signatures_equal_plain_pow(self, seed):
+        key = generate_rsa_keypair(DeterministicRng(seed))
+        # Rebuilt from bare (n, e, d) with the keygen memo entry dropped,
+        # as an enclave does with its image key: the factors are recovered.
+        rebuilt = RsaPrivateKey(key.n, key.e, key.d)
+        from_keygen = _CRT_PARAMS.pop((key.n, key.d))
+        assert set(rebuilt.crt_params()[:2]) == set(from_keygen[:2])
+        for message in (b"", b"transcript", bytes(range(256))):
+            with use_backend(REF):
+                expected = key.sign(message)
+            with use_backend(FAST):
+                assert key.sign(message) == expected
+                assert rebuilt.sign(message) == expected
+
+    def test_unfactorable_key_signs_with_plain_pow(self):
+        odd = RsaPrivateKey(n=(2**127 - 1) * (2**89 - 1) * 2**800 + 1, e=3, d=7)
+        assert odd.crt_params() is None
+        assert FAST.rsa_private(odd, 12345) == REF.rsa_private(odd, 12345)
+
+
+class TestOpenSslFallback:
+    """The fast DH path falls back to builtin ``pow`` byte-for-byte."""
+
+    @staticmethod
+    def _session_key() -> bytes:
+        a = dh_private(DeterministicRng("fallback-a"))
+        b = dh_private(DeterministicRng("fallback-b"))
+        return dh_session_key(dh_public(b), a)
+
+    def _expected(self) -> bytes:
+        with use_backend(REF):
+            return self._session_key()
+
+    def test_without_cryptography(self, monkeypatch):
+        monkeypatch.setattr(backend_module, "_HAVE_CRYPTOGRAPHY", False)
+        with use_backend(FastBackend()):
+            assert self._session_key() == self._expected()
+
+    def test_openssl_refuses(self, monkeypatch):
+        class Refusing:
+            @staticmethod
+            def DHParameterNumbers(p, g):
+                return (p, g)
+
+            @staticmethod
+            def DHPublicNumbers(y, group):
+                raise ValueError("refused")
+
+        monkeypatch.setattr(backend_module, "_HAVE_CRYPTOGRAPHY", True)
+        monkeypatch.setattr(backend_module, "_cg_dh", Refusing)
+        with use_backend(FastBackend()):
+            assert self._session_key() == self._expected()
 
 
 class TestEnvelopeParity:

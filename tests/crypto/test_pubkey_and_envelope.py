@@ -4,33 +4,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.authenc import CIPHER_NAMES, Envelope, open_envelope, seal_envelope
-from repro.crypto.dh import DhKeyExchange, MODP_2048_P
+from repro.crypto.dh import MODP_2048_P, dh_private, dh_public, dh_session_key
 from repro.crypto.keys import KeyPair, SymmetricKey
 from repro.crypto.rsa import RsaPublicKey, generate_rsa_keypair
 from repro.errors import CryptoError, IntegrityError, SignatureError
 from repro.sim.rng import DeterministicRng
 
 
+def _party(rng):
+    """One side of an exchange: (private, public)."""
+    private = dh_private(rng)
+    return private, dh_public(private)
+
+
 class TestDh:
     def test_shared_secret_agrees(self, rng):
-        alice, bob = DhKeyExchange(rng.fork("a")), DhKeyExchange(rng.fork("b"))
-        assert alice.shared_secret(bob.public) == bob.shared_secret(alice.public)
+        (a, a_pub), (b, b_pub) = _party(rng.fork("a")), _party(rng.fork("b"))
+        assert dh_session_key(b_pub, a) == dh_session_key(a_pub, b)
 
     def test_third_party_differs(self, rng):
-        alice = DhKeyExchange(rng.fork("a"))
-        bob = DhKeyExchange(rng.fork("b"))
-        eve = DhKeyExchange(rng.fork("e"))
-        assert eve.shared_secret(alice.public) != alice.shared_secret(bob.public)
+        a, a_pub = _party(rng.fork("a"))
+        b, b_pub = _party(rng.fork("b"))
+        e, _ = _party(rng.fork("e"))
+        assert dh_session_key(a_pub, e) != dh_session_key(b_pub, a)
 
-    @pytest.mark.parametrize("degenerate", [0, 1, MODP_2048_P - 1, MODP_2048_P])
+    @pytest.mark.parametrize(
+        "degenerate", [0, 1, MODP_2048_P - 1, MODP_2048_P, MODP_2048_P + 2, -2]
+    )
     def test_degenerate_peer_rejected(self, rng, degenerate):
-        party = DhKeyExchange(rng.fork("a"))
+        private, _ = _party(rng.fork("a"))
         with pytest.raises(CryptoError):
-            party.shared_secret(degenerate)
+            dh_session_key(degenerate, private)
 
     def test_secret_is_32_bytes(self, rng):
-        alice, bob = DhKeyExchange(rng.fork("a")), DhKeyExchange(rng.fork("b"))
-        assert len(alice.shared_secret(bob.public)) == 32
+        (a, _), (_, b_pub) = _party(rng.fork("a")), _party(rng.fork("b"))
+        assert len(dh_session_key(b_pub, a)) == 32
 
 
 class TestRsa:
@@ -67,6 +75,18 @@ class TestRsa:
         a = generate_rsa_keypair(DeterministicRng("same-seed"))
         b = generate_rsa_keypair(DeterministicRng("same-seed"))
         assert a.n == b.n
+
+    def test_keygen_memo_follows_generator_state(self):
+        """Two keygens on one advancing generator give two keys, and a
+        memo hit leaves the generator exactly where a miss does."""
+        rng = DeterministicRng("memo-advancing")
+        first, second = generate_rsa_keypair(rng, 512), generate_rsa_keypair(rng, 512)
+        assert first.n != second.n
+        after_miss, after_hit = DeterministicRng("memo-state"), DeterministicRng("memo-state")
+        key_miss = generate_rsa_keypair(after_miss, 512)
+        key_hit = generate_rsa_keypair(after_hit, 512)
+        assert key_hit == key_miss
+        assert after_hit.u64() == after_miss.u64()
 
     def test_fingerprint_stable(self, rng):
         key = generate_rsa_keypair(rng.fork("k")).public

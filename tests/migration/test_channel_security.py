@@ -9,8 +9,18 @@ owner-provisioned instances hold.
 
 import pytest
 
-from repro.crypto.dh import MODP_2048_G, MODP_2048_P
-from repro.errors import AttestationError, ChannelError, IntegrityError, QuoteRejected, SignatureError
+from repro.crypto.authenc import seal_envelope
+from repro.crypto.dh import dh_public
+from repro.crypto.hashes import sha256
+from repro.crypto.keys import SymmetricKey
+from repro.errors import (
+    AttestationError,
+    ChannelError,
+    CryptoError,
+    IntegrityError,
+    QuoteRejected,
+    SignatureError,
+)
 from repro.migration.orchestrator import MigrationOrchestrator, _quote_to_dict
 from repro.migration.testbed import build_testbed
 from repro.sdk import control
@@ -58,9 +68,7 @@ class TestSourceSideAuthentication:
             control.target_channel_request, testbed.target.quoting_enclave
         )
         avr = testbed.ias.verify_quote(quote)
-        attacker_dh = pow(
-            MODP_2048_G, DeterministicRng("mitm").getrandbits(256), MODP_2048_P
-        )
+        attacker_dh = dh_public(DeterministicRng("mitm").getrandbits(256))
         with pytest.raises(AttestationError):
             app.library.control_call(control.source_open_channel, avr, attacker_dh)
 
@@ -95,9 +103,7 @@ class TestTargetSideAuthentication:
         _source_dh, signature = app.library.control_call(
             control.source_open_channel, avr, target_dh
         )
-        attacker_dh = pow(
-            MODP_2048_G, DeterministicRng("mitm2").getrandbits(256), MODP_2048_P
-        )
+        attacker_dh = dh_public(DeterministicRng("mitm2").getrandbits(256))
         with pytest.raises(SignatureError):
             target.library.control_call(
                 control.target_complete_channel, attacker_dh, signature
@@ -143,3 +149,18 @@ class TestSessionKeyProperties:
         guess = SymmetricKey(b"\x00" * 32, "guess")
         with pytest.raises(IntegrityError):
             open_envelope(guess, Envelope.from_bytes(sealed), aad=b"kmigrate")
+
+
+class TestDegenerateDh:
+    def test_provision_refuses_degenerate_owner_half(self, testbed):
+        """An owner half of 1 makes the session key sha256(1), so whoever
+        forged it could seal their own image key for the enclave.
+        Provisioning must refuse it and leave the enclave unattested."""
+        app = build_counter_app(testbed, tag="degenerate-dh", provision=False)
+        app.library.control_call(control.provision_request, testbed.source.quoting_enclave)
+        predictable = SymmetricKey(sha256((1).to_bytes(256, "big")), "forged")
+        forged = {"priv_n": 3, "priv_e": 1, "priv_d": 1, "ias_n": 3, "ias_e": 1}
+        sealed = seal_envelope(predictable, pack(forged), b"n" * 16, "aes", aad=b"provision")
+        with pytest.raises(CryptoError):
+            app.library.control_call(control.provision_complete, 1, sealed.to_bytes())
+        assert not app.library.control_call(lambda rt: rt.attested())
