@@ -4,8 +4,8 @@ The paper evaluates one migration at a time; the ROADMAP's north star is
 a datacenter scheduler draining hundreds of enclaves concurrently.  This
 package is the first concrete step: a deterministic multi-migration
 runner (:class:`~repro.fleet.runner.FleetRunner`) whose per-migration
-telemetry feeds the streaming bus, the SLO engine, and a curses-free
-live console (:class:`~repro.fleet.console.FleetConsole`) — surfaced as
+telemetry feeds the SLO engine and a curses-free live console
+(:class:`~repro.fleet.console.FleetConsole`) — surfaced as
 ``repro fleet``.
 """
 

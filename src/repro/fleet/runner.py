@@ -12,7 +12,7 @@ into one *fleet timeline* with a deterministic admission model:
   fleet *completion* time and fed to the shared
   :class:`~repro.telemetry.slo.SloEngine`, so burn-rate alerts fire at
   deterministic fleet times;
-* per-migration downtime feeds one mergeable
+* per-migration downtime feeds one
   :class:`~repro.telemetry.sketch.QuantileSketch` — the fleet p50/p99
   the console and ``BENCH_fleet.json`` report.
 
@@ -38,7 +38,7 @@ from repro.fleet.hosts import (
     HostUtilization,
 )
 from repro.telemetry.sketch import QuantileSketch
-from repro.telemetry.slo import SloEngine, SloObjective, SloViolation, default_objectives
+from repro.telemetry.slo import SloEngine, SloViolation
 from repro.telemetry.waitstate import (
     WAIT_KINDS,
     WaitProfile,
@@ -76,7 +76,6 @@ class FleetConfig:
     #: Inject ``fault_spec`` into every k-th migration (0 = never).
     fault_every: int = 0
     fault_spec: str = DEFAULT_FAULT_SPEC
-    objectives: tuple[SloObjective, ...] | None = None
     #: Per-host contention model (0 = off: the plain slot timeline).
     #: With ``hosts > 0`` every migration is placed source→target and
     #: must acquire EPC pages and a bandwidth grant before starting.
@@ -416,7 +415,7 @@ class FleetRunner:
         self.on_record = on_record
         self.records: list[MigrationRecord] = []
         self.downtime_sketch = QuantileSketch()
-        self.slo = SloEngine(config.objectives or default_objectives())
+        self.slo = SloEngine()
         self._slots = [0] * config.max_inflight
         spec = config.host_spec()
         self.hosts: HostModel | None = HostModel(spec) if spec else None
@@ -485,7 +484,6 @@ class FleetRunner:
         tb = build_testbed(seed=seed)
         telemetry = tb.telemetry
         telemetry.flightrecorder.namespace = mig_id
-        telemetry.ensure_bus()
 
         program = EnclaveProgram("fleet/counter-v1")
         program.add_entry(
@@ -567,8 +565,8 @@ class FleetRunner:
         top_spans: list[dict[str, Any]] = []
         if self.hosts is not None:
             # Surface the typed waits as run-scope metrics so SLO
-            # objectives (and `aggregate_run_metrics`) can target
-            # queueing the same way they target downtime.
+            # objectives can target queueing the same way they target
+            # downtime.
             by_kind = {kind: 0 for kind in WAIT_KINDS}
             for kind, wait_ns, _ in waits:
                 by_kind[kind] += wait_ns
@@ -623,7 +621,6 @@ class FleetRunner:
             traces_doc = to_otlp_traces(
                 telemetry, resource=default_resource(telemetry, **{"fleet.mig": mig_id})
             )
-        telemetry.bus.finalize()
 
         record = MigrationRecord(
             index=index,

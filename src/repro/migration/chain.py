@@ -84,8 +84,8 @@ class ChainReport:
         """Every per-migration run id across the chain, in hop order."""
         return [rid for hop in self.hops for rid in hop.run_ids]
 
-    def downtime_sketch(self, relative_error: float = 0.01):
-        """A mergeable quantile sketch of per-hop downtime (p50/p95/p99).
+    def downtime_sketch(self):
+        """A quantile sketch of per-hop downtime (p50/p95/p99).
 
         This is the fleet-shaped answer to "what does an N-hop chain's
         downtime distribution look like" — each hop's scoped
@@ -93,7 +93,7 @@ class ChainReport:
         """
         from repro.telemetry.sketch import QuantileSketch
 
-        sketch = QuantileSketch(relative_error=relative_error)
+        sketch = QuantileSketch()
         for hop in self.hops:
             for delta in hop.run_metrics.values():
                 value = delta.get("migration.downtime_ns")

@@ -58,9 +58,6 @@ class Telemetry:
         self.flightrecorder = FlightRecorder(self)
         #: Sampling profiler, attached lazily by :meth:`ensure_profiler`.
         self.profiler = None
-        #: Streaming bus, attached lazily by :meth:`ensure_bus` (or by
-        #: :meth:`repro.telemetry.stream.TelemetryBus.attach`).
-        self.bus = None
         #: Closed per-migration metric deltas, keyed by run (trace) id.
         self.run_metrics: dict[str, dict] = {}
         self.last_run_id: str | None = None
@@ -95,21 +92,6 @@ class Telemetry:
             )
         return self.profiler
 
-    # ------------------------------------------------------------- streaming
-    def ensure_bus(self, replay: bool = True):
-        """The testbed's streaming bus, created and tailed on first use.
-
-        See :mod:`repro.telemetry.stream`: the bus receives every trace
-        event, every finished span (at its end time), and every closed
-        run scope's metric delta, and fans them out to bounded
-        subscribers (SLO engine, exporters, console).
-        """
-        if self.bus is None:
-            from repro.telemetry.stream import TelemetryBus
-
-            TelemetryBus().attach(self, replay=replay)
-        return self.bus
-
     # ------------------------------------------------------------ run scopes
     def begin_run(self, run_id: str):
         """Open a per-migration metric scope (see :class:`RunScope`)."""
@@ -132,16 +114,6 @@ class Telemetry:
         if delta is not None:
             self.run_metrics[run_id] = delta
             self.last_run_id = run_id
-            if self.bus is not None:
-                # The run's closed metric delta is a first-class stream
-                # record: the SLO engine and fleet console consume these
-                # instead of re-deriving per-run numbers from raw spans.
-                self.bus.publish(
-                    self.clock.now_ns,
-                    "metric",
-                    {"run_id": run_id, "delta": delta},
-                    source=run_id,
-                )
         return delta
 
     def run_isolation_violations(self) -> list[str]:

@@ -297,52 +297,6 @@ def _prom_labels(labels: dict[str, Any], extra: dict[str, Any] | None = None) ->
     return "{" + inner + "}"
 
 
-# --------------------------------------------------------- aggregate records
-#
-# Sketches and profiles are *aggregate* artifacts (one per fleet window /
-# per run, not one per event), so they ship as self-describing JSONL
-# records that round-trip through :func:`record_from_dict`.
-
-def sketch_record(name: str, sketch: Any) -> dict[str, Any]:
-    """One quantile sketch as a typed, round-trip-able JSONL record."""
-    return {"type": "sketch", "name": name, "sketch": sketch.to_dict()}
-
-
-def profile_record(profile: Any) -> dict[str, Any]:
-    """One sampling profile as a typed, round-trip-able JSONL record."""
-    return {"type": "profile", "profile": profile.as_dict()}
-
-
-def records_to_jsonl(records: list[dict[str, Any]]) -> str:
-    """Records as JSONL, stable key order (CI diffs these byte-wise)."""
-    lines = [json.dumps(json_safe(r), sort_keys=True) for r in records]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def record_from_dict(payload: dict[str, Any]) -> Any:
-    """Rebuild the typed object a record serialized (inverse of the
-    ``*_record`` constructors); unknown types come back as the raw dict."""
-    kind = payload.get("type")
-    if kind == "sketch":
-        from repro.telemetry.sketch import QuantileSketch
-
-        return payload["name"], QuantileSketch.from_dict(payload["sketch"])
-    if kind == "profile":
-        from repro.telemetry.profiler import Profile
-
-        return Profile.from_dict(payload["profile"])
-    return payload
-
-
-def records_from_jsonl(text: str) -> list[Any]:
-    """Parse a JSONL dump back into typed objects via record_from_dict."""
-    return [
-        record_from_dict(json.loads(line))
-        for line in text.splitlines()
-        if line.strip()
-    ]
-
-
 def _prom_header(lines: list[str], seen: set[str], name: str, source: str,
                  kind: str) -> None:
     if name not in seen:

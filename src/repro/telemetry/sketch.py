@@ -5,10 +5,8 @@ to survive the jump from one migration to a fleet of them:
 
 * :class:`QuantileSketch` — a DDSketch-style log-bucketed quantile
   sketch: O(log range) memory over an unbounded stream, deterministic
-  (no RNG, no wall time), and **mergeable** — the sketch of a chain, a
-  sweep, or a whole fleet is the merge of its per-migration sketches,
-  with the same relative-error guarantee.  p50/p95/p99 queries carry a
-  configurable relative error (1% by default).
+  (no RNG, no wall time).  p50/p95/p99 queries carry a fixed 1 %
+  relative error.
 
 * :class:`RunScope` — a begin/end bracket over one
   :class:`~repro.telemetry.metrics.MetricsRegistry` that yields the
@@ -28,24 +26,17 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from repro.telemetry.metrics import (
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    MetricsRegistry,
-)
+from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = [
     "QuantileSketch",
     "RunScope",
-    "aggregate_run_metrics",
-    "scalar_series",
     "snapshot_delta",
 ]
 
 
 class QuantileSketch:
-    """Mergeable streaming quantiles with bounded relative error.
+    """Streaming quantiles with bounded relative error.
 
     Values land in geometric buckets ``gamma^i``; a quantile answer is
     the midpoint of its bucket, within ``relative_error`` of the true
@@ -53,14 +44,13 @@ class QuantileSketch:
     aggregate is a latency, a byte count, or a retry count).
     """
 
-    kind = "sketch"
+    #: Bound on every quantile answer's relative error; the OTLP
+    #: exporter rebuilds the bucket bounds from it.
+    relative_error = 0.01
+    _gamma = (1.0 + relative_error) / (1.0 - relative_error)
+    _log_gamma = math.log(_gamma)
 
-    def __init__(self, relative_error: float = 0.01) -> None:
-        if not 0 < relative_error < 1:
-            raise ValueError(f"relative error must be in (0, 1), got {relative_error}")
-        self.relative_error = relative_error
-        self._gamma = (1.0 + relative_error) / (1.0 - relative_error)
-        self._log_gamma = math.log(self._gamma)
+    def __init__(self) -> None:
         self.buckets: dict[int, int] = {}
         self.zero_count = 0
         self.count = 0
@@ -81,24 +71,6 @@ class QuantileSketch:
             return
         index = math.ceil(math.log(value) / self._log_gamma)
         self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold ``other`` into this sketch (same relative error required)."""
-        if abs(other.relative_error - self.relative_error) > 1e-12:
-            raise ValueError(
-                f"cannot merge sketches with relative errors "
-                f"{self.relative_error} and {other.relative_error}"
-            )
-        for index, n in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + n
-        self.zero_count += other.zero_count
-        self.count += other.count
-        self.sum += other.sum
-        if other.min is not None:
-            self.min = other.min if self.min is None else min(self.min, other.min)
-        if other.max is not None:
-            self.max = other.max if self.max is None else max(self.max, other.max)
-        return self
 
     # ------------------------------------------------------------- queries
     def quantile(self, q: float) -> float:
@@ -132,33 +104,6 @@ class QuantileSketch:
     @property
     def p99(self) -> float:
         return self.quantile(0.99)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
-
-    # ----------------------------------------------------------- round-trip
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "relative_error": self.relative_error,
-            "buckets": {str(i): n for i, n in sorted(self.buckets.items())},
-            "zero_count": self.zero_count,
-            "count": self.count,
-            "sum": self.sum,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "QuantileSketch":
-        sketch = cls(relative_error=float(payload["relative_error"]))
-        sketch.buckets = {int(i): int(n) for i, n in payload["buckets"].items()}
-        sketch.zero_count = int(payload["zero_count"])
-        sketch.count = int(payload["count"])
-        sketch.sum = float(payload["sum"])
-        sketch.min = payload["min"]
-        sketch.max = payload["max"]
-        return sketch
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -249,39 +194,3 @@ def snapshot_delta(
                 delta[key] = moved
     return delta
 
-
-def scalar_series(delta: dict[str, Any]) -> dict[str, float]:
-    """The scalar (non-histogram) series of one delta snapshot."""
-    return {k: v for k, v in delta.items() if not isinstance(v, dict)}
-
-
-def aggregate_run_metrics(
-    run_metrics: dict[str, dict[str, Any]],
-    relative_error: float = 0.01,
-) -> dict[str, QuantileSketch]:
-    """Fold per-run delta snapshots into one sketch per series.
-
-    ``run_metrics`` maps run id → delta snapshot (the shape
-    :class:`RunScope` produces).  Every scalar series becomes a
-    :class:`QuantileSketch` over its per-run values; histogram deltas
-    contribute their per-run *mean* under ``<series>:mean``.  The result
-    answers fleet questions — p99 downtime across a chain, p95 journal
-    appends across a sweep — without keeping any run's raw data.
-    """
-    sketches: dict[str, QuantileSketch] = {}
-
-    def observe(series: str, value: float) -> None:
-        if value < 0:
-            return  # a negative delta is an isolation bug, not a latency
-        sketch = sketches.get(series)
-        if sketch is None:
-            sketch = sketches[series] = QuantileSketch(relative_error)
-        sketch.observe(value)
-
-    for _run_id, delta in sorted(run_metrics.items()):
-        for series, value in delta.items():
-            if isinstance(value, dict):
-                observe(f"{series}:mean", value.get("mean", 0.0))
-            else:
-                observe(series, float(value))
-    return sketches

@@ -24,20 +24,19 @@ the objective side:
   the evaluation window and a shorter confirmation window, so a single
   old bad sample cannot page and a fresh spike cannot hide.
 
-* :class:`SloEngine` — evaluates every objective as samples stream in
-  (directly, or subscribed to a :class:`~repro.telemetry.stream.TelemetryBus`
-  where it consumes ``metric`` records), with **hysteresis**: an alert
+* :class:`SloEngine` — evaluates every objective as closed run deltas
+  arrive (:meth:`SloEngine.ingest_run`), with **hysteresis**: an alert
   fires exactly once when it trips and clears exactly once when the
   long-window burn falls back under the factor.  Firing emits a typed
-  :class:`SloViolation` and — when a telemetry surface is in reach — a
-  ``("slo", "violation")`` trace event, which the flight recorder
-  treats as a dump trigger and the invariant monitor records in its
-  ``slo_violations`` ledger.
+  :class:`SloViolation` and — when the caller passes a telemetry
+  surface — a ``("slo", "violation")`` trace event, which the flight
+  recorder treats as a dump trigger and the invariant monitor records in
+  its ``slo_violations`` ledger.
 
 Windows slide over *virtual* time (single testbed) or *fleet* time (the
 fleet runner's admission clock); samples may arrive slightly out of
 time order (fleet completion order ≠ fleet end-time order) and are kept
-sorted, bounded by ``max_window_samples`` per signal.
+sorted, bounded by :data:`MAX_WINDOW_SAMPLES` per objective.
 
 Edge-case semantics (pinned by ``tests/telemetry/test_slo.py``):
 
@@ -54,12 +53,11 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry import Telemetry
-    from repro.telemetry.stream import StreamRecord, TelemetryBus
 
 __all__ = [
     "BurnRate",
@@ -76,6 +74,9 @@ KIND_QUANTILE = "quantile"
 #: (a fleet of ~100 ms migrations turns over its whole population in a
 #: few virtual seconds).
 SECOND_NS = 1_000_000_000
+
+#: Hard cap on the samples one objective's window keeps.
+MAX_WINDOW_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -200,16 +201,10 @@ class SloViolation:
         }
 
 
-def default_objectives(
-    downtime_budget_ns: float = 30_000_000,
-    downtime_target: float = 0.95,
-    fleet_p99_downtime_ns: float = 40_000_000,
-    recovery_cost_ns: float = 120_000_000,
-    refusal_target: float = 0.95,
-) -> tuple[SloObjective, ...]:
+def default_objectives() -> tuple[SloObjective, ...]:
     """The fleet's standard objective set.
 
-    The defaults bracket the calibrated single-migration numbers (clean
+    The budgets bracket the calibrated single-migration numbers (clean
     enclave downtime ~28.8 ms at seed 1): a clean fleet stays green, a
     fleet with injected faults burns the downtime budget.
     """
@@ -217,27 +212,27 @@ def default_objectives(
         SloObjective(
             name="downtime-budget",
             signal="migration.downtime_ns",
-            budget=downtime_budget_ns,
-            target=downtime_target,
+            budget=30_000_000,
+            target=0.95,
         ),
         SloObjective(
             name="fleet-p99-downtime",
             signal="migration.downtime_ns",
             kind=KIND_QUANTILE,
             q=0.99,
-            budget=fleet_p99_downtime_ns,
+            budget=40_000_000,
         ),
         SloObjective(
             name="recovery-cost",
             signal="migration.total_ns",
-            budget=recovery_cost_ns,
-            target=downtime_target,
+            budget=120_000_000,
+            target=0.95,
         ),
         SloObjective(
             name="refusal-rate",
             signal="migration.aborts_total",
             budget=0,
-            target=refusal_target,
+            target=0.95,
             missing_value=0,
         ),
     )
@@ -261,22 +256,15 @@ class _AlertState:
 
 
 class SloEngine:
-    """Evaluates a set of objectives over streaming per-migration samples."""
+    """Evaluates a set of objectives over per-migration run deltas."""
 
     def __init__(
-        self,
-        objectives: tuple[SloObjective, ...] | list[SloObjective] | None = None,
-        telemetry: "Telemetry | None" = None,
-        max_window_samples: int = 4096,
-        on_violation: Callable[[SloViolation], None] | None = None,
+        self, objectives: tuple[SloObjective, ...] | list[SloObjective] | None = None
     ) -> None:
         self.objectives = tuple(objectives if objectives is not None else default_objectives())
         names = [o.name for o in self.objectives]
         if len(names) != len(set(names)):
             raise ValueError(f"objective names must be unique, got {names}")
-        self.telemetry = telemetry
-        self.max_window_samples = max_window_samples
-        self.on_violation = on_violation
         #: Every fired/cleared alert, in evaluation order.
         self.violations: list[SloViolation] = []
         self._windows: dict[str, list[_Sample]] = {o.name: [] for o in self.objectives}
@@ -284,16 +272,6 @@ class SloEngine:
         self._now_ns = 0
 
     # ---------------------------------------------------------------- intake
-    def attach(self, bus: "TelemetryBus", name: str = "slo-engine", capacity: int = 64):
-        """Subscribe to a bus; ``metric`` records become samples."""
-        return bus.subscribe(name, capacity=capacity, callback=self.on_records)
-
-    def on_records(self, records: list["StreamRecord"]) -> None:
-        for record in records:
-            if record.kind == "metric":
-                delta = record.payload.get("delta") or {}
-                self.ingest_run(record.t_ns, delta, source=record.source)
-
     def ingest_run(
         self,
         t_ns: int,
@@ -304,9 +282,9 @@ class SloEngine:
         """Fold one closed run delta into every objective and evaluate.
 
         Returns the alerts that fired or cleared *because of this
-        sample*.  ``emit_to`` overrides the engine's telemetry for the
-        emitted trace events — the fleet runner passes the migration's
-        own telemetry so its flight recorder captures the violation.
+        sample*.  ``emit_to`` receives the transitions as trace events —
+        the fleet runner passes the migration's own telemetry so its
+        flight recorder captures the violation.
         """
         before = len(self.violations)
         for objective in self.objectives:
@@ -319,14 +297,6 @@ class SloEngine:
         self.evaluate(t_ns, emit_to=emit_to)
         return self.violations[before:]
 
-    def observe(
-        self, t_ns: int, signal: str, value: float, source: str = ""
-    ) -> None:
-        """Feed one raw sample to every objective watching ``signal``."""
-        for objective in self.objectives:
-            if objective.signal == signal:
-                self._observe(objective, t_ns, float(value), source)
-
     def _observe(self, objective: SloObjective, t_ns: int, value: float, source: str) -> None:
         window = self._windows[objective.name]
         insort(window, _Sample(int(t_ns), value, source))
@@ -338,8 +308,8 @@ class SloEngine:
         newest = window[-1].t_ns
         while window and window[0].t_ns <= newest - horizon:
             window.pop(0)
-        if len(window) > self.max_window_samples:
-            del window[: len(window) - self.max_window_samples]
+        if len(window) > MAX_WINDOW_SAMPLES:
+            del window[: len(window) - MAX_WINDOW_SAMPLES]
         self._now_ns = max(self._now_ns, int(t_ns))
 
     # ------------------------------------------------------------- evaluation
@@ -465,22 +435,21 @@ class SloEngine:
         self.violations.append(violation)
         return violation
 
-    def _emit(self, violations: list[SloViolation], emit_to: "Telemetry | None") -> None:
-        telemetry = emit_to or self.telemetry
+    @staticmethod
+    def _emit(violations: list[SloViolation], telemetry: "Telemetry | None") -> None:
+        if telemetry is None:
+            return
         for violation in violations:
-            if self.on_violation is not None:
-                self.on_violation(violation)
-            if telemetry is not None:
-                telemetry.trace.emit(
-                    "slo",
-                    "violation" if violation.kind == "fired" else "resolved",
-                    **violation.as_dict(),
-                )
-                telemetry.metrics.counter(
-                    "slo.alerts_total",
-                    objective=violation.objective,
-                    kind=violation.kind,
-                ).inc()
+            telemetry.trace.emit(
+                "slo",
+                "violation" if violation.kind == "fired" else "resolved",
+                **violation.as_dict(),
+            )
+            telemetry.metrics.counter(
+                "slo.alerts_total",
+                objective=violation.objective,
+                kind=violation.kind,
+            ).inc()
 
     # ---------------------------------------------------------------- queries
     def active_alerts(self) -> list[tuple[str, str]]:

@@ -8,9 +8,13 @@ benchmarks, the CLI and CI diff one artifact instead of grepping events.
 
 Phase mapping (span name → phase):
 
-* enclave migration (``MigrationOrchestrator``): the six protocol steps
-  under ``migration.step.*`` plus the enclosing ``migration.stop_and_copy``
-  window, whose duration *is* the ``migration.downtime_ns`` metric;
+* enclave migration (``MigrationOrchestrator``): every
+  ``migration.step.<step>`` span is the phase ``<step>`` — the
+  orchestrator names those spans from the protocol's own step constants
+  (:data:`repro.faults.plan.PROTOCOL_STEPS`, plus ``resume``), so a step
+  shows up here exactly when a run takes it — plus the enclosing
+  ``migration.stop_and_copy`` window, whose duration *is* the
+  ``migration.downtime_ns`` metric;
 * whole-VM migration (``QemuMonitor``): ``vm.prepare``, the
   ``vm.precopy.round`` series, ``vm.stop_and_copy`` and ``vm.restore``.
 """
@@ -24,34 +28,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry import Telemetry
     from repro.telemetry.spans import Span
 
-#: Span names that become phases of the reconstructed timeline, in the
-#: order the fault-free protocol visits them (earlier = expected first).
+#: Span-name prefix of the enclave protocol steps; the rest is the phase.
+STEP_PREFIX = "migration.step."
+
+#: The other span names that become phases of the reconstructed timeline.
 PHASE_SPANS = {
     "vm.prepare": "prepare",
     "vm.precopy.round": "pre-copy round",
     "vm.stop_and_copy": "stop-and-copy",
     "vm.restore": "restore",
     "migration.stop_and_copy": "stop-and-copy",
-    "migration.step.checkpoint": "checkpoint",
-    "migration.step.build-target": "build-target",
-    "migration.step.establish-channel": "establish-channel",
-    "migration.step.transfer-checkpoint": "transfer-checkpoint",
-    "migration.step.handoff-key": "handoff-key",
-    "migration.step.restore": "restore",
-    "migration.step.resume": "resume",
 }
-
-#: The phase ordering of one clean (fault-free) enclave migration.
-EXPECTED_ENCLAVE_PHASES = [
-    "stop-and-copy",
-    "checkpoint",
-    "build-target",
-    "establish-channel",
-    "transfer-checkpoint",
-    "handoff-key",
-    "restore",
-    "resume",
-]
 
 
 @dataclass(frozen=True)
@@ -123,11 +110,8 @@ class TimelineReport:
 def reconstruct(telemetry: "Telemetry") -> TimelineReport:
     """Build the timeline report for the migration run(s) in ``telemetry``."""
     metrics = telemetry.metrics
-    phases = [
-        _phase_from(span)
-        for span in sorted(telemetry.tracer.finished(), key=lambda s: (s.start_ns, s.span_id))
-        if span.name in PHASE_SPANS
-    ]
+    spans = sorted(telemetry.tracer.finished(), key=lambda s: (s.start_ns, s.span_id))
+    phases = [phase for phase in map(_phase_from, spans) if phase is not None]
     downtime_ns = int(metrics.value("migration.downtime_ns", default=0))
     if downtime_ns == 0:
         # No completed run set the gauge; fall back to the stop-and-copy
@@ -156,10 +140,15 @@ def reconstruct(telemetry: "Telemetry") -> TimelineReport:
     )
 
 
-def _phase_from(span: "Span") -> Phase:
-    name = PHASE_SPANS[span.name]
-    if span.name == "vm.precopy.round":
-        name = f"{name} {span.attrs.get('round', '?')}"
+def _phase_from(span: "Span") -> Phase | None:
+    if span.name.startswith(STEP_PREFIX):
+        name = span.name.removeprefix(STEP_PREFIX)
+    elif span.name in PHASE_SPANS:
+        name = PHASE_SPANS[span.name]
+        if span.name == "vm.precopy.round":
+            name = f"{name} {span.attrs.get('round', '?')}"
+    else:
+        return None
     return Phase(
         name=name,
         party=span.party,

@@ -1,20 +1,8 @@
-"""Exporter edge cases: escaping, nesting across parties, round-trips."""
+"""Exporter edge cases: escaping and nesting across parties."""
 
-import json
-
-from repro.telemetry.exporters import (
-    profile_record,
-    record_from_dict,
-    records_from_jsonl,
-    records_to_jsonl,
-    sketch_record,
-    to_chrome_trace,
-    to_prometheus,
-)
+from repro.telemetry.exporters import to_chrome_trace, to_prometheus
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.profiler import Profile
 from repro.telemetry.runs import run_seeded_migration
-from repro.telemetry.sketch import QuantileSketch
 
 
 class TestPrometheusEscaping:
@@ -82,47 +70,3 @@ class TestChromeTraceNesting:
         finishes = {e["id"] for e in events if e.get("ph") == "f"}
         assert starts and starts == finishes
 
-
-class TestRecordRoundTrip:
-    def test_sketch_record_round_trip(self):
-        sketch = QuantileSketch()
-        for v in (0, 10, 200, 3_000):
-            sketch.observe(v)
-        text = records_to_jsonl([sketch_record("migration.downtime_ns", sketch)])
-        (loaded,) = records_from_jsonl(text)
-        name, clone = loaded
-        assert name == "migration.downtime_ns"
-        assert clone.count == sketch.count
-        assert clone.quantile(0.5) == sketch.quantile(0.5)
-
-    def test_profile_record_round_trip(self):
-        tb = run_seeded_migration(seed=1, profile_interval_ns=10_000)
-        profile = tb.telemetry.profiler.profile()
-        text = records_to_jsonl([profile_record(profile)])
-        (clone,) = records_from_jsonl(text)
-        assert isinstance(clone, Profile)
-        assert clone.folded() == profile.folded()
-
-    def test_mixed_stream_preserves_order_and_types(self):
-        sketch = QuantileSketch()
-        sketch.observe(7)
-        profile = Profile(
-            interval_ns=10, start_ns=0, end_ns=50, sample_count=5,
-            stacks={("p", "a"): 50},
-        )
-        text = records_to_jsonl(
-            [sketch_record("s", sketch), profile_record(profile), {"type": "other"}]
-        )
-        assert len(text.splitlines()) == 3
-        loaded = records_from_jsonl(text)
-        assert loaded[0][0] == "s"
-        assert isinstance(loaded[1], Profile)
-        assert loaded[2] == {"type": "other"}
-
-    def test_jsonl_is_deterministic(self):
-        sketch = QuantileSketch()
-        sketch.observe(3)
-        a = records_to_jsonl([sketch_record("x", sketch)])
-        b = records_to_jsonl([sketch_record("x", sketch)])
-        assert a == b
-        json.loads(a)  # single valid JSON line

@@ -211,29 +211,17 @@ class TestDefaultObjectives:
         assert "downtime" in monitor.slo_violations[0]
         monitor.assert_clean()  # an SLO breach is not a safety failure
 
-    def test_bus_subscription_feeds_metric_records(self):
-        engine = SloEngine(default_objectives())
-        tb = build_testbed(seed=43)
-        bus = tb.telemetry.ensure_bus()
-        engine.attach(bus, capacity=1)
-        app = build_counter_app(tb, tag="slo-bus")
-        MigrationOrchestrator(tb).migrate_enclave(app)
-        bus.finalize()
-        # The run delta arrived through the bus as a metric record.
-        assert engine._windows["downtime-budget"]
-        assert engine.active_alerts() == []
-
 
 class TestGenerationBoundary:
     def test_stale_generation_delta_cannot_refire_cleared_alert(self):
-        """A run scope that straddles a registry reset is tainted: its
-        delta never reaches the bus, so a cleared alert stays cleared
-        even when the stale scope saw a budget-burning gauge."""
+        """A run scope that straddles a registry reset is tainted: it
+        closes to no delta, so an engine fed the fleet runner's way
+        (``ingest_run`` over ``run_metrics``) never sees its gauge, and a
+        cleared alert stays cleared even though the stale scope saw a
+        budget-burning downtime."""
         engine = _engine()
         tb = build_testbed(seed=44)
         telemetry = tb.telemetry
-        bus = telemetry.ensure_bus()
-        engine.attach(bus, capacity=4)
         # Fire once, clear once — the hysteresis baseline.
         engine.ingest_run(S, {"migration.downtime_ns": 99 * MS})
         for i in range(2, 9):
@@ -248,10 +236,16 @@ class TestGenerationBoundary:
         telemetry.metrics.gauge("migration.downtime_ns").set(99 * MS)
         telemetry.metrics.reset()  # generation bump mid-scope
         assert telemetry.end_run("stale-run") is None
-        bus.finalize()
-        # No metric record was published, the window is untouched, and
-        # the alert did not re-fire.
         assert "stale-run" not in telemetry.run_metrics
-        assert len(engine._windows["downtime"]) == windows_before
+        # A clean scope after the reset still closes to a delta.
+        telemetry.begin_run("fresh-run")
+        telemetry.metrics.gauge("migration.downtime_ns").set(1 * MS)
+        assert telemetry.end_run("fresh-run") is not None
+        assert sorted(telemetry.run_metrics) == ["fresh-run"]
+        for run_id in sorted(telemetry.run_metrics):
+            engine.ingest_run(9 * S, telemetry.run_metrics[run_id], source=run_id)
+        # Only the clean run reached the window, and the alert did not
+        # re-fire.
+        assert len(engine._windows["downtime"]) == windows_before + 1
         assert engine.active_alerts() == []
         assert (state.fired_total, state.cleared_total) == (1, 1)

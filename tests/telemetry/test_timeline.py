@@ -4,12 +4,24 @@ import pytest
 
 from repro.errors import MigrationAborted, PartyCrash
 from repro.faults import FaultInjector, FaultPlan, MessageFault
+from repro.faults.plan import PROTOCOL_STEPS, STEP_HANDOFF_STORAGE
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
 from repro.migration.testbed import build_testbed
+from repro.sdk import control
 from repro.telemetry.runs import run_seeded_migration
-from repro.telemetry.timeline import EXPECTED_ENCLAVE_PHASES, well_nested
+from repro.telemetry.timeline import well_nested
 
 from tests.conftest import build_counter_app
+
+#: The phase ordering of one clean (fault-free) storageless enclave
+#: migration: the stop-and-copy window opens first, then every protocol
+#: step but the storage handoff (negotiated away without storage), then
+#: the resume on the target.
+EXPECTED_ENCLAVE_PHASES = [
+    "stop-and-copy",
+    *(step for step in PROTOCOL_STEPS if step != STEP_HANDOFF_STORAGE),
+    "resume",
+]
 
 
 class TestGoldenTimeline:
@@ -54,6 +66,26 @@ class TestGoldenTimeline:
         a = run_seeded_migration(seed=99).telemetry.timeline().as_dict()
         b = run_seeded_migration(seed=99).telemetry.timeline().as_dict()
         assert a == b
+
+
+class TestStorageTimeline:
+    """A migration that carries sealed storage takes the handoff step,
+    and the timeline reports it as a phase of its own."""
+
+    def test_handoff_storage_phase_is_reported(self):
+        tb = build_testbed(seed=5)
+        app = build_counter_app(tb, tag="storage-timeline")
+        app.library.control_call(control.storage_put, "note", "rides along")
+        MigrationOrchestrator(tb).migrate_enclave(app)
+        report = tb.telemetry.timeline()
+        names = report.phase_names
+        assert names == ["stop-and-copy", *PROTOCOL_STEPS, "resume"]
+        assert (
+            names.index("transfer-checkpoint")
+            < names.index(STEP_HANDOFF_STORAGE)
+            < names.index("handoff-key")
+        )
+        assert report.per_phase_ns()[STEP_HANDOFF_STORAGE] > 0
 
 
 class TestVmTimeline:

@@ -401,6 +401,18 @@ class TestFleetContentionCli:
         assert series["queueing_p99_ns"] > 0
         assert 0 < series["epc_util_pct"] <= 100
 
+    def test_json_report_carries_the_keys_the_ci_gate_reads(self, capsys):
+        assert main(
+            ["fleet", "--n", "6", "--seeds", "1", "--hosts", "2", "--json"]
+        ) == 0
+        hosts = json.loads(capsys.readouterr().out)["hosts"]
+        assert set(hosts) == {
+            "bw_bytes_per_sec", "count", "epc_pages", "queueing",
+            "total_queued_ns", "utilization",
+        }
+        assert hosts["total_queued_ns"] > 0
+        assert hosts["queueing"]["p99_ns"] > 0
+
     def test_blame_action_ranks_stragglers(self, capsys):
         assert main(
             ["fleet", "blame", "--n", "8", "--seeds", "1", "--hosts", "2"]
