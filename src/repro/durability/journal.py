@@ -89,8 +89,11 @@ class Journal:
         start_ns = self.store.clock.now_ns if self.store.clock is not None else None
         counter = self.store.counter(self.name) + 1
         body = serde.pack({"c": counter, "k": kind, "p": payload})
-        frame = _FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
-        self.store.log(self.name).extend(frame)
+        # Header and body go onto the log one after the other: a sealed
+        # blob body can be tens of MB, and ``header + body`` would copy it.
+        log = self.store.log(self.name)
+        log.extend(_FRAME_HEADER.pack(len(body), zlib.crc32(body)))
+        log.extend(body)
         if not defer_charge and self.store.clock is not None and self.store.commit_cost_ns:
             # The synchronous fsync stall gets its own span so the
             # critical-path engine (and `repro diff`) can blame journal
@@ -116,7 +119,7 @@ class Journal:
                 party=self.party,
                 kind=kind,
                 counter=counter,
-                n_bytes=len(frame),
+                n_bytes=_FRAME_HEADER.size + len(body),
             )
         if self.store.metrics is not None:
             self.store.metrics.counter("journal.appends_total", party=self.party).inc()

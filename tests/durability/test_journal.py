@@ -10,7 +10,10 @@ import pytest
 from repro.durability import DurableStore, Journal
 from repro.errors import JournalCorrupt, JournalRolledBack
 from repro.migration.testbed import build_testbed
+from repro.sim.clock import VirtualClock
+from repro.sim.trace import EventTrace
 from tests.conftest import build_counter_app
+from tests.test_serde import reference_pack
 
 
 @pytest.fixture
@@ -56,6 +59,19 @@ class TestAppendReplay:
         a.append("one")
         assert b.records() == []
         assert store.counter(b.name) == 0
+
+    def test_append_writes_one_canonical_frame(self, store, journal):
+        store.trace = EventTrace(VirtualClock())
+        journal.append("begin", {"image": "demo"})
+        before = bytes(store.log(journal.name))
+        payload = {"sequence": 2, "blob": bytes(range(256)) * 64, "hops": (1, "\u00e9")}
+        journal.append("checkpoint", payload)
+        body = reference_pack({"c": 2, "k": "checkpoint", "p": payload})
+        frame = struct.pack("<II", len(body), zlib.crc32(body)) + body
+        assert bytes(store.log(journal.name)) == before + frame
+        appends = [e for e in store.trace.events if (e.category, e.name) == ("journal", "append")]
+        assert [e.payload["counter"] for e in appends] == [1, 2]
+        assert appends[1].payload["n_bytes"] == len(frame)
 
 
 class TestTamperDefense:
