@@ -551,7 +551,6 @@ def _cmd_fleet(args) -> int:
             n=args.n,
             seeds=tuple(int(s) if s.isdigit() else s for s in seeds) or (1,),
             max_inflight=args.max_inflight,
-            hops=args.hops,
             fault_every=args.fault_every,
             fault_spec=args.fault_plan,
             hosts=hosts,
@@ -560,9 +559,11 @@ def _cmd_fleet(args) -> int:
         )
     except ValueError as exc:
         raise SystemExit(f"repro fleet: {exc}")
+    # With --json, stdout carries exactly one JSON document; live frames
+    # go to stderr.
     console = FleetConsole(
         n=config.n,
-        stream=sys.stdout if args.watch else None,
+        stream=(sys.stderr if args.json else sys.stdout) if args.watch else None,
         frame_every=args.frame_every if args.watch else 0,
     )
     report = FleetRunner(config, on_record=console.on_record).run()
@@ -818,7 +819,7 @@ def main(argv: list[str] | None = None) -> int:
     metrics.set_defaults(fn=_cmd_metrics)
     fleet = sub.add_parser(
         "fleet",
-        help="run N seeded migrations under the fleet SLO plane",
+        help="run N seeded migrations against the fleet downtime budget",
     )
     fleet.add_argument(
         "action", nargs="?", choices=("run", "blame"), default="run",
@@ -834,10 +835,6 @@ def main(argv: list[str] | None = None) -> int:
     fleet.add_argument(
         "--max-inflight", type=int, default=8, dest="max_inflight",
         help="concurrent admission slots on the fleet timeline",
-    )
-    fleet.add_argument(
-        "--hops", type=int, default=1,
-        help="hops per migration (>1 drives an N-hop chain)",
     )
     fleet.add_argument(
         "--fault-every", type=int, default=0, dest="fault_every", metavar="K",
@@ -875,7 +872,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     fleet.add_argument(
         "--watch", action="store_true",
-        help="print live console frames as migrations complete",
+        help="print live console frames as migrations complete "
+        "(to stderr with --json)",
     )
     fleet.add_argument(
         "--frame-every", type=int, default=8, dest="frame_every",

@@ -1,11 +1,12 @@
-"""Fleet-scale migration runs: N seeded migrations under one SLO plane.
+"""Fleet-scale migration runs: N seeded migrations against one downtime budget.
 
 The paper evaluates one migration at a time; the ROADMAP's north star is
 a datacenter scheduler draining hundreds of enclaves concurrently.  This
 package is the first concrete step: a deterministic multi-migration
-runner (:class:`~repro.fleet.runner.FleetRunner`) whose per-migration
-telemetry feeds the SLO engine and a curses-free live console
-(:class:`~repro.fleet.console.FleetConsole`) — surfaced as
+runner (:class:`~repro.fleet.runner.FleetRunner`) that reads each
+migration's downtime from its own testbed, checks it against
+:data:`~repro.fleet.runner.DOWNTIME_BUDGET_NS`, and feeds a curses-free
+live console (:class:`~repro.fleet.console.FleetConsole`) — surfaced as
 ``repro fleet``.
 """
 

@@ -3,7 +3,7 @@
 One :class:`FleetConsole` hooks a :class:`~repro.fleet.runner.FleetRunner`
 via its ``on_record`` callback and renders plain-text frames: a status
 grid (one cell per migration), the fleet downtime percentiles from the
-shared sketch, and the SLO engine's currently-firing alerts.  Frames
+shared sketch, and how many migrations exceeded the downtime budget.  Frames
 are pure functions of fleet state on the *virtual* timeline — no wall
 time, no terminal control sequences — so ``--watch`` output and the
 final snapshot are byte-identical across runs and safe to diff in CI.
@@ -22,7 +22,7 @@ __all__ = ["FleetConsole"]
 CELL_PENDING = "."
 CELL_OK = "#"
 CELL_OK_FAULTED = "+"
-CELL_SLO_ALERT = "!"
+CELL_OVER_BUDGET = "!"
 CELL_FAILED = "X"
 
 GRID_WIDTH = 64
@@ -54,8 +54,8 @@ class FleetConsole:
         self._records.append(record)
         if record.status != "ok":
             cell = CELL_FAILED
-        elif any(a.endswith(":fired") for a in record.alerts):
-            cell = CELL_SLO_ALERT
+        elif record.over_budget:
+            cell = CELL_OVER_BUDGET
         elif record.faulted:
             cell = CELL_OK_FAULTED
         else:
@@ -101,12 +101,9 @@ class FleetConsole:
                 f" (n={sketch.count})"
             )
         if runner is not None:
-            active = runner.slo.active_alerts()
-            if active:
-                lines.append(
-                    "alerts: "
-                    + ", ".join(f"{obj}/{label} FIRING" for obj, label in active)
-                )
+            over = sum(1 for r in records if r.over_budget)
+            if over:
+                lines.append(f"alerts: downtime-budget FIRING ({over} over budget)")
             elif final:
                 lines.append("alerts: none")
         if records and not final:

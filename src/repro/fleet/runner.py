@@ -1,4 +1,4 @@
-"""Deterministic concurrent multi-migration runner with a fleet SLO plane.
+"""Deterministic concurrent multi-migration runner with a downtime budget.
 
 :class:`FleetRunner` drives N seeded migrations through the full §IV/§V
 protocol — each on its own testbed (own virtual clock, own telemetry,
@@ -8,10 +8,12 @@ into one *fleet timeline* with a deterministic admission model:
 * the fleet has ``max_inflight`` slots; migration *i* is admitted at
   the earliest time a slot frees up and occupies its slot for exactly
   the virtual duration its own testbed clock measured;
-* every per-migration sample (run-scope delta) is stamped with its
-  fleet *completion* time and fed to the shared
-  :class:`~repro.telemetry.slo.SloEngine`, so burn-rate alerts fire at
-  deterministic fleet times;
+* each migration's downtime and total time are its own testbed's
+  ``migration.downtime_ns`` / ``migration.total_ns``; a completed
+  migration whose downtime exceeds :data:`DOWNTIME_BUDGET_NS` is a
+  budget violation, emitted as an ``("slo", "violation")`` event into
+  its own telemetry (a flight-recorder dump trigger) and listed in the
+  report;
 * per-migration downtime feeds one
   :class:`~repro.telemetry.sketch.QuantileSketch` — the fleet p50/p99
   the console and ``BENCH_fleet.json`` report.
@@ -20,7 +22,7 @@ Because execution is serial Python over virtual clocks, the whole run
 is a pure function of its configuration: same seeds → byte-identical
 ``BENCH_fleet.json``, console snapshot, and OTLP artifacts.  Faults are
 injected on a deterministic cadence (``fault_every``) so CI can assert
-the SLO engine actually fires under load.
+the budget catches them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from repro.fleet.hosts import (
     HostUtilization,
 )
 from repro.telemetry.sketch import QuantileSketch
-from repro.telemetry.slo import SloEngine, SloViolation
 from repro.telemetry.waitstate import (
     WAIT_KINDS,
     WaitProfile,
@@ -47,6 +48,7 @@ from repro.telemetry.waitstate import (
 )
 
 __all__ = [
+    "DOWNTIME_BUDGET_NS",
     "FleetConfig",
     "FleetReport",
     "FleetRunner",
@@ -55,9 +57,14 @@ __all__ = [
     "write_fleet_bench",
 ]
 
+#: Per-migration stop-and-copy downtime budget.  It brackets the
+#: calibrated clean downtime (~28.8 ms at seed 1): a clean fleet stays
+#: within it, a fleet with injected faults exceeds it.
+DOWNTIME_BUDGET_NS = 30_000_000
+
 #: Default fault spec for the injected-fault cadence: a 5 ms delay on
 #: the checkpoint message lands inside stop-and-copy, pushing downtime
-#: from ~28.8 ms to ~33.8 ms — past the default 30 ms SLO budget.
+#: from ~28.8 ms to ~33.8 ms — past :data:`DOWNTIME_BUDGET_NS`.
 DEFAULT_FAULT_SPEC = "delay:checkpoint:1"
 
 
@@ -70,9 +77,6 @@ class FleetConfig:
     #: ``"<seed>/mig<i>"`` so same-seed migrations still jitter apart.
     seeds: tuple[int | str, ...] = (1,)
     max_inflight: int = 8
-    #: Hops per migration; >1 drives an N-hop chain (same enclave
-    #: ping-ponged) instead of a single source→target migration.
-    hops: int = 1
     #: Inject ``fault_spec`` into every k-th migration (0 = never).
     fault_every: int = 0
     fault_spec: str = DEFAULT_FAULT_SPEC
@@ -90,8 +94,6 @@ class FleetConfig:
             raise ValueError("fleet needs at least one seed")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
-        if self.hops < 1:
-            raise ValueError("hops must be at least 1")
         if self.fault_every < 0:
             raise ValueError("fault_every cannot be negative")
         if self.hosts < 0:
@@ -115,8 +117,6 @@ class FleetConfig:
         """The BENCH_fleet.json series this configuration writes."""
         seeds = "-".join(str(s) for s in self.seeds)
         key = f"n{self.n}_seeds{seeds}_inflight{self.max_inflight}"
-        if self.hops > 1:
-            key += f"_hops{self.hops}"
         if self.fault_every:
             key += f"_fault{self.fault_every}"
         if self.hosts:
@@ -145,8 +145,6 @@ class MigrationRecord:
     total_ns: int | None
     outcome: str = "migrated"
     error: str | None = None
-    #: Alerts that fired or cleared because of this migration's samples.
-    alerts: list[str] = field(default_factory=list)
     #: Contention-model fields (hosts > 0): when the migration was
     #: submitted, where it was placed, and every typed wait it served.
     arrival_ns: int = 0
@@ -165,6 +163,23 @@ class MigrationRecord:
     @property
     def queued_ns(self) -> int:
         return sum(ns for _, ns, _ in self.waits)
+
+    @property
+    def over_budget(self) -> bool:
+        return self.downtime_ns is not None and self.downtime_ns > DOWNTIME_BUDGET_NS
+
+    def budget_violation(self) -> dict[str, Any] | None:
+        """The downtime-budget violation this migration fired, if any."""
+        if not self.over_budget:
+            return None
+        return {
+            "kind": "fired",
+            "objective": "downtime-budget",
+            "mig_id": self.mig_id,
+            "t_ns": self.end_ns,
+            "downtime_ns": self.downtime_ns,
+            "budget_ns": DOWNTIME_BUDGET_NS,
+        }
 
     def wait_profile(self) -> WaitProfile:
         return WaitProfile(
@@ -191,7 +206,6 @@ class MigrationRecord:
             "total_ns": self.total_ns,
             "outcome": self.outcome,
             "error": self.error,
-            "alerts": list(self.alerts),
         }
         if self.waits or self.source_host is not None:
             out.update(
@@ -219,7 +233,6 @@ class FleetReport:
     config: FleetConfig
     records: list[MigrationRecord]
     downtime_sketch: QuantileSketch
-    slo: SloEngine
     #: OTLP sample artifacts: the first migration's traces document and
     #: a fleet-level metrics document carrying the downtime sketch.
     otlp_traces_sample: dict[str, Any] | None = None
@@ -245,6 +258,10 @@ class FleetReport:
     @property
     def total_queued_ns(self) -> int:
         return sum(r.queued_ns for r in self.records)
+
+    @property
+    def budget_violations(self) -> list[dict[str, Any]]:
+        return [v for r in self.records if (v := r.budget_violation()) is not None]
 
     @property
     def completed(self) -> int:
@@ -300,14 +317,20 @@ class FleetReport:
 
     def otlp_metrics(self) -> dict[str, Any]:
         """Fleet-level OTLP metrics: the downtime sketch as a histogram."""
-        from repro.telemetry.otlp import _attributes, SCOPE, sketch_to_otlp_histogram
+        from repro.telemetry.otlp import (
+            SCOPE,
+            _attributes,
+            default_resource,
+            sketch_to_otlp_histogram,
+        )
 
-        resource = {
-            "service.name": "repro-fleet",
-            "fleet.n": self.config.n,
-            "fleet.seeds": ",".join(str(s) for s in self.config.seeds),
-            "crypto.backend": os.environ.get("REPRO_CRYPTO_BACKEND", "reference"),
-        }
+        resource = default_resource(
+            **{
+                "service.name": "repro-fleet",
+                "fleet.n": self.config.n,
+                "fleet.seeds": ",".join(str(s) for s in self.config.seeds),
+            }
+        )
         metrics = [
             sketch_to_otlp_histogram(
                 "fleet.downtime_ns", self.downtime_sketch, t_ns=self.makespan_ns
@@ -367,7 +390,6 @@ class FleetReport:
             "n": self.config.n,
             "seeds": [str(s) for s in self.config.seeds],
             "max_inflight": self.config.max_inflight,
-            "hops": self.config.hops,
             "fault_every": self.config.fault_every,
             "makespan_ns": self.makespan_ns,
             "migrations_per_sec": self.migrations_per_sec,
@@ -379,7 +401,7 @@ class FleetReport:
                 "p99_ns": self.downtime_sketch.p99,
                 "count": self.downtime_sketch.count,
             },
-            "slo": self.slo.as_dict(),
+            "slo": {"violations": self.budget_violations},
             "records": [r.as_dict() for r in self.records],
         }
         if self.host_model is not None:
@@ -415,7 +437,6 @@ class FleetRunner:
         self.on_record = on_record
         self.records: list[MigrationRecord] = []
         self.downtime_sketch = QuantileSketch()
-        self.slo = SloEngine()
         self._slots = [0] * config.max_inflight
         spec = config.host_spec()
         self.hosts: HostModel | None = HostModel(spec) if spec else None
@@ -448,7 +469,6 @@ class FleetRunner:
             config=self.config,
             records=self.records,
             downtime_sketch=self.downtime_sketch,
-            slo=self.slo,
             otlp_traces_sample=otlp_sample,
             host_model=self.hosts,
             wait_sketches=self.wait_sketches,
@@ -470,7 +490,6 @@ class FleetRunner:
     def _run_one(self, index: int) -> tuple[MigrationRecord, dict[str, Any] | None]:
         from repro.errors import MigrationAborted, ReproError
         from repro.faults import FaultInjector, parse_fault_spec
-        from repro.migration.chain import run_chain
         from repro.migration.orchestrator import MigrationOrchestrator
         from repro.migration.testbed import build_testbed
         from repro.sdk import AtomicEntry, EnclaveProgram, HostApplication
@@ -514,16 +533,9 @@ class FleetRunner:
 
         status, outcome, error = "ok", "migrated", None
         try:
-            if config.hops > 1:
-                chain = run_chain(
-                    tb, app, config.hops, plans={1: plan} if plan else None
-                )
-                outcome = chain.hops[-1].outcome
-            else:
-                orch = MigrationOrchestrator(
-                    tb, faults=FaultInjector(plan) if plan else None
-                )
-                orch.migrate_enclave(app)
+            MigrationOrchestrator(
+                tb, faults=FaultInjector(plan) if plan else None
+            ).migrate_enclave(app)
         except (MigrationAborted, ReproError) as exc:
             status, outcome, error = "failed", "aborted", str(exc)
 
@@ -563,64 +575,32 @@ class FleetRunner:
 
         # ---------------------------------------------- wait-state telemetry
         top_spans: list[dict[str, Any]] = []
-        if self.hosts is not None:
-            # Surface the typed waits as run-scope metrics so SLO
-            # objectives can target queueing the same way they target
-            # downtime.
-            by_kind = {kind: 0 for kind in WAIT_KINDS}
-            for kind, wait_ns, _ in waits:
-                by_kind[kind] += wait_ns
-            for run_id in sorted(telemetry.run_metrics)[:1]:
-                delta = telemetry.run_metrics[run_id]
-                delta["fleet.queued_ns"] = sum(by_kind.values())
-                for kind, wait_ns in by_kind.items():
-                    delta[f"fleet.queued.{kind}_ns"] = wait_ns
-            if status == "ok":
-                from repro.telemetry.criticalpath import ANCHOR_TOTAL, critical_path
+        if self.hosts is not None and status == "ok":
+            from repro.telemetry.criticalpath import ANCHOR_TOTAL, critical_path
 
-                try:
-                    inner = critical_path(telemetry, tb.network, ANCHOR_TOTAL)
-                except ValueError:
-                    inner = None
-                if inner is not None:
-                    self._inner_paths[mig_id] = inner
-                    top_spans = [
-                        {
-                            "name": c.name,
-                            "duration_ns": c.duration_ns,
-                            "share_pct": round(c.share_pct, 4),
-                        }
-                        for c in inner.contributions[:5]
-                    ]
+            try:
+                inner = critical_path(telemetry, tb.network, ANCHOR_TOTAL)
+            except ValueError:
+                inner = None
+            if inner is not None:
+                self._inner_paths[mig_id] = inner
+                top_spans = [
+                    {
+                        "name": c.name,
+                        "duration_ns": c.duration_ns,
+                        "share_pct": round(c.share_pct, 4),
+                    }
+                    for c in inner.contributions[:5]
+                ]
 
-        # ------------------------------------------------------- SLO + sketch
+        # --------------------------------------------------- figures + sketch
+        # A completed migration's figures are its own testbed's gauges;
+        # a failed one has none.
         downtime = total = None
-        alerts: list[str] = []
-        for run_id in sorted(telemetry.run_metrics):
-            delta = telemetry.run_metrics[run_id]
-            value = delta.get("migration.downtime_ns")
-            if isinstance(value, (int, float)) and value >= 0:
-                self.downtime_sketch.observe(value)
-                downtime = int(value) if downtime is None else max(downtime, int(value))
-            t = delta.get("migration.total_ns")
-            if isinstance(t, (int, float)):
-                total = int(t) if total is None else total + int(t)
-            # Violations emit into *this* migration's telemetry, so its
-            # flight recorder dumps the alert under the mig-id namespace.
-            fresh = self.slo.ingest_run(end, delta, source=mig_id, emit_to=telemetry)
-            alerts.extend(self._alert_line(v) for v in fresh)
-        if status == "failed" and not telemetry.run_metrics:
-            # The run never opened a scope; a refusal is still a sample.
-            fresh = self.slo.ingest_run(
-                end, {"migration.aborts_total": 1}, source=mig_id, emit_to=telemetry
-            )
-            alerts.extend(self._alert_line(v) for v in fresh)
-
-        traces_doc = None
-        if index == 0:
-            traces_doc = to_otlp_traces(
-                telemetry, resource=default_resource(telemetry, **{"fleet.mig": mig_id})
-            )
+        if status == "ok":
+            downtime = int(telemetry.metrics.value("migration.downtime_ns"))
+            total = int(telemetry.metrics.value("migration.total_ns"))
+            self.downtime_sketch.observe(downtime)
 
         record = MigrationRecord(
             index=index,
@@ -635,7 +615,6 @@ class FleetRunner:
             total_ns=total,
             outcome=outcome,
             error=error,
-            alerts=alerts,
             arrival_ns=arrival,
             source_host=source_host,
             target_host=target_host,
@@ -646,11 +625,18 @@ class FleetRunner:
             # Conservation is a hard invariant: every nanosecond of this
             # migration's wall time is running or a typed wait.
             verify_conservation(record.wait_profile())
-        return record, traces_doc
+        violation = record.budget_violation()
+        if violation is not None:
+            # Into *this* migration's telemetry, so its flight recorder
+            # dumps the violation under the mig-id namespace.
+            telemetry.trace.emit("slo", "violation", **violation)
 
-    @staticmethod
-    def _alert_line(violation: SloViolation) -> str:
-        return f"{violation.objective}/{violation.burn_label}:{violation.kind}"
+        traces_doc = None
+        if index == 0:
+            traces_doc = to_otlp_traces(
+                telemetry, resource=default_resource(telemetry, **{"fleet.mig": mig_id})
+            )
+        return record, traces_doc
 
 
 # ------------------------------------------------------------------- ratchet

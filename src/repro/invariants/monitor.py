@@ -75,12 +75,6 @@ class InvariantMonitor:
         self.check_interval = check_interval
         self.enabled = True
         self.violations: list[str] = []
-        #: SLO burn-rate violations observed on the trace.  These are a
-        #: *soft* ledger: an SLO breach is an operational incident, not a
-        #: safety-property failure, so it is recorded here (and visible
-        #: to the CLI and the fleet console) without tripping
-        #: :meth:`assert_clean` — tests intentionally fire alerts.
-        self.slo_violations: list[str] = []
         self._tick = 0
         self._lineages: dict[int, list["HostApplication"]] = {}
         self._app_lineage: dict[int, int] = {}  # id(app) -> lineage
@@ -146,11 +140,6 @@ class InvariantMonitor:
     def _on_event(self, event) -> None:
         if not self.enabled:
             return
-        if event.category == "slo" and event.name == "violation":
-            self.slo_violations.append(
-                str(event.payload.get("message") or event.payload)
-            )
-            return
         if event.category == "agent" and event.name == "release":
             key_id = str(event.payload.get("key_id"))
             count = self._escrow_releases.get(key_id, 0) + 1
@@ -207,12 +196,6 @@ class InvariantMonitor:
                 )
             for app in apps:
                 self._probe_cssa(app)
-        # Telemetry run-scope isolation: concurrent migrations must not
-        # bleed metric deltas into each other's per-run accounting.
-        telemetry = getattr(self.tb, "telemetry", None)
-        if telemetry is not None:
-            for message in telemetry.run_isolation_violations():
-                self._violate(message)
 
     def assert_clean(self) -> None:
         """Final verdict: re-sweep, then fail on anything ever recorded."""

@@ -55,11 +55,6 @@ class HopReport:
     crashes_healed: int = 0
     #: Times the whole hop was re-driven after a rollback recovery.
     redrives: int = 0
-    #: Trace/run ids of the migration runs this hop drove (one per
-    #: drive: the clean run plus every re-drive gets its own scope).
-    run_ids: list[str] = field(default_factory=list)
-    #: Per-run metric deltas for those run ids (telemetry run scopes).
-    run_metrics: dict[str, dict] = field(default_factory=dict)
 
 
 @dataclass
@@ -79,27 +74,6 @@ class ChainReport:
     @property
     def recovered_hops(self) -> int:
         return sum(1 for h in self.hops if h.outcome != "migrated")
-
-    def all_run_ids(self) -> list[str]:
-        """Every per-migration run id across the chain, in hop order."""
-        return [rid for hop in self.hops for rid in hop.run_ids]
-
-    def downtime_sketch(self):
-        """A quantile sketch of per-hop downtime (p50/p95/p99).
-
-        This is the fleet-shaped answer to "what does an N-hop chain's
-        downtime distribution look like" — each hop's scoped
-        ``migration.downtime_ns`` feeds one observation.
-        """
-        from repro.telemetry.sketch import QuantileSketch
-
-        sketch = QuantileSketch()
-        for hop in self.hops:
-            for delta in hop.run_metrics.values():
-                value = delta.get("migration.downtime_ns")
-                if isinstance(value, (int, float)) and value >= 0:
-                    sketch.observe(value)
-        return sketch
 
 
 def hop_view(tb: Testbed, hop: int) -> Testbed:
@@ -175,14 +149,6 @@ def _drive_hop(
 
     crashes = 0
     redrives = 0
-    # Run scopes close into telemetry.run_metrics keyed by trace id; the
-    # keys that appear while this hop runs are this hop's runs.
-    runs_before = set(view.telemetry.run_metrics)
-
-    def hop_runs() -> tuple[list[str], dict[str, dict]]:
-        fresh = [k for k in view.telemetry.run_metrics if k not in runs_before]
-        return fresh, {k: view.telemetry.run_metrics[k] for k in fresh}
-
     while True:
         faults = FaultInjector(plan) if plan is not None else None
         orch = MigrationOrchestrator(view, retry=retry, faults=faults)
@@ -192,7 +158,6 @@ def _drive_hop(
             # sources) never surfaces as an exception; fold it in so the
             # soak can assert its injected faults actually fired.
             crashes += orch.stats.retries + orch.stats.crashes_seen
-            run_ids, run_metrics = hop_runs()
             return result.target_app, HopReport(
                 hop=hop,
                 source_name=view.source.name,
@@ -201,8 +166,6 @@ def _drive_hop(
                 outcome="migrated",
                 crashes_healed=crashes,
                 redrives=redrives,
-                run_ids=run_ids,
-                run_metrics=run_metrics,
             )
         except (PartyCrash, MachineCrash, MigrationAborted) as exc:
             crashes += 1
@@ -218,7 +181,6 @@ def _drive_hop(
                 recovery = MigrationRecovery(view, app, orchestrator=orch)
                 rec = recovery.recover()
                 if rec.finalized:
-                    run_ids, run_metrics = hop_runs()
                     return rec.target_app, HopReport(
                         hop=hop,
                         source_name=view.source.name,
@@ -227,8 +189,6 @@ def _drive_hop(
                         outcome=f"recovered:{rec.outcome}",
                         crashes_healed=crashes,
                         redrives=redrives,
-                        run_ids=run_ids,
-                        run_metrics=run_metrics,
                     )
                 if rec.outcome == "source-restored":
                     app = rec.target_app  # the rebuilt source instance

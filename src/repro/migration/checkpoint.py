@@ -98,7 +98,7 @@ class EnclaveCheckpoint:
     @staticmethod
     def from_bytes(blob: bytes) -> "EnclaveCheckpoint":
         if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-            return EnclaveCheckpoint._from_legacy_bytes(blob)
+            raise SerdeError("not an ECKPT2 checkpoint (bad magic)")
         view = memoryview(blob)
         cursor = len(_CKPT_MAGIC)
         header_len = int.from_bytes(view[cursor : cursor + 4], "big")
@@ -130,23 +130,6 @@ class EnclaveCheckpoint:
             # Absent in blobs sealed before the storage-handoff step
             # existed; 0 means "no storage constraint", so old captures
             # keep restoring.
-            storage_version=int(fields.get("storage_version", 0)),
-        )
-
-    @staticmethod
-    def _from_legacy_bytes(blob: bytes) -> "EnclaveCheckpoint":
-        """Parse the original all-JSON checkpoint (pre-v2 journals)."""
-        fields = unpack(blob)
-        return EnclaveCheckpoint(
-            image_name=fields["image_name"],
-            code_id=fields["code_id"],
-            mrenclave=fields["mrenclave"],
-            sequence=fields["sequence"],
-            pages={int(vaddr, 16): data for vaddr, data in fields["pages"].items()},
-            tcs_states=[
-                TcsState(t["index"], t["cssa"], t["flag"]) for t in fields["tcs"]
-            ],
-            skipped_pages=list(fields["skipped"]),
             storage_version=int(fields.get("storage_version", 0)),
         )
 

@@ -448,14 +448,7 @@ class MigrationOrchestrator:
             # this span is open carries it (see repro.telemetry.causal).
             self.tel.tracer.trace_id = f"mig-{run_span.span_id}"
             run_span.attrs["trace_id"] = self.tel.tracer.trace_id
-            # The trace id also keys this run's metric scope: chain hops
-            # and redrives on one testbed each report their own deltas
-            # instead of folding into one accumulated registry.
-            self.tel.begin_run(self.tel.tracer.trace_id)
-            try:
-                return self._run_migration(app)
-            finally:
-                self.tel.end_run(self.tel.tracer.trace_id)
+            return self._run_migration(app)
 
     def _run_migration(self, app: HostApplication) -> EnclaveMigrationResult:
         self._key_released = False

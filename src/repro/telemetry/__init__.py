@@ -58,10 +58,6 @@ class Telemetry:
         self.flightrecorder = FlightRecorder(self)
         #: Sampling profiler, attached lazily by :meth:`ensure_profiler`.
         self.profiler = None
-        #: Closed per-migration metric deltas, keyed by run (trace) id.
-        self.run_metrics: dict[str, dict] = {}
-        self.last_run_id: str | None = None
-        self._run_scopes: dict[str, "object"] = {}
 
     # ------------------------------------------------------------ conveniences
     def span(self, name: str, party: str = "orchestrator", track: str = "", **attrs):
@@ -91,80 +87,6 @@ class Telemetry:
                 self, interval_ns or DEFAULT_INTERVAL_NS
             )
         return self.profiler
-
-    # ------------------------------------------------------------ run scopes
-    def begin_run(self, run_id: str):
-        """Open a per-migration metric scope (see :class:`RunScope`)."""
-        from repro.telemetry.sketch import RunScope
-
-        scope = RunScope(self.metrics, run_id)
-        self._run_scopes[run_id] = scope
-        return scope
-
-    def end_run(self, run_id: str) -> dict | None:
-        """Close a scope; its delta lands in :attr:`run_metrics`.
-
-        Returns ``None`` (and records nothing) for an unknown run id or
-        a scope tainted by a mid-run registry reset.
-        """
-        scope = self._run_scopes.pop(run_id, None)
-        if scope is None:
-            return None
-        delta = scope.close()
-        if delta is not None:
-            self.run_metrics[run_id] = delta
-            self.last_run_id = run_id
-        return delta
-
-    def run_isolation_violations(self) -> list[str]:
-        """Scope-isolation check the invariant monitor sweeps.
-
-        Closed run scopes must *partition* the shared registry's
-        counters: no scope may report a negative increment, and the
-        per-run increments of one counter series may never sum to more
-        than the registry's global value — a larger sum means two
-        migrations double-counted each other's events through a shared
-        scope.  Scopes closed before the registry's last reset are
-        excluded (their baseline no longer exists).
-        """
-        violations: list[str] = []
-        sums: dict[str, float] = {}
-        for run_id, delta in self.run_metrics.items():
-            for series, value in delta.items():
-                if isinstance(value, dict):
-                    moved = value.get("count", 0)
-                else:
-                    instrument = self.metrics._instruments.get(series)
-                    if instrument is None or instrument.kind != "counter":
-                        continue
-                    moved = value
-                if moved < 0:
-                    violations.append(
-                        f"run scope {run_id}: series {series} decreased by "
-                        f"{-moved} inside one migration (scopes must only "
-                        "ever add)"
-                    )
-                sums[series] = sums.get(series, 0) + max(moved, 0)
-        if getattr(self.metrics, "generation", 0) == 0:
-            for series, total in sums.items():
-                instrument = self.metrics._instruments.get(series)
-                if instrument is None:
-                    continue
-                global_value = (
-                    instrument.count
-                    if instrument.kind == "histogram"
-                    else instrument.value
-                )
-                if instrument.kind == "gauge":
-                    continue
-                if total > global_value:
-                    violations.append(
-                        f"run scopes over-count series {series}: per-run "
-                        f"deltas sum to {total} but the registry holds "
-                        f"{global_value} (concurrent migrations are sharing "
-                        "one scope)"
-                    )
-        return violations
 
     # ---------------------------------------------------------------- observer
     def _on_event(self, event) -> None:

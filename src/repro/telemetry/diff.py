@@ -52,8 +52,6 @@ class RunSnapshot:
     critical: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
     #: Folded-stack profile (profiler.Profile.as_dict()), when profiled.
     profile: dict[str, Any] | None = None
-    #: Per-migration metric deltas (telemetry.run_metrics), when scoped.
-    runs: dict[str, dict[str, Any]] = field(default_factory=dict)
 
     # --------------------------------------------------------------- capture
     @classmethod
@@ -99,7 +97,6 @@ class RunSnapshot:
                 if profiler is not None and profiler.sample_count
                 else None
             ),
-            runs=dict(telemetry.run_metrics),
         )
 
     # ------------------------------------------------------------ round-trip
@@ -112,7 +109,6 @@ class RunSnapshot:
             "spans": self.spans,
             "critical": self.critical,
             "profile": self.profile,
-            "runs": self.runs,
         }
 
     @classmethod
@@ -125,7 +121,6 @@ class RunSnapshot:
             spans=payload.get("spans", {}),
             critical=payload.get("critical", {}),
             profile=payload.get("profile"),
-            runs=payload.get("runs", {}),
         )
 
     def save(self, path: str) -> None:

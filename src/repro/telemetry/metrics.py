@@ -147,9 +147,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, CounterMetric | GaugeMetric | HistogramMetric] = {}
-        #: Bumped on every :meth:`reset`; run scopes record it so a
-        #: delta spanning a reset is discarded instead of going negative.
-        self.generation = 0
 
     # ------------------------------------------------------------ instruments
     def _get_or_make(self, cls, name: str, labels: dict[str, Any], **kwargs):
@@ -219,6 +216,5 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         """Zero every instrument (the instruments themselves survive)."""
-        self.generation += 1
         for instrument in self._instruments.values():
             instrument.reset()

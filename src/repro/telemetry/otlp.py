@@ -35,9 +35,9 @@ can diff OTLP artifacts byte-wise like every other exporter output.
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import TYPE_CHECKING, Any
 
+from repro.crypto.backend import get_backend
 from repro.telemetry.exporters import json_safe
 from repro.telemetry.metrics import (
     CounterMetric,
@@ -141,7 +141,7 @@ def default_resource(telemetry: "Telemetry | None" = None, **extra: Any) -> dict
     resource: dict[str, Any] = {"service.name": "repro-migration"}
     if telemetry is not None and getattr(telemetry.tracer, "trace_id", None):
         resource["migration.id"] = telemetry.tracer.trace_id
-    resource["crypto.backend"] = os.environ.get("REPRO_CRYPTO_BACKEND", "reference")
+    resource["crypto.backend"] = get_backend().name
     resource.update(extra)
     return resource
 

@@ -19,12 +19,16 @@ class TestGrid:
     def test_cells_track_migration_outcomes(self):
         console = FleetConsole(n=4)
         _run(console, n=4, fault_every=3)
-        # Index 0 is faulted (delayed checkpoint): it completes but fires
-        # the downtime SLO, so it renders as an alert cell.  Index 3 is
-        # also faulted, but the alert is already firing (hysteresis), so
-        # it renders as a plain faulted-ok cell.
+        # Indices 0 and 3 are faulted (delayed checkpoint): each completes
+        # over the downtime budget, so each renders as an alert cell.
         grid_line = console.render(final=True).splitlines()[1]
-        assert grid_line == "  !##+"
+        assert grid_line == "  !##!"
+
+    def test_faulted_migration_within_budget_renders_as_plus(self):
+        console = FleetConsole(n=1)
+        _run(console, n=1, seeds=(1,), fault_every=1,
+             fault_spec="duplicate:channel-request:1")
+        assert console.render(final=True).splitlines()[1] == "  +"
 
     def test_failed_migrations_render_as_x(self):
         console = FleetConsole(n=2)
@@ -86,8 +90,7 @@ class TestSnapshot:
         console = FleetConsole(n=3)
         _run(console, n=3, fault_every=1)
         snap = console.snapshot()
-        assert "downtime-budget/" in snap
-        assert "FIRING" in snap
+        assert "alerts: downtime-budget FIRING (3 over budget)\n" in snap
 
     def test_grid_wraps_at_width(self):
         console = FleetConsole(n=130)

@@ -149,32 +149,3 @@ class TestSentinels:
             tb.trace.emit("agent", "release", key_id="cc" * 16)
         tb.monitor.acknowledge()
         tb.monitor.assert_clean()  # disabled: no re-raise at teardown
-
-
-class TestSloLedger:
-    def test_slo_violations_are_soft(self):
-        """SLO breaches are performance events, not safety failures:
-        they land on their own ledger and never trip assert_clean."""
-        tb = build_testbed(seed=61)
-        monitor = tb.source.monitor
-        tb.trace.emit(
-            "slo", "violation", party="source",
-            message="downtime-budget/fast burn 4.2x",
-        )
-        assert monitor.slo_violations == ["downtime-budget/fast burn 4.2x"]
-        assert monitor.violations == []
-        monitor.assert_clean()
-
-    def test_slo_resolutions_are_not_recorded_as_violations(self):
-        tb = build_testbed(seed=62)
-        monitor = tb.source.monitor
-        tb.trace.emit("slo", "resolved", party="source", message="all clear")
-        assert monitor.slo_violations == []
-        monitor.assert_clean()
-
-    def test_payload_without_message_still_lands_on_the_ledger(self):
-        tb = build_testbed(seed=63)
-        monitor = tb.source.monitor
-        tb.trace.emit("slo", "violation", party="source", objective="refusals")
-        assert len(monitor.slo_violations) == 1
-        assert "refusals" in monitor.slo_violations[0]

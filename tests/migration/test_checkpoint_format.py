@@ -14,6 +14,7 @@ from repro.migration.checkpoint import (
 from repro.migration.orchestrator import MigrationOrchestrator
 from repro.sdk.host import WorkerSpec
 from repro.sdk.image import FLAG_FREE, FLAG_SPIN
+from repro.serde import SerdeError
 
 from tests.conftest import build_counter_app
 
@@ -82,15 +83,11 @@ class TestCheckpointFormat:
         assert EnclaveCheckpoint.from_bytes(ckpt.to_bytes()).memory_bytes == ckpt.memory_bytes
 
 
-def _legacy_to_bytes(ckpt: EnclaveCheckpoint) -> bytes:
-    """The original all-JSON checkpoint serialization (pre-ECKPT2).
-
-    Deliberately re-implemented here rather than imported: the point of
-    the lock is that blobs with *this exact shape* — hex page keys, no
-    magic, no ``storage_version`` field — keep parsing forever.
-    """
+def _legacy_json_checkpoint() -> bytes:
+    """A checkpoint in the all-JSON format that preceded ECKPT2."""
     from repro.serde import pack
 
+    ckpt = make_checkpoint()
     return pack(
         {
             "image_name": ckpt.image_name,
@@ -107,52 +104,15 @@ def _legacy_to_bytes(ckpt: EnclaveCheckpoint) -> bytes:
     )
 
 
-class TestLegacyJsonFallback:
-    """Regression lock for the pre-ECKPT2 read path.
-
-    Checkpoints sealed before the binary format (and before the
-    storage-handoff step added ``storage_version``) live in old journals
-    and old snapshots; ``from_bytes`` must keep accepting them, with the
-    absent storage field defaulting to 0 = "no storage constraint".
-    """
-
-    def test_legacy_blob_parses_with_default_storage_version(self):
-        ckpt = make_checkpoint()
-        again = EnclaveCheckpoint.from_bytes(_legacy_to_bytes(ckpt))
-        assert again.pages == ckpt.pages
-        assert again.tcs_states == ckpt.tcs_states
-        assert again.skipped_pages == ckpt.skipped_pages
-        assert again.sequence == ckpt.sequence
-        assert again.mrenclave == ckpt.mrenclave
-        assert again.storage_version == 0
-
-    def test_legacy_sealed_envelope_opens(self):
-        key = SymmetricKey(b"\x07" * 32, "legacy")
-        from repro.crypto.authenc import seal_envelope
-
-        env = seal_envelope(
-            key, _legacy_to_bytes(make_checkpoint()), b"n" * 16, "aes",
-            aad=b"enclave-ckpt",
-        )
-        assert open_checkpoint(key, env).sequence == 1
-
-    def test_full_migration_over_legacy_serialization(self, testbed, monkeypatch):
-        """A migration whose checkpoint travels in the legacy format must
-        still restore and go live: the missing ``storage_version`` means
-        the target skips the storage-freshness constraint, not that it
-        refuses the blob."""
-        monkeypatch.setattr(EnclaveCheckpoint, "to_bytes", _legacy_to_bytes)
-        from repro.sdk import control
-
-        app = build_counter_app(testbed, tag="legacy-wire")
-        app.ecall_once(0, "incr", 9)
-        app.library.control_call(control.storage_put, "note", "sealed rides along")
-        result = MigrationOrchestrator(testbed).migrate_enclave(app)
-        assert result.target_app.ecall_once(0, "read") == 9
-        assert (
-            result.target_app.library.control_call(control.storage_get, "note")
-            == "sealed rides along"
-        )
+class TestForeignBlobs:
+    @pytest.mark.parametrize(
+        "blob",
+        [b"{}", b"[1,2]", b"garbage", _legacy_json_checkpoint()],
+        ids=["empty-object", "list", "garbage", "legacy-json"],
+    )
+    def test_blob_without_magic_is_refused(self, blob):
+        with pytest.raises(SerdeError, match="not an ECKPT2 checkpoint"):
+            EnclaveCheckpoint.from_bytes(blob)
 
 
 class TestTwoPhaseGeneration:

@@ -3,6 +3,10 @@
 import json
 import os
 
+import pytest
+
+from repro.crypto.backend import BACKEND_ENV, use_backend
+from repro.fleet import FleetConfig, FleetReport
 from repro.sim.clock import VirtualClock
 from repro.sim.trace import EventTrace
 from repro.telemetry import Telemetry
@@ -141,6 +145,20 @@ class TestGoldenFile:
         point = metric["histogram"]["dataPoints"][0]
         assert point["count"] == "0"
         assert [int(c) for c in point["bucketCounts"]] == [0, 0]
+
+
+class TestResource:
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_crypto_backend_names_the_active_backend(self, backend, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        fleet = FleetReport(
+            config=FleetConfig(n=1), records=[], downtime_sketch=QuantileSketch()
+        )
+        with use_backend(backend):
+            assert default_resource()["crypto.backend"] == backend
+            doc = fleet.otlp_metrics()
+        attributes = doc["resourceMetrics"][0]["resource"]["attributes"]
+        assert {"key": "crypto.backend", "value": {"stringValue": backend}} in attributes
 
 
 class TestIds:

@@ -337,6 +337,19 @@ class TestFleetCli:
         assert "--- frame 1 ---" in out
         assert "--- frame 2 ---" in out
 
+    def test_fleet_watch_with_json_keeps_stdout_one_document(self, capsys):
+        assert main(
+            [
+                "fleet", "--n", "2", "--seeds", "1", "--fault-every", "2",
+                "--watch", "--frame-every", "1", "--json",
+            ]
+        ) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert len(payload["records"]) == 2
+        assert "--- frame 1 ---" in captured.err
+        assert "--- frame" not in captured.out
+
     def test_fleet_writes_artifacts(self, capsys, tmp_path):
         console_path = tmp_path / "console.txt"
         otlp_dir = tmp_path / "otlp"
