@@ -84,22 +84,8 @@ def launch_shared_image_apps(
 
 
 def checkpoint_durations_us(tb: Testbed) -> list[float]:
-    """Per-enclave two-phase checkpointing times, from the span layer.
-
-    Falls back to the raw ``ckpt`` start/done events only when no tracer
-    is attached (hand-assembled testbeds that never touched telemetry).
-    """
-    tracer = getattr(tb.trace, "tracer", None)
-    if tracer is not None:
-        spans = tracer.find("checkpoint.two_phase")
-        if spans:
-            return [s.duration_ns / 1_000 for s in spans]
-    starts = {e.payload["enclave"]: e.t_ns for e in tb.trace.select("ckpt", "start")}
-    durations = []
-    for event in tb.trace.select("ckpt", "done"):
-        enclave = event.payload["enclave"]
-        durations.append((event.t_ns - starts[enclave]) / 1_000)
-    return durations
+    """Per-enclave two-phase checkpointing times, from the span layer."""
+    return [s.duration_ns / 1_000 for s in tb.trace.tracer.find("checkpoint.two_phase")]
 
 
 def metrics_snapshot(tb: Testbed) -> dict:

@@ -27,8 +27,9 @@ Commands:
 * ``diff``      — compare two runs (specs or snapshot files) and rank
   what moved; ``--attribute``/``--min-attributed-share`` turn it into a
   CI gate on who gets the blame for a downtime delta.
-* ``profile``   — run one seeded migration under the deterministic
-  sampling profiler and emit folded stacks (flamegraph input) or JSON.
+* ``profile``   — run one seeded migration and print its folded stacks
+  (flamegraph input): the critical-path walk over the whole run, with
+  exact weights that sum to the run's virtual duration.
 * ``inventory`` — print the system inventory (modules and their paper
   sections).
 
@@ -60,20 +61,12 @@ def _write_or_print(text: str, out: str | None, what: str) -> None:
 
 def _cmd_demo(_args) -> int:
     from repro import MigrationOrchestrator, build_testbed
-    from repro.sdk import AtomicEntry, EnclaveProgram, HostApplication
+    from repro.sdk import HostApplication, counter_program
 
     tb = build_testbed(seed=1)
-    program = EnclaveProgram("cli/demo-v1")
-    program.add_entry(
-        "incr",
-        AtomicEntry(
-            lambda rt, args: (
-                rt.store_global("n", rt.load_global("n") + int(1 if args is None else args))
-                or rt.load_global("n")
-            )
-        ),
+    built = tb.builder.build(
+        "cli-demo", counter_program("cli/demo-v1"), n_workers=1, global_names=("n",)
     )
-    built = tb.builder.build("cli-demo", program, n_workers=1, global_names=("n",))
     tb.owner.register_image(built)
     app = HostApplication(tb.source, tb.source_os, built.image, [], owner=tb.owner).launch()
     print(f"built enclave, MRENCLAVE {built.image.mrenclave.hex()[:24]}…")
@@ -196,7 +189,7 @@ def _cmd_faults(args) -> int:
         MigrationOrchestrator,
         RetryPolicy,
     )
-    from repro.sdk import AtomicEntry, EnclaveProgram, HostApplication
+    from repro.sdk import HostApplication, counter_program
 
     try:
         plan = parse_fault_spec(args.plan) if args.plan else FaultPlan(seed=args.seed)
@@ -215,16 +208,7 @@ def _cmd_faults(args) -> int:
 
     # Same shape as the demo: a counter enclave with one worker.
     tb = build_testbed(seed=args.seed)
-    program = EnclaveProgram("cli/faults-v1")
-    program.add_entry(
-        "incr",
-        AtomicEntry(
-            lambda rt, a: (
-                rt.store_global("n", rt.load_global("n") + int(1 if a is None else a))
-                or rt.load_global("n")
-            )
-        ),
-    )
+    program = counter_program("cli/faults-v1")
     built = tb.builder.build("cli-faults", program, n_workers=1, global_names=("n",))
     tb.owner.register_image(built)
     app = HostApplication(
@@ -333,7 +317,7 @@ def _cmd_faults(args) -> int:
 
 def _cmd_recover(args) -> int:
     from repro import build_testbed
-    from repro.durability.recovery import MigrationRecovery
+    from repro.durability.recovery import MAX_RECOVERIES, recover_until_rest
     from repro.durability.sweep import COUNTER_START, build_sweep_app
     from repro.errors import DurabilityError, MigrationAborted, PartyCrash
     from repro.faults import FaultInjector, parse_fault_spec
@@ -381,35 +365,26 @@ def _cmd_recover(args) -> int:
             print(f"crash:   {exc}")
 
     # A crash *pair* plan (crash-record:A:N+B:M) lands its second crash
-    # inside the first recovery; each drive consumes one fault, so
-    # re-driving converges (same bounded loop the sweep runs).
-    from repro.durability.sweep import MAX_RECOVERIES
-
-    report = None
-    recoveries = 0
+    # inside the first recovery, which is then re-driven.
+    crashes: list[str] = []
+    refusal = None
     try:
-        while recoveries < MAX_RECOVERIES:
-            recoveries += 1
-            try:
-                report = MigrationRecovery(tb, app, orchestrator=orch).recover()
-                break
-            except PartyCrash as exc:
-                out.setdefault("crashes_in_recovery", []).append(str(exc))
-                if not args.json:
-                    print(f"crash during recovery (re-driving): {exc}")
-            except DurabilityError as exc:
-                if isinstance(exc.__cause__, PartyCrash):
-                    out.setdefault("crashes_in_recovery", []).append(str(exc))
-                    if not args.json:
-                        print(f"crash during recovery (re-driving): {exc}")
-                    continue
-                raise
+        report, recoveries, _ = recover_until_rest(
+            tb, app, orchestrator=orch, crashes=crashes
+        )
     except DurabilityError as exc:
-        out.update(outcome="refused", error=f"{type(exc).__name__}: {exc}")
+        refusal = exc
+    if crashes:
+        out["crashes_in_recovery"] = crashes
+        if not args.json:
+            for crash in crashes:
+                print(f"crash during recovery (re-driving): {crash}")
+    if refusal is not None:
+        out.update(outcome="refused", error=f"{type(refusal).__name__}: {refusal}")
         if args.json:
             print(_json_dumps(out))
         else:
-            print(f"recovery REFUSED: {type(exc).__name__}: {exc}")
+            print(f"recovery REFUSED: {type(refusal).__name__}: {refusal}")
         return 3
     if report is None:
         out.update(
@@ -679,17 +654,12 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from repro.telemetry.criticalpath import folded, profile_stacks
     from repro.telemetry.runs import run_seeded_migration
 
-    tb = run_seeded_migration(
-        seed=args.seed, vm=args.vm, profile_interval_ns=args.interval_ns
-    )
-    profile = tb.telemetry.profiler.profile()
-    if args.format == "json":
-        text = _json_dumps(profile.as_dict())
-    else:  # folded
-        text = profile.folded()
-    _write_or_print(text, args.out, f"{args.format} profile")
+    tb = run_seeded_migration(seed=args.seed, vm=args.vm)
+    text = folded(profile_stacks(tb.telemetry, tb.network))
+    _write_or_print(text, args.out, "folded profile")
     return 0
 
 
@@ -923,8 +893,8 @@ def main(argv: list[str] | None = None) -> int:
     snapshot.add_argument(
         "run",
         help=(
-            "a run spec ('seed=1', 'seed=1,vm', 'seed=1,journal-cost-ns=524000', "
-            "optionally 'profile-ns=N') or a path to an existing snapshot"
+            "a run spec ('seed=1', 'seed=1,vm', 'seed=1,journal-cost-ns=524000') "
+            "or a path to an existing snapshot"
         ),
     )
     snapshot.add_argument("--out", default="", help="write to a file instead of stdout")
@@ -952,19 +922,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     diff.set_defaults(fn=_cmd_diff)
     profile = sub.add_parser(
-        "profile", help="run one seeded migration under the sampling profiler"
+        "profile", help="run one seeded migration and print its folded stacks"
     )
     profile.add_argument("--seed", default=1, help="testbed seed")
     profile.add_argument(
         "--vm", action="store_true", help="profile a whole-VM migration instead"
-    )
-    profile.add_argument(
-        "--interval-ns", type=int, default=10_000,
-        help="virtual-time sampling interval in nanoseconds",
-    )
-    profile.add_argument(
-        "--format", choices=("folded", "json"), default="folded",
-        help="collapsed folded stacks (flamegraph.pl input) or JSON",
     )
     profile.add_argument("--out", default="", help="write to a file instead of stdout")
     profile.set_defaults(fn=_cmd_profile)

@@ -33,12 +33,11 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
 from repro import serde
 from repro.durability.store import DurableStore
 from repro.errors import JournalCorrupt, JournalRolledBack
-from repro.telemetry.spans import maybe_span
 
 _FRAME_HEADER = struct.Struct("<II")  # body length, crc32(body)
 
@@ -94,14 +93,14 @@ class Journal:
         log = self.store.log(self.name)
         log.extend(_FRAME_HEADER.pack(len(body), zlib.crc32(body)))
         log.extend(body)
+        trace = self.store.trace
         if not defer_charge and self.store.clock is not None and self.store.commit_cost_ns:
             # The synchronous fsync stall gets its own span so the
             # critical-path engine (and `repro diff`) can blame journal
             # commits directly instead of smearing them over the
             # enclosing protocol step.  Deferred charges are yielded to
             # the scheduler and attributed to whatever runs meanwhile.
-            with maybe_span(
-                getattr(self.store, "trace", None),
+            with trace.tracer.span(
                 "journal.commit",
                 party=self.party,
                 journal=self.name,
@@ -109,10 +108,10 @@ class Journal:
             ):
                 self.store.clock.advance(self.store.commit_cost_ns)
         self.store.counter_bump(self.name)
-        if getattr(self.store, "trace", None) is not None:
+        if trace is not None:
             # Payload-free by construction: journal payloads may hold
             # sealed blobs, and nothing sealed ever enters the trace.
-            self.store.trace.emit(
+            trace.emit(
                 "journal",
                 "append",
                 journal=self.name,
@@ -210,7 +209,3 @@ class Journal:
     def __len__(self) -> int:
         return len(self.records())
 
-
-def journals_in(store: DurableStore, prefix: str = "") -> Iterable[str]:
-    """Names of journals on ``store`` starting with ``prefix``."""
-    return [name for name in store.names() if name.startswith(prefix)]

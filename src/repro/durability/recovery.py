@@ -44,12 +44,16 @@ from dataclasses import dataclass, field
 
 from repro.durability import wal
 from repro.durability.journal import Journal, JournalRecord
-from repro.errors import NetworkFault, RecoveryError, ReproError
+from repro.errors import NetworkFault, PartyCrash, RecoveryError, ReproError
 from repro.sdk import control
 from repro.sdk.host import HostApplication
-from repro.telemetry.spans import maybe_span
 
 _REDELIVERY_ROUNDS = 5
+
+#: How many back-to-back recoveries one plan may force before the caller
+#: declares it wedged.  A crash *pair* needs two; anything past the
+#: plan's own crash count means recovery is not converging.
+MAX_RECOVERIES = 4
 
 
 @dataclass
@@ -121,8 +125,7 @@ class MigrationRecovery:
         :class:`~repro.errors.JournalRolledBack` if any journal fails
         validation — a damaged log is refused, never interpreted.
         """
-        with maybe_span(
-            self.tb.trace,
+        with self.tb.trace.tracer.span(
             "recovery.replay",
             party="orchestrator",
             image=self.app.image.name,
@@ -286,8 +289,7 @@ class MigrationRecovery:
     ) -> HostApplication:
         """Fresh enclave, same image, state restored from journaled bytes."""
         party = "target" if machine is self.tb.target else "source"
-        with maybe_span(
-            self.tb.trace,
+        with self.tb.trace.tracer.span(
             "recovery.rebuild",
             party=party,
             image=self.app.image.name,
@@ -366,9 +368,7 @@ class MigrationRecovery:
             pass
 
     def _redeliver(self, sealed: bytes) -> bytes:
-        with maybe_span(
-            self.tb.trace, "recovery.redeliver", party="orchestrator"
-        ):
+        with self.tb.trace.tracer.span("recovery.redeliver", party="orchestrator"):
             last_exc: Exception | None = None
             for _ in range(_REDELIVERY_ROUNDS):
                 try:
@@ -400,6 +400,40 @@ class MigrationRecovery:
             detail=detail,
             journal_kinds=kinds,
         )
+
+
+def recover_until_rest(
+    testbed, source_app: HostApplication, orchestrator=None, crashes=None
+) -> tuple[RecoveryReport | None, int, list[str]]:
+    """Drive :class:`MigrationRecovery` until it reaches rest.
+
+    A crash pair/chain plan (``crash-record:A:N+B:M``) crashes a party
+    *during* recovery; each drive consumes one crash fault, so
+    re-driving converges.  The crash surfaces as a bare
+    :class:`~repro.errors.PartyCrash` or wrapped (e.g. a
+    ``RecoveryError`` caused by one): both re-drive, any other error
+    propagates.  Returns the report (``None`` when
+    :data:`MAX_RECOVERIES` drives never reached rest), the number of
+    drives, and each in-recovery crash's message.  Each message is
+    appended to ``crashes`` as it happens when a list is passed, so a
+    caller keeps them even when a later drive raises.
+    """
+    if crashes is None:
+        crashes = []
+    for drive in range(1, MAX_RECOVERIES + 1):
+        try:
+            report = MigrationRecovery(
+                testbed, source_app, orchestrator=orchestrator
+            ).recover()
+        except ReproError as exc:
+            if not isinstance(exc, PartyCrash) and not isinstance(
+                exc.__cause__, PartyCrash
+            ):
+                raise
+            crashes.append(str(exc))
+        else:
+            return report, drive, crashes
+    return None, MAX_RECOVERIES, crashes
 
 
 def _has(records: list[JournalRecord], kind: str) -> bool:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.durability import wal
-from repro.durability.recovery import MigrationRecovery
+from repro.durability.recovery import MAX_RECOVERIES, recover_until_rest
 from repro.errors import (
     InvariantViolation,
     MigrationAborted,
@@ -47,12 +47,6 @@ CHAOS_LABELS = ("channel-request", "channel-answer", "checkpoint-chunk", "kmigra
 CHAOS_KINDS = ("drop", "duplicate", "corrupt", "delay", "reorder")
 
 
-#: How many back-to-back recoveries one plan may force before the sweep
-#: declares the point wedged.  A crash *pair* needs two; anything past
-#: the plan's own crash count means recovery is not converging.
-MAX_RECOVERIES = 4
-
-
 @dataclass
 class CrashPointResult:
     """One crash point's end state, as the sweep judged it."""
@@ -70,8 +64,6 @@ class CrashPointResult:
     recoveries: int = 0
     #: Virtual time spent inside recovery, first crash to rest.
     recovery_ns: int = 0
-    #: Folded-stack profile of the whole run, when the caller profiled.
-    profile: dict | None = None
 
     @property
     def safe(self) -> bool:
@@ -183,16 +175,13 @@ def run_crash_pair(
     first: tuple[str, int],
     second: tuple[str, int],
     seed: int | str = 0,
-    profile_interval_ns: int | None = None,
 ) -> CrashPointResult:
     """Crash ``first`` mid-migration, then ``second`` mid-recovery.
 
     The second :class:`~repro.faults.plan.RecordCrashFault` counts that
     party's commits from process start, so it fires during whichever
     drive (original run or recovery) reaches the record number — for
-    small record numbers that is the recovery re-drive.  Pass
-    ``profile_interval_ns`` to attach the sampling profiler and get a
-    folded-stack profile of the whole crash-recover-crash-recover run.
+    small record numbers that is the recovery re-drive.
     """
     plan = (
         FaultPlan(seed=seed)
@@ -200,22 +189,13 @@ def run_crash_pair(
         .crash_at_record(second[0], second[1])
     )
     pair = f"{first[0]}:{first[1]}+{second[0]}:{second[1]}"
-    return _run_plan(
-        plan,
-        party=first[0],
-        record=first[1],
-        seed=seed,
-        pair=pair,
-        profile_interval_ns=profile_interval_ns,
-    )
+    return _run_plan(plan, party=first[0], record=first[1], seed=seed, pair=pair)
 
 
 def _pair_point(task) -> CrashPointResult:
     """Module-level (hence picklable) worker for one crash pair."""
-    first, second, seed, profile_interval_ns = task
-    return run_crash_pair(
-        first, second, seed=seed, profile_interval_ns=profile_interval_ns
-    )
+    first, second, seed = task
+    return run_crash_pair(first, second, seed=seed)
 
 
 def sweep_pairs(
@@ -228,7 +208,6 @@ def sweep_pairs(
     stride: int = 2,
     limit: int | None = None,
     workers: int | None = None,
-    profile_interval_ns: int | None = None,
 ) -> list[CrashPointResult]:
     """A sampled sweep over (first crash, second crash) pairs.
 
@@ -243,9 +222,7 @@ def sweep_pairs(
         for rec_a in range(1, reference[party_a] + 1, stride):
             for party_b in parties:
                 for rec_b in range(1, reference[party_b] + 1, stride):
-                    tasks.append(
-                        ((party_a, rec_a), (party_b, rec_b), seed, profile_interval_ns)
-                    )
+                    tasks.append(((party_a, rec_a), (party_b, rec_b), seed))
     if limit is not None:
         tasks = tasks[:limit]
     if workers is None or workers <= 1 or len(tasks) <= 1:
@@ -268,18 +245,14 @@ def _run_plan(
     record: int = 0,
     seed: int | str = 0,
     pair: str = "",
-    profile_interval_ns: int | None = None,
 ) -> CrashPointResult:
     tb = build_testbed(seed=seed)
-    if profile_interval_ns is not None:
-        tb.telemetry.ensure_profiler(profile_interval_ns).enable()
     app = build_sweep_app(tb)
     orch = MigrationOrchestrator(
         tb, retry=FAULT_TOLERANT_RETRY, faults=FaultInjector(plan)
     )
     live_app: HostApplication | None = None
     recoveries = 0
-    recovery_started_ns: int | None = None
     recovery_ns = 0
     try:
         result = orch.migrate_enclave(app)
@@ -291,30 +264,16 @@ def _run_plan(
         if app.library.enclave_id is not None and not orch._source_crashed:
             live_app = app
     except PartyCrash:
-        # A crash pair/chain crashes a party *during* recovery: keep
-        # re-driving (each drive consumes one RecordCrashFault, so this
-        # converges) up to the bounded attempt budget.
         recovery_started_ns = tb.clock.now_ns
-        outcome = "wedged"
-        while recoveries < MAX_RECOVERIES:
-            recoveries += 1
-            try:
-                report = MigrationRecovery(tb, app, orchestrator=orch).recover()
-            except PartyCrash:
-                continue
-            except ReproError as exc:
-                # A crash firing *inside* recovery (the pair's second
-                # point) surfaces wrapped, e.g. as RecoveryError with a
-                # PartyCrash cause; the fault is spent now, so re-drive.
-                if isinstance(exc.__cause__, PartyCrash):
-                    continue
-                raise
+        report, recoveries, _ = recover_until_rest(tb, app, orchestrator=orch)
+        if report is None:
+            outcome = "wedged"
+        else:
             outcome = f"recovered:{report.outcome}"
             if report.live_instances:
                 live_app = (
                     report.target_app if report.target_app is not None else app
                 )
-            break
         recovery_ns = tb.clock.now_ns - recovery_started_ns
 
     violations = _drain_monitor(tb)
@@ -328,7 +287,6 @@ def _run_plan(
             counter_ok = live_app.ecall_once(0, "read") == COUNTER_START
         except ReproError:
             counter_ok = False
-    profiler = tb.telemetry.profiler
     return CrashPointResult(
         party=party,
         record=record,
@@ -339,11 +297,6 @@ def _run_plan(
         pair=pair,
         recoveries=recoveries,
         recovery_ns=recovery_ns,
-        profile=(
-            profiler.profile().as_dict()
-            if profiler is not None and profiler.sample_count
-            else None
-        ),
     )
 
 

@@ -492,7 +492,7 @@ class FleetRunner:
         from repro.faults import FaultInjector, parse_fault_spec
         from repro.migration.orchestrator import MigrationOrchestrator
         from repro.migration.testbed import build_testbed
-        from repro.sdk import AtomicEntry, EnclaveProgram, HostApplication
+        from repro.sdk import HostApplication, counter_program
         from repro.telemetry.otlp import default_resource, to_otlp_traces
 
         config = self.config
@@ -504,20 +504,11 @@ class FleetRunner:
         telemetry = tb.telemetry
         telemetry.flightrecorder.namespace = mig_id
 
-        program = EnclaveProgram("fleet/counter-v1")
-        program.add_entry(
-            "incr",
-            AtomicEntry(
-                lambda rt, args: (
-                    rt.store_global(
-                        "n", rt.load_global("n") + int(1 if args is None else args)
-                    )
-                    or rt.load_global("n")
-                )
-            ),
-        )
         built = tb.builder.build(
-            "fleet-enclave", program, n_workers=1, global_names=("n",)
+            "fleet-enclave",
+            counter_program("fleet/counter-v1"),
+            n_workers=1,
+            global_names=("n",),
         )
         tb.owner.register_image(built)
         app = HostApplication(

@@ -57,7 +57,3 @@ class Ept:
         if number not in self._map:
             raise EptViolation(f"vEPC page 0x{gpa:x} is not mapped")
         return self._map.pop(number)
-
-    @property
-    def mapped_count(self) -> int:
-        return len(self._map)

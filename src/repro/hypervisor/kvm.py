@@ -74,12 +74,6 @@ class Hypervisor:
         self.trace.emit("kvm", "create_vm", name=name, vcpus=n_vcpus, memory_mb=memory_mb)
         return vm
 
-    def destroy_vm(self, name: str) -> None:
-        if name not in self.vms:
-            raise HypervisorError(f"no VM {name!r}")
-        del self.vms[name]
-        del self._migration_ready[name]
-
     # ------------------------------------------------------------- hypercalls
     def hc_get_epc_info(self, vm: Vm) -> tuple[int, int]:
         """Guest hypercall: learn the location and size of its vEPC."""

@@ -26,7 +26,6 @@ from repro.hypervisor.kvm import Hypervisor
 from repro.hypervisor.vm import Vm
 from repro.sgx.structures import PAGE_SIZE
 from repro.sim.clock import NS_PER_MS
-from repro.telemetry.spans import maybe_span
 
 #: CPU/device state shipped during stop-and-copy.
 _VCPU_STATE_BYTES = 64 * 1024
@@ -110,7 +109,7 @@ class QemuMonitor:
         # migration"); by default the whole preparation counts.
         prep_start = self.clock.now_ns
         downtime_prep_ns: int | None = None
-        with maybe_span(self.trace, "vm.prepare", party="source", vm=vm.name):
+        with self.trace.tracer.span("vm.prepare", party="source", vm=vm.name):
             if prepare_hook is not None:
                 self.hypervisor.reset_migration_state(vm)
                 downtime_prep_ns = prepare_hook()
@@ -124,8 +123,7 @@ class QemuMonitor:
         to_send_bytes = vm.memory.take_dirty() * PAGE_SIZE + vm.memory.extra_bytes
         while True:
             rounds += 1
-            with maybe_span(
-                self.trace,
+            with self.trace.tracer.span(
                 "vm.precopy.round",
                 party="source",
                 round=rounds,
@@ -149,7 +147,7 @@ class QemuMonitor:
         # Stop-and-copy: pause, ship the residual dirty set + CPU state.
         vm.pause()
         stop_start = self.clock.now_ns
-        with maybe_span(self.trace, "vm.stop_and_copy", party="source", vm=vm.name):
+        with self.trace.tracer.span("vm.stop_and_copy", party="source", vm=vm.name):
             residual_pages = vm.memory.take_dirty()
             residual_page_bytes = (
                 self._delta_wire_bytes(residual_pages)
@@ -166,7 +164,7 @@ class QemuMonitor:
         # for non-enclave applications, reported separately by Fig 10(a),
         # but still part of this migration's total time).
         restore_start = self.clock.now_ns
-        with maybe_span(self.trace, "vm.restore", party="target", vm=vm.name):
+        with self.trace.tracer.span("vm.restore", party="target", vm=vm.name):
             if restore_hook is not None:
                 restore_hook()
         restore_ns = self.clock.now_ns - restore_start

@@ -285,8 +285,7 @@ class InvariantMonitor:
         # The violation event carries the span that was active when the
         # property broke — the flight recorder's dump (triggered by this
         # event) then pins the failure to a protocol step, not just a time.
-        tracer = getattr(self.tb.trace, "tracer", None)
-        active = tracer.active() if tracer is not None else None
+        active = self.tb.trace.tracer.active()
         self.tb.trace.emit(
             "invariant",
             "violation",

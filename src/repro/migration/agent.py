@@ -31,7 +31,6 @@ from repro.sdk.runtime import EnclaveRuntime
 from repro.serde import pack, unpack
 from repro.sgx.instructions import verify_report
 from repro.sgx.structures import Report
-from repro.telemetry.spans import maybe_span
 
 OBJ_ESCROW = "escrow_table"
 
@@ -224,8 +223,8 @@ class AgentService:
     def escrow_from(self, source_app: HostApplication) -> None:
         """Pre-migration: source attests the agent and escrows K_migrate."""
         tb = self.tb
-        with maybe_span(
-            tb.trace, "agent.escrow", party="agent", image=source_app.image.name
+        with tb.trace.tracer.span(
+            "agent.escrow", party="agent", image=source_app.image.name
         ):
             quote, agent_pub = self.app.library.control_call(
                 agent_escrow_request, tb.target.quoting_enclave
@@ -251,8 +250,8 @@ class AgentService:
 
     def release_to(self, target_app: HostApplication) -> None:
         """Post-resume: local attestation hands the key to the enclave."""
-        with maybe_span(
-            self.tb.trace, "agent.release", party="agent", image=target_app.image.name
+        with self.tb.trace.tracer.span(
+            "agent.release", party="agent", image=target_app.image.name
         ):
             report, requester_pub = target_app.library.control_call(
                 control.target_request_key_from_agent, self.mrenclave

@@ -75,7 +75,6 @@ from repro.sdk import control
 from repro.sdk.host import HostApplication, WorkerSpec
 from repro.serde import SerdeError, pack, unpack
 from repro.sgx.structures import Quote
-from repro.telemetry import ensure_telemetry
 
 
 @dataclass(frozen=True)
@@ -181,7 +180,7 @@ class MigrationOrchestrator:
         self.retry = retry or RetryPolicy()
         self.faults = faults
         self.stats = MigrationStats()
-        self.tel = ensure_telemetry(testbed)
+        self.tel = testbed.telemetry
         self._run_start_ns = 0
         if faults is not None:
             faults.attach(testbed)

@@ -21,7 +21,6 @@ from repro.migration.testbed import Testbed
 from repro.sdk import control
 from repro.sdk.host import HostApplication
 from repro.sdk.owner import EnclaveOwner
-from repro.telemetry.spans import maybe_span
 
 
 @dataclass
@@ -47,8 +46,7 @@ class SnapshotManager:
 
     def snapshot(self, app: HostApplication, reason: str) -> Snapshot:
         """Take an owner-keyed snapshot of a running enclave app."""
-        with maybe_span(
-            self.tb.trace,
+        with self.tb.trace.tracer.span(
             "snapshot.take",
             party="source",
             image=app.image.name,
@@ -95,8 +93,7 @@ class SnapshotManager:
         tb = self.tb
         machine = tb.target if on_target else tb.source
         guest_os = tb.target_os if on_target else tb.source_os
-        with maybe_span(
-            tb.trace,
+        with tb.trace.tracer.span(
             "snapshot.resume",
             party="target" if on_target else "source",
             image=snapshot.image_name,

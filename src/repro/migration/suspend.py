@@ -17,7 +17,6 @@ from repro.migration.snapshot import Snapshot, SnapshotManager
 from repro.migration.testbed import Testbed
 from repro.sdk.host import HostApplication
 from repro.sgx.structures import PAGE_SIZE
-from repro.telemetry.spans import maybe_span
 
 
 @dataclass
@@ -54,7 +53,7 @@ class VmSuspendManager:
         vm = self.tb.source_vm
         if vm.paused:
             raise MigrationError("VM is already suspended")
-        with maybe_span(self.tb.trace, "vm.suspend", party="source", vm=vm.name):
+        with self.tb.trace.tracer.span("vm.suspend", party="source", vm=vm.name):
             image = VmImage(vm_name=vm.name, ram_bytes=vm.memory.used_pages * PAGE_SIZE)
             for app in self.apps:
                 image.snapshots.append(self.snapshots.snapshot(app, reason=reason))
@@ -76,8 +75,8 @@ class VmSuspendManager:
         Thus, all the checkpoint/resume operations are logged" (§V-C).
         """
         machine = self.tb.target if on_target else self.tb.source
-        with maybe_span(
-            self.tb.trace, "vm.resume", party=machine.name, vm=image.vm_name
+        with self.tb.trace.tracer.span(
+            "vm.resume", party=machine.name, vm=image.vm_name
         ):
             # Read RAM back from storage.
             self.tb.clock.advance(self.tb.costs.net_transfer_ns(image.ram_bytes))

@@ -46,13 +46,12 @@ class Testbed:
     target_os: GuestOs
     builder: SdkBuilder
     owner: EnclaveOwner
+    #: Span tracer + metrics registry of ``trace``.
+    telemetry: Telemetry
     #: Stable storage for write-ahead journals; survives party crashes.
     durable: DurableStore = field(default_factory=DurableStore)
     #: Live safety-invariant monitor; attached by :func:`build_testbed`.
     monitor: InvariantMonitor | None = None
-    #: Span tracer + metrics registry; attached by :func:`build_testbed`
-    #: (or lazily by :func:`repro.telemetry.ensure_telemetry`).
-    telemetry: Telemetry | None = None
 
 
 def build_testbed(

@@ -40,10 +40,10 @@ class TransferRecord:
     label: str
     n_bytes: int
     payload: bytes
+    #: Trace context stamped at send time.
+    ctx: WireContext
     #: Global wire sequence number (unique per network, never reused).
     seq: int = 0
-    #: Trace context stamped at send time; None on an uninstrumented wire.
-    ctx: WireContext | None = None
     wan: bool = False
     #: When the bytes entered the wire (before serialization time).
     t_send_ns: int = 0
@@ -168,21 +168,18 @@ class Network:
     def _stamp(self, label: str, n: int, payload: bytes, wan: bool) -> TransferRecord:
         """New wire record carrying the active span's trace context."""
         self._seq += 1
-        tracer = getattr(self.trace, "tracer", None)
-        ctx = None
-        if tracer is not None:
-            active = tracer.active()
-            ctx = WireContext(
-                trace_id=tracer.trace_id,
-                parent_span_id=active.span_id if active is not None else None,
-                seq=self._seq,
-            )
+        tracer = self.trace.tracer
+        active = tracer.active()
         return TransferRecord(
             label,
             n,
             payload,
             seq=self._seq,
-            ctx=ctx,
+            ctx=WireContext(
+                trace_id=tracer.trace_id,
+                parent_span_id=active.span_id if active is not None else None,
+                seq=self._seq,
+            ),
             wan=wan,
             t_send_ns=self.clock.now_ns,
         )
@@ -190,15 +187,13 @@ class Network:
     def _complete_delivery(self, record: TransferRecord) -> None:
         record.status = "delivered"
         record.t_done_ns = self.clock.now_ns
-        tracer = getattr(self.trace, "tracer", None)
-        if tracer is not None:
-            active = tracer.active()
-            if active is not None:
-                # The receiving party's activity adopts the wire context:
-                # the innermost open span at delivery time is the one
-                # whose duration contains the arrival.
-                record.recv_span_id = active.span_id
-                active.attrs.setdefault("adopted_wire_seqs", []).append(record.seq)
+        active = self.trace.tracer.active()
+        if active is not None:
+            # The receiving party's activity adopts the wire context:
+            # the innermost open span at delivery time is the one
+            # whose duration contains the arrival.
+            record.recv_span_id = active.span_id
+            active.attrs.setdefault("adopted_wire_seqs", []).append(record.seq)
         self.trace.emit("net", "deliver", label=record.label, seq=record.seq)
 
     def _meter(self, label: str, n_bytes: int, wan: bool) -> None:

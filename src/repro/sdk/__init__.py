@@ -18,7 +18,7 @@ from repro.sdk.host import HostApplication, WorkerSpec
 from repro.sdk.image import EnclaveImage
 from repro.sdk.library import SgxLibrary
 from repro.sdk.owner import EnclaveOwner
-from repro.sdk.program import AtomicEntry, EnclaveProgram, ResumableEntry
+from repro.sdk.program import AtomicEntry, EnclaveProgram, ResumableEntry, counter_program
 
 __all__ = [
     "AtomicEntry",
@@ -30,4 +30,5 @@ __all__ = [
     "SdkBuilder",
     "SgxLibrary",
     "WorkerSpec",
+    "counter_program",
 ]

@@ -83,10 +83,6 @@ class EnclaveLayout:
     key_page_len: int = 0
 
     # ------------------------------------------------------- control block
-    @property
-    def control_block(self) -> int:
-        return self.base
-
     def global_flag_vaddr(self) -> int:
         return self.base + GLOBAL_FLAG_OFF
 

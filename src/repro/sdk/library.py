@@ -22,7 +22,6 @@ from repro.sdk.image import FLAG_BUSY, EnclaveImage
 from repro.sdk.program import AtomicEntry, EnclaveProgram, ResumableEntry, lookup_program
 from repro.sdk.runtime import EnclaveRuntime
 from repro.sgx import instructions as isa
-from repro.telemetry.spans import maybe_span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.guestos.kernel import GuestOs
@@ -147,14 +146,13 @@ class SgxLibrary:
         # One span per enclave, on its own track: a VM migration runs
         # several of these engine bodies interleaved, so per-enclave
         # tracks keep each span well-nested regardless of scheduling.
-        with maybe_span(
-            trace,
+        with trace.tracer.span(
             "checkpoint.two_phase",
             party=self.machine.name,
             track=self.enclave_id,
             enclave=self.enclave_id,
             image=self.image.name,
-        ) as ckpt_span:
+        ):
             start_ns = self.machine.clock.now_ns
             with cpu.collect_charges() as charged:
                 session = isa.eenter(cpu, self.hw(), template.vaddr, aep=self)

@@ -82,6 +82,26 @@ class EnclaveProgram:
         return self
 
 
+def counter_program(code_id: str) -> EnclaveProgram:
+    """The one-entry counter enclave: ``incr`` adds ``args`` (default 1)
+    to global ``n`` and returns it.
+
+    The demos, the canonical telemetry run and every fleet migration
+    build it, each under its own ``code_id``; entry names are measured
+    into MRENCLAVE, so this entry set is part of their figures."""
+    program = EnclaveProgram(code_id)
+    program.add_entry(
+        "incr",
+        AtomicEntry(
+            lambda rt, args: (
+                rt.store_global("n", rt.load_global("n") + int(1 if args is None else args))
+                or rt.load_global("n")
+            )
+        ),
+    )
+    return program
+
+
 # ---------------------------------------------------------------------------
 # Program registry — the model's "binary distribution channel".
 # ---------------------------------------------------------------------------

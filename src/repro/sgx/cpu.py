@@ -203,12 +203,6 @@ class EnclaveSession:
         self._check_pages(vaddr, len(data), Permissions.W)
         self.enclave.hw_write(vaddr, data)
 
-    def read_u64(self, vaddr: int) -> int:
-        return struct.unpack("<Q", self.read(vaddr, 8))[0]
-
-    def write_u64(self, vaddr: int, value: int) -> None:
-        self.write(vaddr, struct.pack("<Q", value))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self._open else "closed"
         return f"<EnclaveSession eid={self.enclave.eid} tcs=0x{self.tcs.vaddr:x} {state}>"

@@ -109,11 +109,6 @@ def emodpe(session: EnclaveSession, vaddr: int, permissions: Permissions) -> Non
     entry.permissions = entry.permissions | permissions
 
 
-def accept_pending_page(session: EnclaveSession, vaddr: int) -> None:
-    """Convenience: runtime-side EACCEPT for a freshly EAUG'd page."""
-    eaccept(session, vaddr)
-
-
 def dump_unreadable_page_v2(session: EnclaveSession, vaddr: int) -> bytes:
     """The §IV-B fix, as the v2 control thread would perform it.
 

@@ -24,12 +24,6 @@ class VirtualClock:
         if start_ns < 0:
             raise ValueError("clock cannot start before t=0")
         self._now_ns = int(start_ns)
-        #: Optional ``callback(prev_ns, now_ns)`` invoked after every
-        #: forward move of the clock.  A single slot, not a list: the
-        #: only consumer is the sampling profiler, and the hot path
-        #: (every modelled cost charge) must stay one attribute check
-        #: when profiling is off.
-        self.on_advance = None
 
     @property
     def now_ns(self) -> int:
@@ -54,19 +48,13 @@ class VirtualClock:
         delta_ns = int(delta_ns)
         if delta_ns < 0:
             raise ValueError(f"cannot advance clock by {delta_ns} ns")
-        prev_ns = self._now_ns
-        self._now_ns = prev_ns + delta_ns
-        if self.on_advance is not None and delta_ns:
-            self.on_advance(prev_ns, self._now_ns)
+        self._now_ns += delta_ns
         return self._now_ns
 
     def advance_to(self, t_ns: int) -> int:
         """Advance the clock to absolute time ``t_ns`` if it is later."""
         if t_ns > self._now_ns:
-            prev_ns = self._now_ns
             self._now_ns = int(t_ns)
-            if self.on_advance is not None:
-                self.on_advance(prev_ns, self._now_ns)
         return self._now_ns
 
     def stopwatch(self) -> "Stopwatch":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator
 
 from repro.errors import ReproError
 from repro.sim.clock import VirtualClock
@@ -214,10 +214,3 @@ class Engine:
     def run_all(self, max_rounds: int = 1_000_000) -> int:
         """Run until every thread has finished."""
         return self.run(until=None, max_rounds=max_rounds)
-
-
-def as_body(fn: Callable[[], Iterable[int | Block]]) -> ThreadBody:
-    """Adapt a function returning an iterable of costs into a thread body."""
-    def gen() -> ThreadBody:
-        yield from fn()
-    return gen()

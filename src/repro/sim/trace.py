@@ -7,22 +7,20 @@ harness reads metrics ("bytes on the wire", "downtime window") out of them.
 Counters are backed by a :class:`~repro.telemetry.metrics.MetricsRegistry`
 (the trace's ``metrics`` attribute), which the telemetry layer shares for
 its own typed instruments; the old ``count``/``counter`` API is preserved
-on top of it.  When a :class:`~repro.telemetry.spans.Tracer` is attached
-(``trace.tracer``, wired by :class:`repro.telemetry.Telemetry`),
-instrumented components also emit spans through it.
+on top of it.  Every trace owns a :class:`~repro.telemetry.spans.Tracer`
+(``trace.tracer``) on the same clock, so any component holding a trace
+can open spans.  Spans are not events: they live in the tracer only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from repro.sim.clock import VirtualClock
 from repro.telemetry.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import Tracer
 
 
 @dataclass(frozen=True)
@@ -81,9 +79,8 @@ class EventTrace:
         #: Typed metrics registry backing :meth:`count`; the telemetry
         #: layer shares this registry for spans-adjacent instruments.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Span tracer, attached by :class:`repro.telemetry.Telemetry`.
-        #: Components treat it as optional so bare traces stay cheap.
-        self.tracer: "Tracer | None" = None
+        #: The span tracer on this trace's clock.
+        self.tracer = Tracer(clock)
 
     # ---------------------------------------------------------------- record
     def emit(self, category: str, name: str, /, **payload: Any) -> Event:
@@ -147,5 +144,4 @@ class EventTrace:
         the previous run's numbers."""
         self._events.clear()
         self.metrics.reset()
-        if self.tracer is not None:
-            self.tracer.clear()
+        self.tracer.clear()

@@ -1,8 +1,8 @@
 """Migration telemetry: spans, typed metrics, timelines, exporters.
 
-One :class:`Telemetry` object per testbed bundles the span tracer and the
-metrics registry (shared with the event trace's counters) and installs a
-trace observer that folds injected faults into ``faults.injected{kind=}``.
+One :class:`Telemetry` object per testbed bundles the event trace's span
+tracer and metrics registry and installs a trace observer that folds
+injected faults into ``faults.injected{kind=}``.
 Everything runs on the virtual clock: telemetry never reads wall time, so
 two runs with the same seed produce byte-identical artifacts.
 
@@ -48,16 +48,13 @@ class Telemetry:
         self.clock = clock
         self.trace = trace
         self.metrics: MetricsRegistry = trace.metrics
-        self.tracer = Tracer(clock, trace)
-        trace.tracer = self.tracer
+        self.tracer: Tracer = trace.tracer
         trace.add_observer(self._on_event)
         # The black-box recorder rides along on every telemetry surface
         # (bounded rings; costs nothing until something goes wrong).
         from repro.telemetry.flightrecorder import FlightRecorder
 
         self.flightrecorder = FlightRecorder(self)
-        #: Sampling profiler, attached lazily by :meth:`ensure_profiler`.
-        self.profiler = None
 
     # ------------------------------------------------------------ conveniences
     def span(self, name: str, party: str = "orchestrator", track: str = "", **attrs):
@@ -77,17 +74,6 @@ class Telemetry:
 
         return reconstruct(self)
 
-    # ------------------------------------------------------------- profiling
-    def ensure_profiler(self, interval_ns: int | None = None):
-        """The testbed's sampling profiler, created on first use."""
-        from repro.telemetry.profiler import DEFAULT_INTERVAL_NS, SamplingProfiler
-
-        if self.profiler is None:
-            self.profiler = SamplingProfiler(
-                self, interval_ns or DEFAULT_INTERVAL_NS
-            )
-        return self.profiler
-
     # ---------------------------------------------------------------- observer
     def _on_event(self, event) -> None:
         # Fold every injected fault into a typed counter so soak runs and
@@ -95,17 +81,3 @@ class Telemetry:
         if event.category == "fault":
             self.metrics.counter("faults.injected", kind=event.name).inc()
 
-
-def ensure_telemetry(testbed) -> Telemetry:
-    """The testbed's telemetry, created and attached on first use.
-
-    Components instrumented with spans call this instead of assuming
-    :func:`~repro.migration.testbed.build_testbed` ran; hand-assembled
-    testbeds get a working telemetry layer the first time anything needs
-    one.
-    """
-    telemetry = getattr(testbed, "telemetry", None)
-    if telemetry is None:
-        telemetry = Telemetry(testbed.clock, testbed.trace)
-        testbed.telemetry = telemetry
-    return telemetry

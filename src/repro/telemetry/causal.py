@@ -131,7 +131,7 @@ class CausalDag:
         """Every distinct trace id seen on the wire, in first-seen order."""
         seen: list[str] = []
         for record in self.transfers:
-            tid = record.ctx.trace_id if record.ctx is not None else None
+            tid = record.ctx.trace_id
             if tid is not None and tid not in seen:
                 seen.append(tid)
         return seen
@@ -250,7 +250,7 @@ def build_dag(telemetry: "Telemetry", network: "Network") -> CausalDag:
 
     for record in transfers:
         node = f"wire:{record.seq}"
-        parent = record.ctx.parent_span_id if record.ctx is not None else None
+        parent = record.ctx.parent_span_id
         edges.append(
             CausalEdge(
                 "send",

@@ -18,6 +18,10 @@ The blame rule for one elementary slice is deterministic:
 3. then prefer the shorter unit, then the lower unit id — total order,
    no ties.
 
+The same walk over the whole run, folded by span ancestry, is the run's
+profile (:func:`profile_stacks`, ``repro profile``): exact weights that
+sum to the run's virtual duration, with no sampling interval.
+
 Everything here is a pure function of recorded state: building a report
 never advances the clock.
 """
@@ -28,11 +32,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.telemetry.causal import CausalDag, build_dag
+from repro.telemetry.spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network, TransferRecord
     from repro.telemetry import Telemetry
-    from repro.telemetry.spans import Span
 
 #: Anchors of the two headline walks (§VIII figures).
 ANCHOR_TOTAL = "migration.run"
@@ -263,6 +267,55 @@ def critical_path(
     return attribute_interval(anchor_span, telemetry.tracer.spans, network.log)
 
 
+#: Frame for virtual time that no span or wire transfer covers.
+IDLE_FRAME = "<idle>"
+
+
+def profile_stacks(
+    telemetry: "Telemetry", network: "Network"
+) -> dict[tuple[str, ...], int]:
+    """The whole run, t=0 to now, as folded stacks with exact weights.
+
+    One :func:`attribute_interval` walk over the run: a span segment
+    folds to ``(party, root, ..., span)``, a wire segment to its sending
+    span's stack plus its ``wire/<label>`` leaf, and uncovered time to
+    ``(<idle>,)``.  The segments partition the run, so the weights sum
+    to ``clock.now_ns`` exactly.
+    """
+    spans = telemetry.tracer.spans
+    by_id = {span.span_id: span for span in spans}
+    # The run's id is past every span's, so it loses every blame tie and
+    # takes only the time nothing else covers.
+    run = Span(max(by_id, default=0) + 1, IDLE_FRAME, "", "", 0, telemetry.clock.now_ns)
+    senders = {record.seq: record.ctx.parent_span_id for record in network.log}
+    stacks: dict[tuple[str, ...], int] = {}
+    for segment in attribute_interval(run, [run, *spans], network.log).segments:
+        if segment.kind == "transfer":
+            frames = _stack(by_id.get(senders[segment.uid]), by_id) + (segment.blame,)
+        else:
+            frames = _stack(by_id.get(segment.uid), by_id)
+        stacks[frames] = stacks.get(frames, 0) + segment.duration_ns
+    return stacks
+
+
+def _stack(span: Span | None, by_id: dict[int, Span]) -> tuple[str, ...]:
+    if span is None:
+        return (IDLE_FRAME,)
+    party = span.party
+    names: list[str] = []
+    while span is not None:
+        names.append(span.name)
+        span = by_id.get(span.parent_id)
+    return (party, *reversed(names))
+
+
+def folded(stacks: dict[tuple[str, ...], int]) -> str:
+    """Collapsed-stack text for flamegraph tools: ``a;b;c weight`` lines."""
+    return "".join(
+        f"{';'.join(frames)} {weight}\n" for frames, weight in sorted(stacks.items())
+    )
+
+
 @dataclass
 class ExplainReport:
     """Both headline walks plus the DAG's fault summary."""
@@ -280,29 +333,6 @@ class ExplainReport:
         return self.total.blames(query) or self.downtime.blames(query)
 
     # ------------------------------------------------------ counterfactuals
-    def counterfactual(self, query: str) -> dict[str, Any]:
-        """Downtime if every blamed unit matching ``query`` were free.
-
-        The blamed segments partition the downtime interval, so zeroing
-        the matched units' attributed time is a sound first-order
-        estimate: the time they *serially held* the critical path goes
-        away; second-order re-ordering effects (another unit expanding
-        into the freed window) cannot make it slower.
-        """
-        saved = sum(
-            c.duration_ns for c in self.downtime.contributions if query in c.name
-        )
-        return {
-            "query": query,
-            "saved_ns": saved,
-            "downtime_ns": self.downtime.total_ns - saved,
-            "share_pct": (
-                round(100.0 * saved / self.downtime.total_ns, 4)
-                if self.downtime.total_ns
-                else 0.0
-            ),
-        }
-
     def counterfactuals(self) -> list[dict[str, Any]]:
         """One "if this unit were free" estimate per downtime contributor."""
         return [

@@ -50,8 +50,6 @@ class RunSnapshot:
     spans: dict[str, dict[str, int]] = field(default_factory=dict)
     #: "total" / "downtime" → ranked contribution dicts (criticalpath).
     critical: dict[str, list[dict[str, Any]]] = field(default_factory=dict)
-    #: Folded-stack profile (profiler.Profile.as_dict()), when profiled.
-    profile: dict[str, Any] | None = None
 
     # --------------------------------------------------------------- capture
     @classmethod
@@ -81,7 +79,6 @@ class RunSnapshot:
             ]
         except ValueError:
             pass  # no finished migration.run anchor (e.g. VM-only runs)
-        profiler = telemetry.profiler
         return cls(
             label=label,
             meta=dict(meta or {}),
@@ -92,11 +89,6 @@ class RunSnapshot:
             metrics=metrics.snapshot(),
             spans=spans,
             critical=critical,
-            profile=(
-                profiler.profile().as_dict()
-                if profiler is not None and profiler.sample_count
-                else None
-            ),
         )
 
     # ------------------------------------------------------------ round-trip
@@ -108,7 +100,6 @@ class RunSnapshot:
             "metrics": self.metrics,
             "spans": self.spans,
             "critical": self.critical,
-            "profile": self.profile,
         }
 
     @classmethod
@@ -120,7 +111,6 @@ class RunSnapshot:
             metrics=payload.get("metrics", {}),
             spans=payload.get("spans", {}),
             critical=payload.get("critical", {}),
-            profile=payload.get("profile"),
         )
 
     def save(self, path: str) -> None:
@@ -344,8 +334,7 @@ def resolve_run(spec: str) -> RunSnapshot:
     """A snapshot from a file path or a ``k=v,flag`` run spec.
 
     Grammar: comma-separated items among ``seed=N``, ``vm``,
-    ``journal-cost-ns=N`` (perturbs the cost model), ``profile-ns=N``
-    (attaches the profiler), ``label=...``.  A path to an existing
+    ``journal-cost-ns=N`` (perturbs the cost model), ``label=...``.  A path to an existing
     ``.json`` snapshot short-circuits the run.
     """
     if os.path.exists(spec):
@@ -353,7 +342,6 @@ def resolve_run(spec: str) -> RunSnapshot:
     seed: int | str = 1
     vm = False
     journal_cost_ns: int | None = None
-    profile_ns: int | None = None
     label = spec
     for item in filter(None, (part.strip() for part in spec.split(","))):
         if item == "vm":
@@ -364,8 +352,6 @@ def resolve_run(spec: str) -> RunSnapshot:
                 seed = int(value) if value.isdigit() else value
             elif key == "journal-cost-ns":
                 journal_cost_ns = int(value)
-            elif key == "profile-ns":
-                profile_ns = int(value)
             elif key == "label":
                 label = value
             else:
@@ -382,9 +368,7 @@ def resolve_run(spec: str) -> RunSnapshot:
         costs = dataclasses.replace(DEFAULT_COSTS, journal_commit_ns=journal_cost_ns)
     from repro.telemetry.runs import run_seeded_migration
 
-    tb = run_seeded_migration(
-        seed=seed, vm=vm, costs=costs, profile_interval_ns=profile_ns
-    )
+    tb = run_seeded_migration(seed=seed, vm=vm, costs=costs)
     return RunSnapshot.capture(
         tb,
         label=label,

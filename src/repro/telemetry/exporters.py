@@ -173,8 +173,6 @@ def to_chrome_trace(
     events_pid = pid_for("events")
     events_tid = tid_for("events", "")
     for event in telemetry.trace.events:
-        if event.category == "span":
-            continue  # spans are already rendered as X events above
         trace_events.append(
             {
                 "ph": "i",

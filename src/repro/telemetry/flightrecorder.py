@@ -1,12 +1,13 @@
 """Black-box flight recorder: last-N state per party, dumped on failure.
 
 The recorder observes the event trace and keeps one bounded ring buffer
-per party with the most recent events, spans, and journal records that
-party produced.  When something goes wrong — an invariant violation, a
-``StepTimeout``, an injected machine or party crash — it automatically
-captures a correlated snapshot: the trigger, every party's ring, the
-open and recently finished spans, and the headline metrics, all under
-the run's trace id.
+per party with the most recent events (journal records included) that
+party produced.  Spans are not events, so they never enter a ring.
+When something goes wrong — an invariant violation, a ``StepTimeout``,
+an injected machine or party crash — it automatically captures a
+correlated snapshot: the trigger, every party's ring, the open and
+recently finished spans (read from the tracer), and the headline
+metrics, all under the run's trace id.
 
 Dumps are **redacted by construction**: byte strings (sealed
 checkpoints, ciphertext, keys) are replaced by ``"<redacted: N bytes>"``

@@ -139,7 +139,7 @@ def default_resource(telemetry: "Telemetry | None" = None, **extra: Any) -> dict
     groups by.  Callers add ``seed`` and friends via ``extra``.
     """
     resource: dict[str, Any] = {"service.name": "repro-migration"}
-    if telemetry is not None and getattr(telemetry.tracer, "trace_id", None):
+    if telemetry is not None and telemetry.tracer.trace_id:
         resource["migration.id"] = telemetry.tracer.trace_id
     resource["crypto.backend"] = get_backend().name
     resource.update(extra)
@@ -154,7 +154,7 @@ def to_otlp_traces(
     """Every span as one OTLP/JSON ``ExportTraceServiceRequest`` body."""
     if resource is None:
         resource = default_resource(telemetry)
-    trace_id = otlp_trace_id(getattr(telemetry.tracer, "trace_id", None))
+    trace_id = otlp_trace_id(telemetry.tracer.trace_id)
     spans = []
     for span in telemetry.tracer.spans:
         end_ns = span.end_ns if span.end_ns is not None else span.start_ns

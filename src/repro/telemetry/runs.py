@@ -8,9 +8,7 @@ so one seed maps to exactly one trace.
 ``repro diff`` perturbs the same run: passing ``costs`` (usually
 ``dataclasses.replace(DEFAULT_COSTS, journal_commit_ns=...)``) re-runs
 the identical protocol under a different cost model, which is what makes
-two snapshots comparable span-for-span.  ``profile_interval_ns`` attaches
-the sampling profiler before the run; the profile never perturbs virtual
-time, so a profiled run stays byte-identical to an unprofiled one.
+two snapshots comparable span-for-span.
 """
 
 from __future__ import annotations
@@ -26,54 +24,36 @@ def run_seeded_migration(
     seed: int | str = 1,
     vm: bool = False,
     costs: "CostModel | None" = None,
-    profile_interval_ns: int | None = None,
 ) -> "Testbed":
     """Run one fault-free migration and return its (telemetry-rich) testbed.
 
     ``vm=False`` migrates a single counter enclave through the two-phase
     protocol; ``vm=True`` live-migrates a whole VM carrying two enclave
     applications (the Figure-10 shape).  The returned testbed's
-    ``telemetry`` carries the spans and metrics of the run (and the
-    profiler, when ``profile_interval_ns`` is set).
+    ``telemetry`` carries the spans and metrics of the run.
     """
     if vm:
-        return _run_vm_migration(seed, costs, profile_interval_ns)
-    return _run_enclave_migration(seed, costs, profile_interval_ns)
+        return _run_vm_migration(seed, costs)
+    return _run_enclave_migration(seed, costs)
 
 
-def _counter_program():
-    from repro.sdk import AtomicEntry, EnclaveProgram
-
-    program = EnclaveProgram("telemetry/counter-v1")
-    program.add_entry(
-        "incr",
-        AtomicEntry(
-            lambda rt, args: (
-                rt.store_global("n", rt.load_global("n") + int(1 if args is None else args))
-                or rt.load_global("n")
-            )
-        ),
-    )
-    return program
-
-
-def _build(seed, costs, profile_interval_ns) -> "Testbed":
+def _build(seed, costs) -> "Testbed":
     from repro.migration.testbed import build_testbed
     from repro.sim.costs import DEFAULT_COSTS
 
-    tb = build_testbed(seed=seed, costs=costs if costs is not None else DEFAULT_COSTS)
-    if profile_interval_ns is not None:
-        tb.telemetry.ensure_profiler(profile_interval_ns).enable()
-    return tb
+    return build_testbed(seed=seed, costs=costs if costs is not None else DEFAULT_COSTS)
 
 
-def _run_enclave_migration(seed, costs=None, profile_interval_ns=None) -> "Testbed":
+def _run_enclave_migration(seed, costs=None) -> "Testbed":
     from repro.migration.orchestrator import MigrationOrchestrator
-    from repro.sdk import HostApplication
+    from repro.sdk import HostApplication, counter_program
 
-    tb = _build(seed, costs, profile_interval_ns)
+    tb = _build(seed, costs)
     built = tb.builder.build(
-        "telemetry-demo", _counter_program(), n_workers=1, global_names=("n",)
+        "telemetry-demo",
+        counter_program("telemetry/counter-v1"),
+        n_workers=1,
+        global_names=("n",),
     )
     tb.owner.register_image(built)
     app = HostApplication(
@@ -86,12 +66,12 @@ def _run_enclave_migration(seed, costs=None, profile_interval_ns=None) -> "Testb
     return tb
 
 
-def _run_vm_migration(seed, costs=None, profile_interval_ns=None) -> "Testbed":
+def _run_vm_migration(seed, costs=None) -> "Testbed":
     from repro.migration.vm import VmMigrationManager
     from repro.sdk import HostApplication, WorkerSpec
     from repro.workloads.apps import build_app_image
 
-    tb = _build(seed, costs, profile_interval_ns)
+    tb = _build(seed, costs)
     apps = []
     for i in range(2):
         built = build_app_image(tb.builder, "cr4", flavor=f"telemetry{i}")

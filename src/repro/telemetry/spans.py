@@ -9,10 +9,10 @@ and free-form attributes.  The :class:`Tracer` keeps one stack per
 ``end`` refuses to close a span that is not the innermost open one on its
 track.
 
-Spans mirror themselves into the :class:`~repro.sim.trace.EventTrace` as
-``("span", "start")`` / ``("span", "end")`` events, so live observers
-(the invariant monitor, tests) see them in the causal event stream, and
-the timeline reconstructor can fold spans and plain events together.
+Every :class:`~repro.sim.trace.EventTrace` owns one tracer, and the
+tracer is the only record of its spans: they are not copied into the
+event stream.  Readers (exporters, the timeline, the critical path, the
+flight recorder) query the tracer directly.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import VirtualClock
-    from repro.sim.trace import EventTrace
 
 
 @dataclass
@@ -60,28 +59,11 @@ class SpanError(RuntimeError):
     """A span was closed out of nesting order, or twice."""
 
 
-@contextmanager
-def maybe_span(trace, name: str, party: str = "orchestrator", track: str = "", **attrs: Any):
-    """Span against ``trace.tracer`` if one is attached, else a no-op.
-
-    Deep components (SGX library, QEMU monitor) hold a trace but not a
-    testbed; this lets them emit spans when the telemetry layer is wired
-    without forcing bare-trace unit tests to carry one.
-    """
-    tracer = getattr(trace, "tracer", None)
-    if tracer is None:
-        yield None
-        return
-    with tracer.span(name, party, track, **attrs) as span:
-        yield span
-
-
 class Tracer:
     """Creates and closes spans against one virtual clock."""
 
-    def __init__(self, clock: "VirtualClock", trace: "EventTrace | None" = None) -> None:
+    def __init__(self, clock: "VirtualClock") -> None:
         self.clock = clock
-        self.trace = trace
         self.spans: list[Span] = []  # every span ever started, in start order
         #: Trace context shared with the wire: the orchestrator stamps a
         #: fresh id per migration run, and every
@@ -111,10 +93,6 @@ class Tracer:
         stack.append(span)
         self.spans.append(span)
         self._activation.append(span)
-        if self.trace is not None:
-            self.trace.emit(
-                "span", "start", span=span.span_id, span_name=name, party=party
-            )
         return span
 
     def end(self, span: Span, status: str = "ok", **attrs: Any) -> Span:
@@ -134,16 +112,6 @@ class Tracer:
         span.end_ns = self.clock.now_ns
         span.status = status
         span.attrs.update(attrs)
-        if self.trace is not None:
-            self.trace.emit(
-                "span",
-                "end",
-                span=span.span_id,
-                span_name=span.name,
-                party=span.party,
-                duration_ns=span.duration_ns,
-                status=status,
-            )
         return span
 
     @contextmanager

@@ -1,8 +1,8 @@
 """Crash pairs: a second crash lands inside the first recovery.
 
 Single-point sweeps prove every crash window recovers; pairs prove the
-*recovery path itself* is crash-safe.  The profiler rides along on a
-sampled subset to bound what recovery costs in virtual time.
+*recovery path itself* is crash-safe.  A sampled subset also bounds
+what recovery costs in virtual time.
 """
 
 import pytest
@@ -93,31 +93,16 @@ class TestCrashPairs:
 
 class TestProfiledRecoveryBound:
     def test_recovery_cost_is_bounded_on_sampled_pairs(self):
-        """Profiler-verified bound: recovery after a crash pair costs a
-        bounded multiple of a clean migration's total virtual time."""
+        """Recovery after a crash pair costs a bounded multiple of a
+        clean migration's total virtual time."""
         from repro.telemetry.runs import run_seeded_migration
 
         clean_total_ns = run_seeded_migration(seed=1).telemetry.metrics.value(
             "migration.total_ns"
         )
-        results = sweep_pairs(
-            seed=SEED, stride=3, limit=6, profile_interval_ns=100_000
-        )
+        results = sweep_pairs(seed=SEED, stride=3, limit=6)
         for result in results:
-            assert result.profile is not None
-            assert result.profile["sample_count"] > 0
             assert result.recovery_ns <= 3 * clean_total_ns, (
                 f"{result.pair}: recovery took {result.recovery_ns} ns, "
                 f"over 3x a clean migration ({clean_total_ns} ns)"
             )
-
-    def test_pair_profile_shows_recovery_frames(self):
-        result = run_crash_pair(
-            ("source", 2), ("source", 3), seed=SEED, profile_interval_ns=50_000
-        )
-        from repro.telemetry.profiler import Profile
-
-        profile = Profile.from_dict(result.profile)
-        assert profile.total_weight_ns > 0
-        # the profile covers the whole run, not just the first attempt
-        assert profile.end_ns - profile.start_ns >= result.recovery_ns

@@ -1,119 +1,90 @@
-"""The deterministic sampling profiler: zero perturbation, exact weights."""
+"""The run's profile: the critical-path walk over the whole run, folded
+by span ancestry — exact weights, zero perturbation."""
 
-import pytest
-
+from repro.net.network import Network
 from repro.sim.clock import VirtualClock
+from repro.sim.costs import DEFAULT_COSTS
 from repro.sim.trace import EventTrace
 from repro.telemetry import Telemetry
-from repro.telemetry.profiler import (
-    DEFAULT_INTERVAL_NS,
-    IDLE_FRAME,
-    Profile,
-    SamplingProfiler,
-)
+from repro.telemetry.criticalpath import IDLE_FRAME, folded, profile_stacks
 from repro.telemetry.runs import run_seeded_migration
 
 
-def _telemetry():
+def _bare_run():
     clock = VirtualClock()
     trace = EventTrace(clock)
-    return Telemetry(clock, trace)
+    return Telemetry(clock, trace), Network(clock, DEFAULT_COSTS, trace)
+
+
+def _profile(tb):
+    return profile_stacks(tb.telemetry, tb.network)
 
 
 class TestSampling:
     def test_samples_credit_the_open_span_stack(self):
-        tel = _telemetry()
-        profiler = SamplingProfiler(tel, interval_ns=1_000).enable()
+        tel, network = _bare_run()
         with tel.tracer.span("outer", party="source"):
             tel.clock.advance(2_500)
             with tel.tracer.span("inner", party="source"):
                 tel.clock.advance(3_000)
-        profile = profiler.profile()
-        assert profile.stacks[("source", "outer")] == 2_000
-        assert profile.stacks[("source", "outer", "inner")] == 3_000
-        # 5500 ns elapsed, 1000 ns interval: boundaries at 1k..5k.
-        assert profile.sample_count == 5
-        assert profile.total_weight_ns == 5_000
+                network.transfer("kmigrate", b"k" * 64)
+        transfer_ns = DEFAULT_COSTS.net_transfer_ns(64)
+        assert profile_stacks(tel, network) == {
+            ("source", "outer"): 2_500,
+            ("source", "outer", "inner"): 3_000,
+            ("source", "outer", "inner", "wire/kmigrate"): transfer_ns,
+        }
 
     def test_idle_frame_when_no_span_open(self):
-        tel = _telemetry()
-        profiler = SamplingProfiler(tel, interval_ns=1_000).enable()
+        tel, network = _bare_run()
         tel.clock.advance(3_200)
-        assert profiler.profile().stacks == {(IDLE_FRAME,): 3_000}
-
-    def test_one_advance_crossing_many_boundaries(self):
-        tel = _telemetry()
-        profiler = SamplingProfiler(tel, interval_ns=100).enable()
         with tel.tracer.span("burst", party="target"):
             tel.clock.advance(10_000)
-        profile = profiler.profile()
-        assert profile.sample_count == 100
-        assert profile.stacks[("target", "burst")] == 10_000
-
-    def test_disable_restores_prior_hook(self):
-        tel = _telemetry()
-        calls = []
-        tel.clock.on_advance = lambda a, b: calls.append((a, b))
-        profiler = SamplingProfiler(tel, interval_ns=1_000).enable()
-        tel.clock.advance(1_500)
-        profiler.disable()
-        assert tel.clock.on_advance is not None
-        tel.clock.advance(10)
-        # The prior hook saw every advance, during and after profiling.
-        assert len(calls) == 2
-
-    def test_rejects_nonpositive_interval(self):
-        with pytest.raises(ValueError):
-            SamplingProfiler(_telemetry(), interval_ns=0)
+        assert profile_stacks(tel, network) == {
+            (IDLE_FRAME,): 3_200,
+            ("target", "burst"): 10_000,
+        }
 
 
 class TestDeterminism:
     def test_profiling_never_perturbs_virtual_time(self):
-        plain = run_seeded_migration(seed=1)
-        profiled = run_seeded_migration(seed=1, profile_interval_ns=10_000)
-        assert profiled.clock.now_ns == plain.clock.now_ns
-        assert (
-            profiled.telemetry.metrics.snapshot() == plain.telemetry.metrics.snapshot()
-        )
+        tb = run_seeded_migration(seed=1)
+        now_ns = tb.clock.now_ns
+        metrics = tb.telemetry.metrics.snapshot()
+        _profile(tb)
+        assert tb.clock.now_ns == now_ns
+        assert tb.telemetry.metrics.snapshot() == metrics
 
     def test_same_seed_same_folded_output(self):
-        runs = [
-            run_seeded_migration(seed=9, profile_interval_ns=10_000)
-            for _ in range(2)
-        ]
-        folded = [tb.telemetry.profiler.profile().folded() for tb in runs]
-        assert folded[0] == folded[1]
-        assert folded[0]  # non-empty
+        runs = [run_seeded_migration(seed=9) for _ in range(2)]
+        texts = [folded(_profile(tb)) for tb in runs]
+        assert texts[0] == texts[1]
+        assert texts[0]  # non-empty
 
     def test_migration_profile_shape(self):
-        tb = run_seeded_migration(seed=1, profile_interval_ns=DEFAULT_INTERVAL_NS)
-        profile = tb.telemetry.profiler.profile()
-        # Weights cover (almost) the whole run: only the sub-interval
-        # remainder at the end is unattributed.
-        assert profile.total_weight_ns >= profile.end_ns - profile.start_ns - profile.interval_ns
-        assert profile.weight_of("stop_and_copy") > 0
-        assert profile.weight_of("journal.commit") > 0
-        # Every non-idle stack leads with a party frame.
-        parties = {"source", "target", "orchestrator", "agent", "ias"}
-        for frames in profile.stacks:
-            assert frames[0] in parties or frames == (IDLE_FRAME,)
+        tb = run_seeded_migration(seed=1)
+        stacks = _profile(tb)
+        assert sum(stacks.values()) == tb.clock.now_ns
+        frames_seen = {frame for frames in stacks for frame in frames}
+        assert "migration.stop_and_copy" in frames_seen
+        assert "journal.commit" in frames_seen
+        # Every wire leaf hangs under the span that sent it.
+        parties = {"source", "target", "orchestrator", "agent"}
+        for frames in stacks:
+            if frames[-1].startswith("wire/"):
+                assert frames[0] in parties and len(frames) >= 3
+            else:
+                assert frames[0] in parties or frames == (IDLE_FRAME,)
+
+    def test_vm_profile_weights_sum_to_the_run(self):
+        tb = run_seeded_migration(seed=1, vm=True)
+        stacks = _profile(tb)
+        assert sum(stacks.values()) == tb.clock.now_ns
+        assert any("vm.stop_and_copy" in frames for frames in stacks)
 
 
 class TestRoundTrip:
-    def test_profile_round_trips_through_json_dict(self):
-        tb = run_seeded_migration(seed=1, profile_interval_ns=10_000)
-        profile = tb.telemetry.profiler.profile()
-        clone = Profile.from_dict(profile.as_dict())
-        assert clone.folded() == profile.folded()
-        assert clone.sample_count == profile.sample_count
-        assert clone.total_weight_ns == profile.total_weight_ns
-
     def test_folded_lines_are_sorted_and_weighted(self):
-        profile = Profile(
-            interval_ns=10,
-            start_ns=0,
-            end_ns=100,
-            sample_count=10,
-            stacks={("b", "x"): 60, ("a", "y"): 40},
-        )
-        assert profile.folded() == "a;y 40\nb;x 60\n"
+        stacks = {("b", "x"): 60, ("a", "y"): 40}
+        assert folded(stacks) == "a;y 40\nb;x 60\n"
+        assert folded({}) == ""

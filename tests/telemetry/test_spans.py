@@ -1,10 +1,10 @@
-"""The span tracer: nesting, parenting, trace mirroring."""
+"""The span tracer: nesting, parenting, its home on the event trace."""
 
 import pytest
 
 from repro.sim.clock import VirtualClock
 from repro.sim.trace import EventTrace
-from repro.telemetry.spans import SpanError, Tracer, maybe_span
+from repro.telemetry.spans import SpanError, Tracer
 
 
 @pytest.fixture
@@ -75,32 +75,14 @@ class TestContextManager:
         assert span.attrs == {"foo": 1}
 
 
-class TestTraceMirroring:
-    def test_start_end_events_emitted(self, clock):
+class TestTraceWiring:
+    def test_bare_trace_has_a_tracer_and_spans_emit_no_events(self, clock):
         trace = EventTrace(clock)
-        tracer = Tracer(clock, trace)
-        with tracer.span("migration.run"):
-            pass
-        names = [(e.category, e.name) for e in trace.events]
-        assert ("span", "start") in names and ("span", "end") in names
-        end = trace.last("span", "end")
-        assert end.payload["span_name"] == "migration.run"
-        assert end.payload["status"] == "ok"
-
-
-class TestMaybeSpan:
-    def test_noop_without_tracer(self, clock):
-        trace = EventTrace(clock)
-        with maybe_span(trace, "x") as span:
-            assert span is None
+        with trace.tracer.span("migration.run", party="source", track="3") as span:
+            clock.advance(5)
+        assert span.finished and span.duration_ns == 5
+        assert trace.tracer.spans == [span]
         assert trace.events == []
-
-    def test_delegates_with_tracer(self, clock):
-        trace = EventTrace(clock)
-        trace.tracer = Tracer(clock, trace)
-        with maybe_span(trace, "x", party="source", track="3") as span:
-            assert span is not None
-        assert span.finished and span.track == "3"
 
 
 class TestQueries:

@@ -102,6 +102,36 @@ class TestCli:
         assert report["crashes_in_recovery"]
         assert report["invariants_clean"] is True
 
+    def test_recover_refusal_keeps_earlier_crashes(self, capsys, monkeypatch):
+        """A refusal after an in-recovery crash still reports that crash."""
+        from repro.durability import recovery
+        from repro.errors import PartyCrash, RecoveryError
+
+        drives = []
+
+        class CrashThenRefuse:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def recover(self):
+                drives.append(1)
+                if len(drives) == 1:
+                    raise PartyCrash("source", 7)
+                raise RecoveryError("journal unreadable")
+
+        monkeypatch.setattr(recovery, "MigrationRecovery", CrashThenRefuse)
+        plan = ["recover", "--plan", "crash-record:orchestrator:5"]
+        assert main(plan) == 3
+        out = capsys.readouterr().out
+        crash = str(PartyCrash("source", 7))
+        crash_line = f"crash during recovery (re-driving): {crash}"
+        assert out.index(crash_line) < out.index("recovery REFUSED: RecoveryError")
+        drives.clear()
+        assert main([*plan, "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["outcome"] == "refused"
+        assert report["crashes_in_recovery"] == [crash]
+
     def test_recover_requires_crash_record_fault(self):
         with pytest.raises(SystemExit):
             main(["recover", "--plan", "drop:kmigrate"])
@@ -299,13 +329,6 @@ class TestObservabilityCli:
         line = next(l for l in first.splitlines() if "journal.commit" in l)
         frames, weight = line.rsplit(" ", 1)
         assert int(weight) > 0
-
-    def test_profile_json_format(self, capsys):
-        assert main(["profile", "--format", "json", "--interval-ns", "50000"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["interval_ns"] == 50000
-        assert payload["sample_count"] > 0
-        assert payload["total_weight_ns"] > 0
 
 
 class TestFleetCli:
