@@ -11,8 +11,7 @@ when the refreshed file is committed.
 
 Usage (CI runs exactly this; see .github/workflows/ci.yml):
 
-    REPRO_BENCH_DIR=fresh-bench python -m pytest benchmarks/bench_fig9c_twophase.py \
-        benchmarks/bench_fig10bcd_vm_migration.py -q
+    REPRO_BENCH_DIR=fresh-bench python -m pytest benchmarks -q --ignore=benchmarks/e2e
     python scripts/bench_ratchet.py --fresh-dir fresh-bench \
         --report ratchet-report.json
 

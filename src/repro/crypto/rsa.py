@@ -6,8 +6,11 @@ Used by: the Quoting Enclave (quote signatures), the attestation service
 plaintext while the private key is in ciphertext."), and enclave owners.
 
 Key generation uses Miller-Rabin with 1024-bit moduli — small by modern
-deployment standards but honest in structure, and fast enough that tests
-can generate fresh keys.  Signing is full-block EMSA-style padding over a
+deployment standards but honest in structure.  Long-lived keys are made
+once per role, as in a real deployment (:func:`role_keypair`): the IAS
+and vendor keys, one platform attestation key per machine and one image
+key per image are the same in every simulated world, so a process pays
+for each at most once.  Signing is full-block EMSA-style padding over a
 SHA-256 digest; the private exponentiation runs on the active crypto
 backend, which may use the CRT factors kept in :data:`_CRT_PARAMS`.
 """
@@ -174,8 +177,9 @@ def _recover_factors(n: int, e: int, d: int) -> tuple[int, int] | None:
 
 #: Keygen memo, keyed by the generator's exact state: a hit returns the key
 #: a miss would have generated and leaves the generator where a miss would
-#: have, so the testbed (which builds many machines/images per test) skips
-#: repeat work without changing any later draw.
+#: have, so a repeat costs no later draw.  Role keys (:func:`role_keypair`)
+#: start from a generator named after the role, so every world after the
+#: first gets its IAS, vendor, platform and image keys from here.
 #: States are stored packed (2.5 KB, not the 25 KB of a tuple of ints).
 _KEYGEN_CACHE: dict[tuple[tuple, int], tuple[RsaPrivateKey, tuple]] = {}
 
@@ -201,6 +205,17 @@ def generate_rsa_keypair(rng: DeterministicRng, bits: int = 1024) -> RsaPrivateK
     keypair = _generate_rsa_keypair_uncached(rng, bits)
     _KEYGEN_CACHE[cache_key] = (keypair, _pack_state(rng.getstate()))
     return keypair
+
+
+def role_keypair(role: str) -> RsaPrivateKey:
+    """The long-lived keypair of ``role``, the same in every world.
+
+    Roles name what a key is provisioned for, not the run that asked for
+    it: ``"ias"``, ``"vendor"``, ``"platform/<machine>"``,
+    ``"image/<image>"``.  Per-run randomness (nonces, DH halves, sealing
+    keys) stays on each world's seeded generators.
+    """
+    return generate_rsa_keypair(DeterministicRng(f"role-key/{role}"))
 
 
 def _generate_rsa_keypair_uncached(rng: DeterministicRng, bits: int) -> RsaPrivateKey:

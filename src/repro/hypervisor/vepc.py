@@ -38,6 +38,7 @@ class VirtualEpc:
         self.ept = Ept(base_gpa, n_pages)
         self._on_demand_map = on_demand_map
         self._free = list(range(n_pages - 1, -1, -1))
+        self._allocated = bytearray(n_pages)  # 1 per page the guest holds
         self._premapped = set(range(min(premapped_pages, n_pages)))
 
     # ------------------------------------------------------------- geometry
@@ -66,13 +67,23 @@ class VirtualEpc:
                 f"vEPC quota exhausted ({self.n_pages} pages): guest must evict"
             )
         number = self._free.pop()
+        self._allocated[number] = 1
         if number not in self._premapped:
             self._on_demand_map(self.gpa_of(number))
             self._premapped.add(number)
         return self.gpa_of(number)
 
     def free_page(self, gpa: int) -> None:
+        """Return one vEPC page to the quota.
+
+        The guest OS is untrusted (§IV-A): freeing a page it does not hold
+        would put the gpa on the free list twice and hand it to two
+        enclaves, so the hypervisor refuses it.
+        """
         number = (gpa - self.base_gpa) // PAGE_SIZE
         if not 0 <= number < self.n_pages:
             raise SgxInstructionFault(f"0x{gpa:x} is outside the vEPC")
+        if not self._allocated[number]:
+            raise SgxInstructionFault(f"vEPC page 0x{gpa:x} is not allocated")
+        self._allocated[number] = 0
         self._free.append(number)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.crypto.keys import KeyPair
-from repro.crypto.rsa import generate_rsa_keypair
+from repro.crypto.rsa import role_keypair
 from repro.durability.store import DurableStore
 from repro.guestos.kernel import GuestOs
 from repro.invariants.monitor import InvariantMonitor
@@ -77,7 +77,7 @@ def build_testbed(
     rng = DeterministicRng(seed)
     network = Network(clock, costs, trace)
 
-    ias_key = KeyPair(generate_rsa_keypair(rng.fork("ias-key")), "ias")
+    ias_key = KeyPair(role_keypair("ias"), "ias")
     ias = AttestationService(clock, costs, ias_key)
 
     source = Machine("source", clock, trace, rng, costs, epc_pages=epc_pages)
@@ -104,7 +104,7 @@ def build_testbed(
     source_os = GuestOs(source, source_vm, malicious_scheduler=malicious_scheduler)
     target_os = GuestOs(target, target_vm)
 
-    vendor_key = KeyPair(generate_rsa_keypair(rng.fork("vendor-key")), "vendor")
+    vendor_key = KeyPair(role_keypair("vendor"), "vendor")
     builder = SdkBuilder(vendor_key, rng.fork("builder"))
     owner = EnclaveOwner("owner", ias, clock, costs, rng.fork("owner"))
 

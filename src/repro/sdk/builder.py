@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.crypto.authenc import seal_envelope
 from repro.crypto.keys import KeyPair, SymmetricKey
-from repro.crypto.rsa import generate_rsa_keypair
+from repro.crypto.rsa import role_keypair
 from repro.sdk.image import (
     CONTROL_ENTRY,
     DISPATCH_ENTRY,
@@ -90,7 +90,7 @@ class SdkBuilder:
         """
         register_program(program)
         rng = self._rng.fork(f"image/{name}")
-        image_key = KeyPair(generate_rsa_keypair(rng.fork("image-key")), f"{name}/image")
+        image_key = KeyPair(role_keypair(f"image/{name}"), f"{name}/image")
 
         pages: list[PageSpec] = []
         cursor = base

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import KeyPair
-from repro.crypto.rsa import RsaPublicKey, generate_rsa_keypair
+from repro.crypto.rsa import RsaPublicKey, role_keypair
 from repro.errors import AttestationError, QuoteRejected
 from repro.serde import pack
 from repro.sgx.cpu import EnclaveSession, SgxCpu
@@ -171,9 +171,7 @@ def verify_avr(
 
 def provision_platform(cpu: SgxCpu, ias: AttestationService) -> QuotingEnclave:
     """Manufacture-time setup: give a CPU a QE and register it with IAS."""
-    attestation_key = KeyPair(
-        generate_rsa_keypair(cpu.rng.fork("attestation-key")), f"{cpu.name}/attestation"
-    )
+    attestation_key = KeyPair(role_keypair(f"platform/{cpu.name}"), f"{cpu.name}/attestation")
     qe = QuotingEnclave(cpu, attestation_key)
     ias.register_platform(cpu.platform_id, attestation_key.public)
     return qe

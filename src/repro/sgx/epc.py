@@ -64,30 +64,43 @@ class EpcPage:
 
 
 class Epc:
-    """A fixed-size EPC with allocation and EPCM bookkeeping."""
+    """A fixed-size EPC with allocation and EPCM bookkeeping.
+
+    Page and EPCM objects exist from an index's first allocation on, the
+    way a hypervisor backs EPC on demand (§VI-A): a never-allocated index
+    reads as an invalid entry and a zero page.  Indices are handed out
+    lowest first, and freed ones are reused last-freed first.
+    """
 
     def __init__(self, n_pages: int) -> None:
         if n_pages < 8:
             raise ValueError("EPC must have at least 8 pages")
         self.n_pages = n_pages
-        self._pages = [EpcPage(i) for i in range(n_pages)]
-        self._epcm = [EpcmEntry() for _ in range(n_pages)]
-        self._free = list(range(n_pages - 1, -1, -1))
+        # Indices below len(self._pages) have been allocated at least once.
+        self._pages: list[EpcPage] = []
+        self._epcm: list[EpcmEntry] = []
+        self._freed: list[int] = []
 
     # ------------------------------------------------------------- queries
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return self.n_pages - self.used_count
 
     @property
     def used_count(self) -> int:
-        return self.n_pages - len(self._free)
+        return len(self._pages) - len(self._freed)
 
     def page(self, index: int) -> EpcPage:
-        return self._pages[index]
+        if 0 <= index < len(self._pages):
+            return self._pages[index]
+        index = range(self.n_pages)[index]  # IndexError off the EPC
+        return self._pages[index] if index < len(self._pages) else EpcPage(index)
 
     def entry(self, index: int) -> EpcmEntry:
-        return self._epcm[index]
+        if 0 <= index < len(self._epcm):
+            return self._epcm[index]
+        index = range(self.n_pages)[index]  # IndexError off the EPC
+        return self._epcm[index] if index < len(self._epcm) else EpcmEntry()
 
     def pages_of(self, eid: int) -> list[int]:
         """Indices of the valid pages owned by enclave ``eid``."""
@@ -108,26 +121,33 @@ class Epc:
         Raises :class:`SgxEpcExhausted` when the EPC is full — the caller
         (driver or hypervisor) is expected to evict a victim page first.
         """
-        if not self._free:
+        if self._freed:
+            index = self._freed.pop()
+            page = self._pages[index]
+            page.wipe()
+        elif len(self._pages) < self.n_pages:
+            index = len(self._pages)
+            page = EpcPage(index)
+            self._pages.append(page)
+            self._epcm.append(EpcmEntry())
+        else:
             raise SgxEpcExhausted("no free EPC page")
-        index = self._free.pop()
         entry = self._epcm[index]
         entry.valid = True
         entry.page_type = page_type
         entry.owner_eid = owner_eid
         entry.vaddr = vaddr
         entry.permissions = permissions
-        page = self._pages[index]
-        page.wipe()
         return page
 
     def free(self, index: int) -> None:
         """Release a page back to the free pool, scrubbing its content."""
-        entry = self._epcm[index]
-        if not entry.valid:
+        index = range(self.n_pages)[index]  # IndexError off the EPC
+        if index >= len(self._epcm) or not self._epcm[index].valid:
             raise SgxInstructionFault(f"EPC page {index} is not allocated")
+        entry = self._epcm[index]
         entry.valid = False
         entry.owner_eid = -1
         entry.permissions = Permissions.NONE
         self._pages[index].wipe()
-        self._free.append(index)
+        self._freed.append(index)

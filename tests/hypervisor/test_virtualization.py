@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import EptViolation, HypervisorError, SgxEpcExhausted
+from repro.errors import EptViolation, HypervisorError, SgxEpcExhausted, SgxInstructionFault
 from repro.hypervisor.ept import Ept
 from repro.hypervisor.vepc import VirtualEpc
 from repro.hypervisor.vm import GuestMemoryModel
@@ -115,6 +115,18 @@ class TestVirtualEpc:
         assert vepc.used_pages == 0
         vepc.alloc_page()
         assert vepc.used_pages == 1
+
+    def test_guest_cannot_free_a_page_it_does_not_hold(self):
+        # The guest OS is untrusted: a double free, or a free of a gpa never
+        # handed out, must not put a page on the free list twice.
+        vepc, _ = self.make(n_pages=4, premapped=4)
+        gpa = vepc.alloc_page()
+        vepc.free_page(gpa)
+        for bad in (gpa, vepc.gpa_of(3)):
+            with pytest.raises(SgxInstructionFault):
+                vepc.free_page(bad)
+        assert vepc.used_pages == 0
+        assert [vepc.alloc_page(), vepc.alloc_page()] == [vepc.gpa_of(0), vepc.gpa_of(1)]
 
 
 class TestHypervisor:
