@@ -1,13 +1,14 @@
 #!/usr/bin/env python
-"""Benchmark regression ratchet.
+"""Benchmark ratchet: every virtual series must reproduce exactly.
 
 Compares freshly generated ``BENCH_<figure>.json`` series against the
-committed baselines and fails when any virtual-time metric regressed by
-more than the tolerance (default 15%).  All tracked series are
-lower-is-better quantities (checkpoint microseconds, downtime and total
-nanoseconds, transferred bytes, pre-copy rounds), so the ratchet only
-ever tightens: improvements are reported and become the new baseline
-when the refreshed file is committed.
+committed baselines.  Every tracked leaf is virtual time or a count
+derived from it (checkpoint microseconds, downtime and total
+nanoseconds, transferred bytes, pre-copy rounds, fleet queueing), so a
+same-seed rerun reproduces it exactly and there is no noise to
+tolerate.  Any leaf that changes, in either direction, fails: a change
+that means to move a figure commits the regenerated baseline in the
+same change and names the mechanism that moved it.
 
 Usage (CI runs exactly this; see .github/workflows/ci.yml):
 
@@ -15,8 +16,8 @@ Usage (CI runs exactly this; see .github/workflows/ci.yml):
     python scripts/bench_ratchet.py --fresh-dir fresh-bench \
         --report ratchet-report.json
 
-Exit status: 0 when every metric is within tolerance, 1 on regression or
-a metric that disappeared from the fresh run.
+Exit status: 0 when every leaf matches its baseline, 1 when a leaf
+changed or disappeared from the fresh run.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_FIGURES = ("fig9", "fig10", "fleet", "fleet_contention")
-DEFAULT_MAX_REGRESSION = 0.15
 
 #: Leaf keys that are annotations, not measurements.
 _NON_METRIC_KEYS = {"unit", "series"}
+
+#: Finding statuses that fail the ratchet.
+FAILING = ("changed", "missing")
 
 
 def iter_numeric_leaves(tree, prefix=()):
@@ -44,54 +47,48 @@ def iter_numeric_leaves(tree, prefix=()):
     elif isinstance(tree, bool):
         return
     elif isinstance(tree, (int, float)):
-        yield prefix, float(tree)
+        yield prefix, tree
 
 
-def compare_series(baseline: dict, fresh: dict, max_regression: float) -> list[dict]:
-    """Compare two figure trees; one finding per baseline metric.
+def compare_series(baseline: dict, fresh: dict) -> list[dict]:
+    """Compare two figure trees; one finding per baseline leaf.
 
-    A metric regresses when the fresh value exceeds the baseline by more
-    than ``max_regression`` (relative).  A metric missing from a series
-    the fresh run *did* regenerate also fails — a vanishing data point
-    must not read as green.  A whole top-level series absent from the
-    fresh run is merely "not-regenerated": ``write_bench_json`` merges
-    per-series, so partial refreshes (and frozen before/after records
-    like ``fig9c_before_hot_path_fix``) are expected.  Metrics that only
-    exist in the fresh run are informational (no baseline to regress
-    against yet).
+    A leaf whose fresh value differs from the baseline at all is
+    ``changed``.  A leaf missing from a series the fresh run *did*
+    regenerate is ``missing`` — a vanishing data point must not read as
+    green.  A whole top-level series absent from the fresh run is merely
+    ``not-regenerated``: ``write_bench_json`` merges per-series, so
+    partial refreshes (and frozen before/after records like
+    ``fig9c_before_hot_path_fix``) are expected.  Leaves that only exist
+    in the fresh run are ``new`` and informational.
     """
     base_leaves = dict(iter_numeric_leaves(baseline))
     fresh_leaves = dict(iter_numeric_leaves(fresh))
     findings = []
     for path, base in sorted(base_leaves.items()):
-        name = "/".join(path)
-        if path not in fresh_leaves:
-            if path[0] not in fresh:
-                findings.append(
-                    {"metric": name, "status": "not-regenerated", "baseline": base}
-                )
-            else:
-                findings.append({"metric": name, "status": "missing", "baseline": base})
-            continue
-        value = fresh_leaves[path]
-        delta = (value - base) / base if base else (1.0 if value > base else 0.0)
-        status = "regressed" if delta > max_regression else (
-            "improved" if delta < -0.005 else "ok"
-        )
-        findings.append(
-            {
-                "metric": name,
-                "status": status,
-                "baseline": base,
-                "fresh": value,
-                "delta_pct": round(100 * delta, 2),
-            }
-        )
+        finding = {"metric": "/".join(path), "baseline": base}
+        if path in fresh_leaves:
+            finding["fresh"] = fresh_leaves[path]
+            finding["status"] = "ok" if finding["fresh"] == base else "changed"
+        elif path[0] in fresh:
+            finding["status"] = "missing"
+        else:
+            finding["status"] = "not-regenerated"
+        findings.append(finding)
     for path in sorted(fresh_leaves.keys() - base_leaves.keys()):
         findings.append(
             {"metric": "/".join(path), "status": "new", "fresh": fresh_leaves[path]}
         )
     return findings
+
+
+def describe(finding: dict) -> str:
+    """One line naming the series, the leaf and both values."""
+    series, _, leaf = finding["metric"].partition("/")
+    return (
+        f"{finding['status']}: series {series}, leaf {leaf or '-'}:"
+        f" baseline={finding.get('baseline')} fresh={finding.get('fresh')}"
+    )
 
 
 def _load(path: str) -> dict:
@@ -103,11 +100,10 @@ def run_ratchet(
     figures=DEFAULT_FIGURES,
     baseline_dir: str = REPO_ROOT,
     fresh_dir: str | None = None,
-    max_regression: float = DEFAULT_MAX_REGRESSION,
 ) -> dict:
     """Compare every figure file; returns the full report dict."""
     fresh_dir = fresh_dir or os.environ.get("REPRO_BENCH_DIR", REPO_ROOT)
-    report = {"max_regression": max_regression, "figures": {}, "failed": False}
+    report = {"figures": {}, "failed": False}
     for figure in figures:
         base_path = os.path.join(baseline_dir, f"BENCH_{figure}.json")
         fresh_path = os.path.join(fresh_dir, f"BENCH_{figure}.json")
@@ -119,10 +115,10 @@ def run_ratchet(
             report["figures"][figure] = {"status": "no-fresh-run"}
             report["failed"] = True
             continue
-        findings = compare_series(_load(base_path), _load(fresh_path), max_regression)
-        bad = [f for f in findings if f["status"] in ("regressed", "missing")]
+        findings = compare_series(_load(base_path), _load(fresh_path))
+        bad = [f for f in findings if f["status"] in FAILING]
         report["figures"][figure] = {
-            "status": "regressed" if bad else "ok",
+            "status": "changed" if bad else "ok",
             "findings": findings,
         }
         if bad:
@@ -171,7 +167,6 @@ def main(argv=None) -> int:
         "--fresh-dir", default=None,
         help="where the fresh BENCH files were written (default: $REPRO_BENCH_DIR)",
     )
-    parser.add_argument("--max-regression", type=float, default=DEFAULT_MAX_REGRESSION)
     parser.add_argument("--report", default=None, help="write the JSON report here")
     parser.add_argument(
         "--attribution-baseline",
@@ -192,7 +187,6 @@ def main(argv=None) -> int:
         figures=tuple(args.figures) if args.figures else DEFAULT_FIGURES,
         baseline_dir=args.baseline_dir,
         fresh_dir=args.fresh_dir,
-        max_regression=args.max_regression,
     )
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -202,14 +196,9 @@ def main(argv=None) -> int:
         print(f"[{figure}] {entry['status']}")
         for finding in entry.get("findings", []):
             if finding["status"] != "ok":
-                print(
-                    f"  {finding['status']:>9}  {finding['metric']}"
-                    f"  baseline={finding.get('baseline')}"
-                    f"  fresh={finding.get('fresh')}"
-                    f"  delta={finding.get('delta_pct')}%"
-                )
+                print(f"  {describe(finding)}")
     if report["failed"]:
-        print("ratchet: FAILED (regression or missing metric)", file=sys.stderr)
+        print("ratchet: FAILED (a series leaf changed or is missing)", file=sys.stderr)
         attribution = attribute_regression(
             args.attribution_baseline,
             spec=args.attribution_spec,

@@ -21,7 +21,15 @@ On replay the counter is the ground truth the disk has to agree with:
   ascending run from 1, mean the log bytes themselves are damaged:
   :class:`~repro.errors.JournalCorrupt`.
 
+Because the torn tail never committed, the next append first drops it:
+the new frame goes right behind the last committed one.
+
 Record payloads are the restricted :mod:`repro.serde` value universe.
+Large ciphertext — a sealed checkpoint envelope — is not a payload: it
+is stored once in the store's content-addressed blob area
+(:meth:`~repro.durability.store.DurableStore.put_blob`), and the record
+carries only its SHA-256 digest, which the reader resolves (and
+verifies) through :meth:`~repro.durability.store.DurableStore.blob`.
 Secrets never appear in a payload in the clear — parties that journal
 secret material (K_migrate, escrow entries) seal it into an
 :class:`~repro.crypto.authenc.Envelope` under an enclave sealing key
@@ -88,9 +96,14 @@ class Journal:
         start_ns = self.store.clock.now_ns if self.store.clock is not None else None
         counter = self.store.counter(self.name) + 1
         body = serde.pack({"c": counter, "k": kind, "p": payload})
-        # Header and body go onto the log one after the other: a sealed
-        # blob body can be tens of MB, and ``header + body`` would copy it.
         log = self.store.log(self.name)
+        end = self._committed_end(log, counter - 1)
+        if end is not None:
+            # Bytes past the last committed frame are a torn append that
+            # never committed; writing behind them would bury this frame.
+            del log[end:]
+        # Header and body go onto the log one after the other: a body
+        # can be large, and ``header + body`` would copy it.
         log.extend(_FRAME_HEADER.pack(len(body), zlib.crc32(body)))
         log.extend(body)
         trace = self.store.trace
@@ -134,6 +147,21 @@ class Journal:
         if self.store.injector is not None:
             self.store.injector.record_appended(self.party, self.name, counter)
         return counter
+
+    @staticmethod
+    def _committed_end(log: bytearray, committed: int) -> int | None:
+        """Offset just past frame #``committed``, walking headers only.
+
+        ``None`` when the log holds fewer frames than that: a truncated
+        log is left as it is, so replay still refuses it.
+        """
+        offset = 0
+        for _ in range(committed):
+            if offset + _FRAME_HEADER.size > len(log):
+                return None
+            length, _crc = _FRAME_HEADER.unpack_from(log, offset)
+            offset += _FRAME_HEADER.size + length
+        return offset if offset <= len(log) else None
 
     # ------------------------------------------------------------------ read
     def records(self) -> list[JournalRecord]:

@@ -34,8 +34,11 @@ Retransmitted sealed keys are idempotent (``target_receive_key`` installs
 the same K_migrate again); rebuilt instances re-unseal their own secrets
 via their EGETKEY sealing key, which a crash does not erase (same CPU,
 same measurement).  A truncated or rolled-back journal makes
-:meth:`Journal.records` raise before any action is taken — recovery
-*refuses* rather than guesses.
+:meth:`Journal.records` raise before any action is taken, and a
+checkpoint blob that is missing or fails its digest makes
+:meth:`~repro.durability.store.DurableStore.blob` raise
+:class:`~repro.errors.JournalCorrupt` before any enclave is rebuilt —
+recovery *refuses* rather than guesses.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ class MigrationRecovery:
             machine=self.tb.source,
             guest_os=self.tb.source_os,
             sealed_key=checkpoint.payload["sealed"],
-            envelope=checkpoint.payload["envelope"],
+            envelope=self.tb.durable.blob(checkpoint.payload["envelope"]),
             name_suffix="recovered-source",
         )
         return self._report(
@@ -231,7 +234,7 @@ class MigrationRecovery:
             machine=self.tb.target,
             guest_os=self.tb.target_os,
             sealed_key=installed.payload["sealed"],
-            envelope=transferred.payload["blob"],
+            envelope=self.tb.durable.blob(transferred.payload["blob"]),
             name_suffix="recovered-target",
         )
         return self._report(
@@ -263,10 +266,10 @@ class MigrationRecovery:
             )
         # Redeliver the sealed key (same ciphertext — target_receive_key
         # is idempotent for a repeated blob) and run the restore steps.
+        blob = self.tb.durable.blob(transferred.payload["blob"])
         delivered = self._redeliver(release.payload["sealed"])
         library = target.library
         library.control_call(control.target_receive_key, delivered)
-        blob = transferred.payload["blob"]
         plan = library.control_call(control.target_restore_memory, blob)
         library.replay_cssa(plan)
         library.control_call(control.target_verify_and_finish, blob)

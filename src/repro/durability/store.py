@@ -1,12 +1,17 @@
 """Stable storage: the one thing a machine crash does not erase.
 
 A :class:`DurableStore` models the testbed's persistent media — each
-party's journal file plus a bank of hardware monotonic counters.  The
-split matters for the threat model:
+party's journal file, a content-addressed blob area and a bank of
+hardware monotonic counters.  The split matters for the threat model:
 
 * the **byte logs** are ordinary untrusted disk: a crash can tear the
   tail of an append, and an adversary (or a lazy operator restoring an
   old backup) can truncate or substitute an earlier copy;
+* the **blobs** are untrusted disk too.  Each is stored once, raw, under
+  the SHA-256 of its bytes, and journal records name it by that digest.
+  :meth:`DurableStore.blob` re-hashes on every read, so a lost or
+  altered blob is refused as :class:`~repro.errors.JournalCorrupt`
+  rather than handed to recovery;
 * the **monotonic counters** model tamper-resistant hardware counters
   (TPM / CSME, the primitive Alder et al. build their rollback defense
   on): they only ever move forward and survive everything.
@@ -19,7 +24,10 @@ typed, refusable :class:`~repro.errors.JournalRolledBack`.
 
 from __future__ import annotations
 
+import hashlib
 from typing import TYPE_CHECKING
+
+from repro.errors import JournalCorrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
@@ -29,10 +37,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class DurableStore:
-    """Per-testbed persistent storage: named byte logs + counters."""
+    """Per-testbed persistent storage: named byte logs, blobs, counters."""
 
     def __init__(self) -> None:
         self._logs: dict[str, bytearray] = {}
+        self._blobs: dict[str, bytes] = {}
         self._counters: dict[str, int] = {}
         #: Optional fault injector; journal commits report record
         #: boundaries to it so crash plans can fire at record
@@ -69,6 +78,34 @@ class DurableStore:
 
     def names(self) -> list[str]:
         return sorted(self._logs)
+
+    # ---------------------------------------------------------------- blobs
+    def put_blob(self, data: bytes) -> str:
+        """Store ``data`` once under its SHA-256 hex digest; returns it.
+
+        Putting the same bytes again is a no-op.  Callers put the blob
+        *before* appending the record that names it, so a crash between
+        the two leaves an orphan blob, never a dangling record.
+        """
+        digest = hashlib.sha256(data).hexdigest()
+        self._blobs.setdefault(digest, bytes(data))
+        return digest
+
+    def blob(self, digest: str) -> bytes:
+        """The blob stored under ``digest``, re-hashed on read.
+
+        Raises :class:`JournalCorrupt` when the blob is missing or its
+        bytes no longer hash to ``digest``.
+        """
+        data = self._blobs.get(digest)
+        if data is None:
+            raise JournalCorrupt(f"blob {digest[:16]} is missing from the store")
+        if hashlib.sha256(data).hexdigest() != digest:
+            raise JournalCorrupt(f"blob {digest[:16]} does not match its digest")
+        return data
+
+    def digests(self) -> list[str]:
+        return sorted(self._blobs)
 
     # ------------------------------------------------------------- counters
     def counter(self, name: str) -> int:

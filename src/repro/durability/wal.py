@@ -13,10 +13,11 @@ crashes and is rebuilt finds its own log again:
 Record kinds are listed here so the recovery logic and the tests agree
 on the vocabulary.  The orchestrator journals the protocol's *artifacts*
 (sealed checkpoint envelope, sealed K_migrate blob — both ciphertext an
-adversary already sees on the wire); the enclaves journal their *state
-transitions* (checkpointed, channel open, key released, key installed,
-live), which is what makes "a SPENT source recovers as SPENT" decidable
-after every volatile bit is gone.
+adversary already sees on the wire; the envelope by the digest of its
+store blob); the enclaves journal their *state transitions*
+(checkpointed, channel open, key released, key installed, live), which
+is what makes "a SPENT source recovers as SPENT" decidable after every
+volatile bit is gone.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ MIGRATION_PARTIES = (PARTY_SOURCE, PARTY_TARGET, PARTY_ORCHESTRATOR, PARTY_AGENT
 
 # Orchestrator record kinds, in protocol order.
 WAL_BEGIN = "begin"
-WAL_CHECKPOINT = "checkpoint"        # payload: sealed envelope bytes + sequence
+WAL_CHECKPOINT = "checkpoint"        # payload: the checkpoint's sequence
 WAL_TARGET_BUILT = "target-built"
 WAL_CHANNEL = "channel"
-WAL_TRANSFERRED = "transferred"      # payload: the delivered envelope bytes
+WAL_TRANSFERRED = "transferred"      # payload: blob digest of the delivered envelope
 WAL_STORAGE = "storage"              # payload: the channel-sealed storage handoff blob
 WAL_STORAGE_DELIVERED = "storage-delivered"
 WAL_RELEASE = "release"              # payload: the sealed K_migrate blob
@@ -45,7 +46,7 @@ WAL_ABORT = "abort"
 WAL_CANCEL = "cancel"
 
 # Enclave-side record kinds (appended from in-enclave control code).
-REC_CHECKPOINT = "checkpoint"        # sealed: K_migrate; clear: envelope + sequence
+REC_CHECKPOINT = "checkpoint"        # sealed: K_migrate; clear: envelope blob digest + sequence
 REC_CHANNEL_OPEN = "channel-open"
 REC_CHANNEL = "channel"
 REC_STORAGE_EXPORT = "storage-export"    # source: storage left under the session key

@@ -550,11 +550,7 @@ class MigrationOrchestrator:
                         if checkpoint is None:  # pragma: no cover - guard
                             raise MigrationError("checkpoint generation failed")
                         self._wal_append(
-                            wal.WAL_CHECKPOINT,
-                            {
-                                "envelope": checkpoint.envelope.to_bytes(),
-                                "sequence": checkpoint.sequence,
-                            },
+                            wal.WAL_CHECKPOINT, {"sequence": checkpoint.sequence}
                         )
 
                     with self.tel.span(
@@ -571,9 +567,10 @@ class MigrationOrchestrator:
                     with self.tel.span(f"migration.step.{STEP_TRANSFER_CHECKPOINT}"):
                         self._begin_step(app, STEP_TRANSFER_CHECKPOINT)
                         delivered_checkpoint = self.transfer_checkpoint(app)
-                        self._wal_append(
-                            wal.WAL_TRANSFERRED, {"blob": delivered_checkpoint}
-                        )
+                        if self._wal is not None:
+                            # The blob first, then the record naming it.
+                            digest = self._wal.store.put_blob(delivered_checkpoint)
+                            self._wal.append(wal.WAL_TRANSFERRED, {"blob": digest})
                     # Crash faults scheduled at this step must fire even
                     # for storageless enclaves (the step exists in the
                     # protocol grammar either way); only the span and the

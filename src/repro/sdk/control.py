@@ -206,7 +206,8 @@ def generate_checkpoint(
     for _ in range(slices):
         yield crypto_ns // slices
     envelope = seal_checkpoint(checkpoint, kmigrate, rt.random_bytes(16), algorithm)
-    # Durability: the sealed envelope is ciphertext the host sees anyway;
+    # Durability: the sealed envelope is ciphertext the host sees anyway,
+    # stored once as a blob and named in the record by its digest;
     # K_migrate goes into the record sealed under this enclave's own
     # EGETKEY key, so only a same-measurement rebuild can ever read it.
     # The fsync blocks this control thread, not the machine: defer the
@@ -214,7 +215,7 @@ def generate_checkpoint(
     # journal waits instead of serializing on a stop-the-world charge.
     commit_wait_ns = rt.journal_record(
         "checkpoint",
-        {"sequence": sequence, "envelope": envelope.to_bytes()},
+        {"sequence": sequence, "envelope": rt.journal_blob(envelope.to_bytes())},
         secret={"kmigrate": kmigrate.material, "sequence": sequence},
         defer_charge=True,
     )

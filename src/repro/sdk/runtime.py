@@ -328,6 +328,18 @@ class EnclaveRuntime:
             return int(self._journal.store.commit_cost_ns or 0)
         return 0
 
+    def journal_blob(self, data: bytes) -> str | None:
+        """Store ciphertext in the durable blob area; returns its digest.
+
+        A record names the blob by this digest instead of carrying the
+        bytes, so a multi-MB sealed envelope is written once, raw.  Put
+        it *before* appending the record that names it.  ``None`` when
+        journaling is off.
+        """
+        if self._journal is None:
+            return None
+        return self._journal.store.put_blob(data)
+
     def journal_seal(self, value) -> bytes:
         """Seal a serde value for journal storage (crash-survivable)."""
         envelope = seal_envelope(

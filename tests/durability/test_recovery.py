@@ -20,7 +20,8 @@ from repro.durability.sweep import (
     run_agent_crash_point,
     run_crash_point,
 )
-from repro.errors import JournalRolledBack, MigrationError, PartyCrash
+from repro.durability.journal import Journal
+from repro.errors import JournalCorrupt, JournalRolledBack, MigrationError, PartyCrash
 from repro.faults import FaultInjector, FaultPlan
 from repro.migration.testbed import build_testbed
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
@@ -135,6 +136,62 @@ class TestRollbackRefusal:
         )
         with pytest.raises(JournalRolledBack):
             MigrationRecovery(tb, app, orchestrator=orch).recover()
+
+
+class TestBlobRefusal:
+    """A checkpoint blob that is lost or altered on disk is refused when
+    recovery resolves its digest, before any enclave is rebuilt."""
+
+    @pytest.mark.parametrize(
+        ("party", "record", "outcome"),
+        [
+            # Target died after `key-installed`: rebuild it from the
+            # orchestrator's `transferred` blob.
+            (wal.PARTY_TARGET, 2, "completed"),
+            # Source died after `checkpoint`: rebuild it from its own
+            # checkpoint blob.
+            (wal.PARTY_SOURCE, 1, "source-restored"),
+        ],
+        ids=["target-transferred", "source-checkpoint"],
+    )
+    @pytest.mark.parametrize("damage", ["intact", "deleted", "flipped"])
+    def test_rebuild_resolves_and_verifies_its_blob(
+        self, party, record, outcome, damage
+    ):
+        tb = build_testbed(seed=76)
+        app = build_sweep_app(tb)
+        plan = FaultPlan(seed=76).crash_at_record(party, record)
+        orch = MigrationOrchestrator(
+            tb, retry=FAULT_TOLERANT_RETRY, faults=FaultInjector(plan)
+        )
+        with pytest.raises(PartyCrash):
+            orch.migrate_enclave(app)
+        image = app.image.name
+        if party == wal.PARTY_TARGET:
+            name, kind, key = (
+                wal.orchestrator_journal_name(image), wal.WAL_TRANSFERRED, "blob"
+            )
+        else:
+            name, kind, key = (
+                wal.enclave_journal_name("source", image), wal.REC_CHECKPOINT, "envelope"
+            )
+        digest = Journal(tb.durable, name, party).last(kind).payload[key]
+        store = tb.durable
+        if damage == "deleted":
+            del store._blobs[digest]
+        elif damage == "flipped":
+            data = bytearray(store._blobs[digest])
+            data[len(data) // 2] ^= 0x01
+            store._blobs[digest] = bytes(data)
+        enclaves = [set(m.cpu.enclaves) for m in (tb.source, tb.target)]
+        recovery = MigrationRecovery(tb, app, orchestrator=orch)
+        if damage == "intact":
+            report = recovery.recover()
+            assert (report.outcome, report.live_instances) == (outcome, 1)
+            return
+        with pytest.raises(JournalCorrupt, match=f"blob {digest[:16]}"):
+            recovery.recover()
+        assert [set(m.cpu.enclaves) for m in (tb.source, tb.target)] == enclaves
 
 
 class TestPartitionPlusCrash:

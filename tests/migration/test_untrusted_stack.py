@@ -147,8 +147,11 @@ class TestConfidentialityOnHost:
         rt = result.target_app.library._runtime(session)
         kmigrate = rt.load_obj("__channel__")["kmigrate"]
         isa.eexit(session)
+        # Wire payloads are serde-packed, which writes bytes as hex: a key
+        # sent in the clear would show up in either form.
         for record in testbed.network.log:
             assert kmigrate not in record.payload
+            assert kmigrate.hex().encode() not in record.payload
         for value in app.process.shared_memory.values():
             blob = value.to_bytes() if hasattr(value, "to_bytes") else b""
             assert kmigrate not in blob

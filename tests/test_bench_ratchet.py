@@ -11,8 +11,10 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
 
 from bench_ratchet import (  # noqa: E402
+    FAILING,
     attribute_regression,
     compare_series,
+    describe,
     main,
     run_ratchet,
 )
@@ -38,24 +40,49 @@ def _fresh(one: float, eight: float) -> dict:
 
 
 class TestComparator:
-    def test_within_tolerance_is_ok(self):
-        findings = compare_series(BASELINE, _fresh(550.0, 1300.0), 0.15)
+    """Virtual series are deterministic: any change at all fails."""
+
+    def test_unchanged_series_is_ok(self):
+        findings = compare_series(BASELINE, _fresh(500.0, 1200.0))
         assert all(f["status"] == "ok" for f in findings)
 
-    def test_regression_flagged_beyond_tolerance(self):
-        findings = compare_series(BASELINE, _fresh(500.0, 1500.0), 0.15)
+    def test_any_increase_fails(self):
+        findings = compare_series(BASELINE, _fresh(500.0, 1200.5))
         by_metric = {f["metric"]: f for f in findings}
-        assert by_metric["fig9c/avg_checkpoint_us/8"]["status"] == "regressed"
-        assert by_metric["fig9c/avg_checkpoint_us/8"]["delta_pct"] == 25.0
+        assert by_metric["fig9c/avg_checkpoint_us/8"]["status"] == "changed"
+        assert by_metric["fig9c/avg_checkpoint_us/8"]["fresh"] == 1200.5
         assert by_metric["fig9c/avg_checkpoint_us/1"]["status"] == "ok"
 
-    def test_improvement_reported_not_failed(self):
-        findings = compare_series(BASELINE, _fresh(250.0, 600.0), 0.15)
-        assert all(f["status"] == "improved" for f in findings)
+    def test_any_decrease_fails(self):
+        findings = compare_series(BASELINE, _fresh(250.0, 600.0))
+        assert all(f["status"] == "changed" for f in findings)
+
+    def test_header_key_bytes_fail_and_are_named(self):
+        """The 20 bytes a checkpoint-header key added per enclave moved
+        fig10bcd's transferred bytes by 20; the ratchet must refuse that
+        and name the series and the leaf with both values."""
+        baseline = {
+            "fig10bcd": {
+                "series": "whole-VM live migration",
+                "enclaves": {"64": {"transferred_bytes": 1161781222}},
+            }
+        }
+        fresh = {
+            "fig10bcd": {
+                "series": "whole-VM live migration",
+                "enclaves": {"64": {"transferred_bytes": 1161781242}},
+            }
+        }
+        (finding,) = compare_series(baseline, fresh)
+        assert finding["status"] == "changed"
+        assert describe(finding) == (
+            "changed: series fig10bcd, leaf enclaves/64/transferred_bytes:"
+            " baseline=1161781222 fresh=1161781242"
+        )
 
     def test_missing_metric_fails(self):
         fresh = {"fig9c": {"avg_checkpoint_us": {"1": 500.0}}}
-        findings = compare_series(BASELINE, fresh, 0.15)
+        findings = compare_series(BASELINE, fresh)
         statuses = {f["metric"]: f["status"] for f in findings}
         assert statuses["fig9c/avg_checkpoint_us/8"] == "missing"
 
@@ -68,22 +95,23 @@ class TestComparator:
         baseline = BASELINE | {
             "fig9c_before_hot_path_fix": {"avg_checkpoint_us": {"8": 3003.0}}
         }
-        findings = compare_series(baseline, _fresh(500.0, 1200.0), 0.15)
+        findings = compare_series(baseline, _fresh(500.0, 1200.0))
         statuses = {f["metric"]: f["status"] for f in findings}
         assert (
             statuses["fig9c_before_hot_path_fix/avg_checkpoint_us/8"]
             == "not-regenerated"
         )
-        bad = [f for f in findings if f["status"] in ("regressed", "missing")]
+        bad = [f for f in findings if f["status"] in FAILING]
         assert not bad
 
     def test_new_metric_is_informational(self):
-        findings = compare_series(BASELINE, _fresh(500.0, 1200.0) | {"extra": 1.0}, 0.15)
+        findings = compare_series(BASELINE, _fresh(500.0, 1200.0) | {"extra": 1.0})
         statuses = {f["metric"]: f["status"] for f in findings}
         assert statuses["extra"] == "new"
+        assert not [f for f in findings if f["status"] in FAILING]
 
     def test_unit_and_series_annotations_ignored(self):
-        findings = compare_series(BASELINE, _fresh(500.0, 1200.0), 0.15)
+        findings = compare_series(BASELINE, _fresh(500.0, 1200.0))
         assert not any("unit" in f["metric"] or "series" in f["metric"] for f in findings)
 
 
@@ -98,12 +126,12 @@ class TestRunRatchet:
         fresh_dir = tmp_path / "fresh"
         base_dir.mkdir(), fresh_dir.mkdir()
         self._write(base_dir, BASELINE)
-        self._write(fresh_dir, _fresh(510.0, 1190.0))
-        report = run_ratchet(("fig9",), str(base_dir), str(fresh_dir), 0.15)
+        self._write(fresh_dir, _fresh(500.0, 1200.0))
+        report = run_ratchet(("fig9",), str(base_dir), str(fresh_dir))
         assert not report["failed"]
         assert report["figures"]["fig9"]["status"] == "ok"
 
-    def test_end_to_end_regression_fails_cli(self, tmp_path):
+    def test_end_to_end_regression_fails_cli(self, tmp_path, capsys):
         base_dir = tmp_path / "base"
         fresh_dir = tmp_path / "fresh"
         base_dir.mkdir(), fresh_dir.mkdir()
@@ -123,13 +151,17 @@ class TestRunRatchet:
         assert code == 1
         report = json.loads(report_path.read_text())
         assert report["failed"]
+        assert (
+            "changed: series fig9c, leaf avg_checkpoint_us/1:"
+            " baseline=500.0 fresh=900.0"
+        ) in capsys.readouterr().out
 
     def test_missing_fresh_run_fails(self, tmp_path):
         base_dir = tmp_path / "base"
         fresh_dir = tmp_path / "fresh"
         base_dir.mkdir(), fresh_dir.mkdir()
         self._write(base_dir, BASELINE)
-        report = run_ratchet(("fig9",), str(base_dir), str(fresh_dir), 0.15)
+        report = run_ratchet(("fig9",), str(base_dir), str(fresh_dir))
         assert report["failed"]
         assert report["figures"]["fig9"]["status"] == "no-fresh-run"
 
@@ -138,7 +170,7 @@ class TestRunRatchet:
         fresh_dir = tmp_path / "fresh"
         base_dir.mkdir(), fresh_dir.mkdir()
         self._write(fresh_dir, _fresh(1.0, 2.0))
-        report = run_ratchet(("fig9",), str(base_dir), str(fresh_dir), 0.15)
+        report = run_ratchet(("fig9",), str(base_dir), str(fresh_dir))
         assert not report["failed"]
         assert report["figures"]["fig9"]["status"] == "no-baseline"
 
