@@ -1,21 +1,23 @@
 """Pluggable crypto backends: a pure-Python reference oracle and a fast path.
 
 Every symmetric-cipher operation on the checkpoint hot path (envelope
-sealing, MEE page sealing, the SGX-v2 migratable-page stream) and every
-private-key exponentiation of the attested channel (Diffie-Hellman steps,
-RSA signatures) goes through one :class:`CryptoBackend`.  Two
-implementations exist:
+sealing, MEE page sealing, the SGX-v2 migratable-page stream, the
+``cr4``/``mcrypt`` enclave apps) and every private-key operation of the
+attested channel (Diffie-Hellman steps, RSA signatures) goes through one
+:class:`CryptoBackend`.  Two implementations exist:
 
 * ``reference`` — this repository's from-scratch ciphers, invoked exactly
   as the original call sites did (fresh cipher object per operation), and
   builtin ``pow`` for every exponentiation.  It is the correctness oracle:
   slow, obvious, test-vector-verified.
 * ``fast`` — byte-identical output, produced cheaply: cipher objects are
-  cached per key instead of rebuilt per page, RSA signatures use the CRT,
-  and when the optional ``cryptography`` package is importable the
-  AES-CTR / AES-CBC / RC4 work and the DH exponentiations are delegated
-  to OpenSSL.  Without ``cryptography`` the fast backend still wins by
-  amortizing key schedules, batching XORs and signing with the CRT.
+  cached per key instead of rebuilt per page, and when the optional
+  ``cryptography`` package is importable the AES-CTR / AES-CBC / RC4
+  work, the DH exponentiations and the RSA signatures (PKCS#1 v1.5 over
+  the bare digest, which is exactly this repository's padding) are
+  delegated to OpenSSL.  Without ``cryptography`` the fast backend still
+  wins by amortizing key schedules, batching XORs and signing with the
+  CRT.
 
 The backend changes *wall-clock* cost only.  Virtual (modelled) time is
 charged by :class:`repro.sim.costs.CostModel` per algorithm and is
@@ -30,8 +32,9 @@ or programmatically via :func:`set_backend` / :func:`use_backend`.
 from __future__ import annotations
 
 import os
+from collections.abc import Hashable, Iterator
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.crypto.aes import Aes128
 from repro.crypto.des import Des
@@ -54,16 +57,23 @@ try:  # optional accelerator; never a hard dependency
         from cryptography.hazmat.decrepit.ciphers.algorithms import ARC4 as _CgArc4
     except ImportError:  # pragma: no cover - older cryptography layouts
         _CgArc4 = getattr(algorithms, "ARC4", None)
-    from cryptography.hazmat.primitives.asymmetric import dh as _cg_dh
+    try:  # PKCS#1 v1.5 without DigestInfo; older releases lack it
+        from cryptography.hazmat.primitives.asymmetric.utils import NoDigestInfo as _CgNoDigestInfo
+    except ImportError:  # pragma: no cover - older cryptography releases
+        _CgNoDigestInfo = None
+    from cryptography.exceptions import UnsupportedAlgorithm as _CgUnsupported
+    from cryptography.hazmat.primitives.asymmetric import dh as _cg_dh, rsa as _cg_rsa
+    from cryptography.hazmat.primitives.asymmetric.padding import PKCS1v15 as _CgPkcs1v15
 
     _HAVE_CRYPTOGRAPHY = True
 except ImportError:  # pragma: no cover - stdlib-only environments
-    Cipher = algorithms = _cg_modes = _CgArc4 = _cg_dh = None
+    Cipher = algorithms = _cg_modes = _CgArc4 = _CgNoDigestInfo = None
+    _CgUnsupported = _cg_dh = _cg_rsa = _CgPkcs1v15 = None
     _HAVE_CRYPTOGRAPHY = False
 
 
 class CryptoBackend:
-    """Uniform cipher and exponentiation interface the hot paths call into.
+    """Uniform cipher, exponentiation and signing interface the hot paths call into.
 
     All methods are deterministic functions of their inputs; the two
     implementations below must agree byte-for-byte on every one.
@@ -91,8 +101,8 @@ class CryptoBackend:
         """``base ** exponent mod prime`` in a safe-prime DH group."""
         raise NotImplementedError
 
-    def rsa_private(self, key: RsaPrivateKey, m: int) -> int:
-        """``m ** key.d mod key.n``: the RSA private-key operation."""
+    def rsa_sign(self, key: RsaPrivateKey, digest: bytes) -> bytes:
+        """The RSA signature of the padded SHA-256 ``digest`` under ``key``."""
         raise NotImplementedError
 
 
@@ -119,25 +129,26 @@ class ReferenceBackend(CryptoBackend):
     def dh_modexp(self, base: int, exponent: int, prime: int) -> int:
         return pow(base, exponent, prime)
 
-    def rsa_private(self, key: RsaPrivateKey, m: int) -> int:
-        return pow(m, key.d, key.n)
+    def rsa_sign(self, key: RsaPrivateKey, digest: bytes) -> bytes:
+        m = _padded(key, digest)
+        return pow(m, key.d, key.n).to_bytes(key.modulus_bytes, "big")
 
 
 class _KeyedCache:
-    """A small bounded cache of cipher objects keyed by key material.
+    """A small bounded cache of cipher and key objects keyed by key material.
 
-    Key schedules (AES round keys, DES PC-1/PC-2 subkeys) dominate the
-    per-page cost when the payload is a single 4 KB page; the hot paths
-    reuse a handful of long-lived keys, so a tiny cache removes the
-    rebuild entirely.
+    Key schedules (AES round keys, DES PC-1/PC-2 subkeys, OpenSSL's RSA
+    key check) dominate the per-operation cost; the hot paths reuse a
+    handful of long-lived keys, so a tiny cache removes the rebuild
+    entirely.
     """
 
     def __init__(self, factory, max_entries: int = 128) -> None:
         self._factory = factory
         self._max = max_entries
-        self._entries: dict[bytes, object] = {}
+        self._entries: dict[Hashable, object] = {}
 
-    def get(self, key: bytes):
+    def get(self, key: Hashable):
         cipher = self._entries.get(key)
         if cipher is None:
             if len(self._entries) >= self._max:
@@ -162,6 +173,13 @@ class FastBackend(CryptoBackend):
     a result of 1 or ``prime - 1``; a base in ``[2, prime - 2]`` and a
     nonzero exponent below the subgroup order ``(prime - 1) / 2`` never
     produce either, so only such inputs are delegated.
+
+    RSA equivalence with OpenSSL: PKCS#1 v1.5 signing is deterministic,
+    and without a DigestInfo its encoded block is ``00 01 FF..FF 00 ||
+    digest``, this repository's padding.  OpenSSL's key object is built
+    (and checked) once per key; a key OpenSSL refuses, or any key when
+    ``cryptography`` or its ``NoDigestInfo`` is missing, is signed with
+    the CRT here instead.
     """
 
     name = "fast"
@@ -171,6 +189,7 @@ class FastBackend(CryptoBackend):
         self._des = _KeyedCache(Des)
         self._arc4_broken = not _HAVE_CRYPTOGRAPHY or _CgArc4 is None
         self._dh_groups: dict[int, object] = {}
+        self._rsa = _KeyedCache(_openssl_rsa_key)
 
     # ---------------------------------------------------------------- rc4
     def rc4(self, stream_key: bytes, data: bytes) -> bytes:
@@ -178,7 +197,7 @@ class FastBackend(CryptoBackend):
             try:
                 encryptor = Cipher(_CgArc4(stream_key), mode=None).encryptor()
                 return encryptor.update(data)
-            except Exception:
+            except _CgUnsupported:
                 # Some OpenSSL builds compile RC4 out; remember and fall back.
                 self._arc4_broken = True
         stream = Rc4(stream_key).keystream(len(data))
@@ -240,13 +259,45 @@ class FastBackend(CryptoBackend):
                 pass  # OpenSSL refused this input; builtin pow is exact
         return pow(base, exponent, prime)
 
-    def rsa_private(self, key: RsaPrivateKey, m: int) -> int:
+    def rsa_sign(self, key: RsaPrivateKey, digest: bytes) -> bytes:
+        if _HAVE_CRYPTOGRAPHY and _CgNoDigestInfo is not None:
+            private = self._rsa.get(key)
+            if private:
+                return private.sign(digest, _CgPkcs1v15(), _CgNoDigestInfo())
+        m = _padded(key, digest)
         crt = key.crt_params()
         if crt is None:
-            return pow(m, key.d, key.n)
-        p, q, dp, dq, qinv = crt
-        m_q = pow(m, dq, q)
-        return m_q + q * (qinv * (pow(m, dp, p) - m_q) % p)
+            s = pow(m, key.d, key.n)
+        else:
+            p, q, dp, dq, qinv = crt
+            m_q = pow(m, dq, q)
+            s = m_q + q * (qinv * (pow(m, dp, p) - m_q) % p)
+        return s.to_bytes(key.modulus_bytes, "big")
+
+
+def _openssl_rsa_key(key: RsaPrivateKey):
+    """OpenSSL's private key for ``key``; ``False`` when it has no known
+    factors or OpenSSL refuses it (both are signed without OpenSSL).
+
+    ``False``, not ``None``, so that :class:`_KeyedCache` keeps the
+    verdict and OpenSSL's key check runs once per key either way.
+    """
+    crt = key.crt_params()
+    if crt is None:
+        return False
+    p, q, dp, dq, qinv = crt
+    public = _cg_rsa.RSAPublicNumbers(key.e, key.n)
+    try:
+        return _cg_rsa.RSAPrivateNumbers(p, q, key.d, dp, dq, qinv, public).private_key()
+    except ValueError:
+        return False
+
+
+def _padded(key: RsaPrivateKey, digest: bytes) -> int:
+    """The encoded block ``key`` exponentiates (defined in ``crypto/rsa.py``)."""
+    from repro.crypto.rsa import _pad_digest  # rsa.py imports this module
+
+    return _pad_digest(digest, key.modulus_bytes)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:

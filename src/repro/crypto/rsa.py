@@ -11,8 +11,9 @@ once per role, as in a real deployment (:func:`role_keypair`): the IAS
 and vendor keys, one platform attestation key per machine and one image
 key per image are the same in every simulated world, so a process pays
 for each at most once.  Signing is full-block EMSA-style padding over a
-SHA-256 digest; the private exponentiation runs on the active crypto
-backend, which may use the CRT factors kept in :data:`_CRT_PARAMS`.
+SHA-256 digest (PKCS#1 v1.5 without a DigestInfo); the active crypto
+backend signs, on OpenSSL or with the CRT factors kept in
+:data:`_CRT_PARAMS`.  Verification stays here, in Python.
 """
 
 from __future__ import annotations
@@ -89,8 +90,12 @@ class RsaPublicKey:
         """Raise :class:`SignatureError` unless ``signature`` is valid."""
         if len(signature) != self.modulus_bytes:
             raise SignatureError("signature length mismatch")
+        representative = int.from_bytes(signature, "big")
+        if representative >= self.n:
+            # RSAVP1 step 1: reducing it mod n would accept s + n as well.
+            raise SignatureError("signature representative out of range")
         expected = _pad_digest(sha256(message), self.modulus_bytes)
-        recovered = pow(int.from_bytes(signature, "big"), self.e, self.n)
+        recovered = pow(representative, self.e, self.n)
         if recovered != expected:
             raise SignatureError("RSA signature verification failed")
 
@@ -124,8 +129,7 @@ class RsaPrivateKey:
         return (self.n.bit_length() + 7) // 8
 
     def sign(self, message: bytes) -> bytes:
-        padded = _pad_digest(sha256(message), self.modulus_bytes)
-        return get_backend().rsa_private(self, padded).to_bytes(self.modulus_bytes, "big")
+        return get_backend().rsa_sign(self, sha256(message))
 
     def crt_params(self) -> tuple[int, int, int, int, int] | None:
         """``(p, q, d mod p-1, d mod q-1, q^-1 mod p)``, or ``None``.

@@ -4,8 +4,9 @@
 requirements, change them to applications with enclave, and evaluate
 their performance with and without migration support" (§VIII-A).
 
-Each application gets one enclave entry doing the real computation with
-this repository's own algorithm implementations:
+Each application gets one enclave entry doing the real computation: the
+ciphers the crypto backend offers (RC4, AES-CBC) go through it, the rest
+run on this repository's own algorithm implementations:
 
 * ``des``     — DES-CBC encryption of an in-enclave buffer.
 * ``cr4``     — RC4 keystream over an in-enclave buffer.
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 import math
 
-from repro.crypto.aes import Aes128
+from repro.crypto.backend import get_backend
 from repro.crypto.des import Des
 from repro.crypto.hashes import sha256
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt
-from repro.crypto.rc4 import Rc4
 from repro.crypto.rsa import generate_rsa_keypair
 from repro.sdk.builder import BuiltImage, SdkBuilder
 from repro.sdk.program import AtomicEntry, EnclaveProgram
@@ -59,17 +59,17 @@ def _des_entry(rt: EnclaveRuntime, args) -> int:
 
 def _cr4_entry(rt: EnclaveRuntime, args) -> int:
     data = _load_buffer(rt, int(args or 1))
-    ciphertext = Rc4(b"cr4-key").process(data)
-    assert Rc4(b"cr4-key").process(ciphertext) == data
+    ciphertext = get_backend().rc4(b"cr4-key", data)
+    assert get_backend().rc4(b"cr4-key", ciphertext) == data
     _store_result(rt, ciphertext)
     return len(ciphertext)
 
 
 def _mcrypt_entry(rt: EnclaveRuntime, args) -> int:
     data = _load_buffer(rt, int(args or 1))
-    cipher = Aes128(sha256(b"mcrypt-key")[:16])
-    ciphertext = cbc_encrypt(cipher, b"\x01" * 16, data[:2048])
-    assert cbc_decrypt(cipher, b"\x01" * 16, ciphertext) == data[:2048]
+    key = sha256(b"mcrypt-key")[:16]
+    ciphertext = get_backend().aes_cbc_encrypt(key, b"\x01" * 16, data[:2048])
+    assert get_backend().aes_cbc_decrypt(key, b"\x01" * 16, ciphertext) == data[:2048]
     _store_result(rt, ciphertext)
     return len(ciphertext)
 

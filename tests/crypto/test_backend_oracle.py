@@ -7,8 +7,9 @@ byte-identical ciphertext for every algorithm, key, nonce, payload size
 tests drive both backends over randomized inputs and demand equality;
 envelope tests additionally prove the two interoperate (seal on one,
 open on the other) and agree on tamper rejection.  The public-key paths
-(DH exponentiation on OpenSSL, CRT signing) are held to the same bar,
-including when OpenSSL is missing or refuses an input.
+(DH exponentiation and RSA signing on OpenSSL, and their builtin-``pow``
+and CRT fallbacks) are held to the same bar, including when OpenSSL is
+missing or refuses an input.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.crypto.backend import (
     use_backend,
 )
 from repro.crypto.dh import MODP_2048_P, dh_private, dh_public, dh_session_key
+from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import _CRT_PARAMS, RsaPrivateKey, generate_rsa_keypair
 from repro.errors import CryptoError, IntegrityError
@@ -35,6 +37,11 @@ from repro.sim.rng import DeterministicRng
 
 REF = ReferenceBackend()
 FAST = FastBackend()
+
+_KEY_512 = generate_rsa_keypair(DeterministicRng("oracle-512"), bits=512)
+_KEY_1024 = generate_rsa_keypair(DeterministicRng("oracle-1024"))
+#: Rebuilt from bare (n, e, d), as an enclave holds its image key.
+_KEY_REBUILT = RsaPrivateKey(_KEY_1024.n, _KEY_1024.e, _KEY_1024.d)
 
 payloads = st.binary(min_size=0, max_size=3000)
 keys = st.binary(min_size=16, max_size=48)
@@ -48,6 +55,27 @@ class TestPrimitiveParity:
     @given(key=st.binary(min_size=1, max_size=64), data=payloads)
     def test_rc4(self, key, data):
         assert FAST.rc4(key, data) == REF.rc4(key, data)
+
+    @pytest.mark.skipif(not backend_module._HAVE_CRYPTOGRAPHY, reason="needs cryptography")
+    def test_rc4_refused_by_openssl_falls_back(self, monkeypatch):
+        def refusing(*args, **kwargs):
+            raise backend_module._CgUnsupported("ARC4 compiled out")
+
+        fast = FastBackend()
+        monkeypatch.setattr(backend_module, "Cipher", refusing)
+        assert fast.rc4(b"cr4-key", b"payload" * 9) == REF.rc4(b"cr4-key", b"payload" * 9)
+        assert fast._arc4_broken
+
+    @pytest.mark.skipif(not backend_module._HAVE_CRYPTOGRAPHY, reason="needs cryptography")
+    def test_rc4_other_errors_propagate(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise RuntimeError("not a missing cipher")
+
+        fast = FastBackend()
+        monkeypatch.setattr(backend_module, "Cipher", failing)
+        with pytest.raises(RuntimeError):
+            fast.rc4(b"cr4-key", b"payload")
+        assert not fast._arc4_broken
 
     @settings(max_examples=40, deadline=None)
     @given(key=keys, nonce=st.binary(min_size=8, max_size=8), data=payloads, offset=counters)
@@ -122,14 +150,32 @@ class TestPublicKeyParity:
                 assert key.sign(message) == expected
                 assert rebuilt.sign(message) == expected
 
+    @settings(max_examples=20, deadline=None)
+    @given(
+        key=st.sampled_from([_KEY_512, _KEY_1024, _KEY_REBUILT]),
+        message=st.binary(max_size=300),
+    )
+    def test_rsa_sign(self, key, message):
+        digest = sha256(message)
+        assert FAST.rsa_sign(key, digest) == REF.rsa_sign(key, digest)
+
+    @pytest.mark.skipif(not backend_module._HAVE_CRYPTOGRAPHY, reason="needs cryptography")
+    def test_rsa_sign_runs_on_openssl(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(backend_module, "pow", lambda *a: calls.append(a), raising=False)
+        FAST.rsa_sign(_KEY_1024, sha256(b"openssl"))
+        assert calls == []
+
     def test_unfactorable_key_signs_with_plain_pow(self):
         odd = RsaPrivateKey(n=(2**127 - 1) * (2**89 - 1) * 2**800 + 1, e=3, d=7)
         assert odd.crt_params() is None
-        assert FAST.rsa_private(odd, 12345) == REF.rsa_private(odd, 12345)
+        digest = sha256(b"no factors")
+        assert FAST.rsa_sign(odd, digest) == REF.rsa_sign(odd, digest)
 
 
 class TestOpenSslFallback:
-    """The fast DH path falls back to builtin ``pow`` byte-for-byte."""
+    """The fast DH path falls back to builtin ``pow`` and RSA signing to
+    the CRT, byte-for-byte."""
 
     @staticmethod
     def _session_key() -> bytes:
@@ -141,10 +187,25 @@ class TestOpenSslFallback:
         with use_backend(REF):
             return self._session_key()
 
+    @staticmethod
+    def _signatures() -> list[bytes]:
+        return [key.sign(b"fallback") for key in (_KEY_512, _KEY_1024, _KEY_REBUILT)]
+
+    def _assert_signs_like_reference(self) -> None:
+        with use_backend(REF):
+            expected = self._signatures()
+        with use_backend(FastBackend()):
+            assert self._signatures() == expected
+
     def test_without_cryptography(self, monkeypatch):
         monkeypatch.setattr(backend_module, "_HAVE_CRYPTOGRAPHY", False)
         with use_backend(FastBackend()):
             assert self._session_key() == self._expected()
+        self._assert_signs_like_reference()
+
+    def test_without_no_digest_info(self, monkeypatch):
+        monkeypatch.setattr(backend_module, "_CgNoDigestInfo", None)
+        self._assert_signs_like_reference()
 
     def test_openssl_refuses(self, monkeypatch):
         class Refusing:
@@ -160,6 +221,24 @@ class TestOpenSslFallback:
         monkeypatch.setattr(backend_module, "_cg_dh", Refusing)
         with use_backend(FastBackend()):
             assert self._session_key() == self._expected()
+
+    def test_openssl_refuses_the_rsa_key(self, monkeypatch):
+        class Refusing:
+            @staticmethod
+            def RSAPublicNumbers(e, n):
+                return (e, n)
+
+            class RSAPrivateNumbers:
+                def __init__(self, *components):
+                    pass
+
+                def private_key(self):
+                    raise ValueError("Invalid private key")
+
+        monkeypatch.setattr(backend_module, "_HAVE_CRYPTOGRAPHY", True)
+        monkeypatch.setattr(backend_module, "_CgNoDigestInfo", object)
+        monkeypatch.setattr(backend_module, "_cg_rsa", Refusing)
+        self._assert_signs_like_reference()
 
 
 class TestEnvelopeParity:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto.authenc import CIPHER_NAMES, Envelope, open_envelope, seal_envelope
 from repro.crypto.dh import MODP_2048_P, dh_private, dh_public, dh_session_key
 from repro.crypto.keys import KeyPair, SymmetricKey
-from repro.crypto.rsa import RsaPublicKey, generate_rsa_keypair
+from repro.crypto.rsa import RsaPublicKey, generate_rsa_keypair, role_keypair
 from repro.errors import CryptoError, IntegrityError, SignatureError
 from repro.sim.rng import DeterministicRng
 
@@ -70,6 +70,21 @@ class TestRsa:
         key = generate_rsa_keypair(rng.fork("k"))
         with pytest.raises(SignatureError):
             key.public.verify(b"message", b"short")
+
+    @pytest.mark.parametrize("role", ["ias", "vendor", "platform/source", "image/x"])
+    def test_signature_plus_modulus_rejected(self, role):
+        """RSAVP1 refuses a representative s >= n: s + n, whenever it still
+        fits in k bytes, is another byte string for the same signature."""
+        key = role_keypair(role)
+        k = key.modulus_bytes
+        twins = 0
+        for i in range(25):
+            message = b"twin-%d" % i
+            twin = int.from_bytes(key.sign(message), "big") + key.n
+            if twin < 1 << (8 * k):
+                twins += 1
+                assert not key.public.is_valid(message, twin.to_bytes(k, "big"))
+        assert twins > 0  # the refusal above was exercised
 
     def test_keygen_deterministic_and_cached(self):
         a = generate_rsa_keypair(DeterministicRng("same-seed"))
