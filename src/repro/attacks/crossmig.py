@@ -23,6 +23,20 @@ state.
 * :func:`run_handoff_replay_attack`    — replay the captured handoff
   blob at the target; the handoff sequence counter must refuse it
   (:class:`~repro.errors.HandoffReplayed`).
+
+Three more attacks need no storage at all: each installs a *journaled*
+copy of K_migrate into a second instance of the image, restores the
+journaled checkpoint and tries to go live next to the real instance — a
+fork, and a rollback of everything it did since.  The key's one-use
+token must refuse each (:class:`~repro.errors.KeyReused`):
+
+* :func:`run_key_fork_after_migration` — from the source's
+  ``checkpoint`` record, after the migration completed (self-destroy
+  must still mean something);
+* :func:`run_key_fork_after_cancel`    — from the same record after a
+  rolled-back attempt (§V-B: a cancelled checkpoint is useless);
+* :func:`run_key_fork_after_go_live`   — from the target's
+  ``key-installed`` record and the orchestrator's ``transferred`` blob.
 """
 
 from __future__ import annotations
@@ -30,13 +44,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.durability import wal
+from repro.durability.journal import Journal
 from repro.durability.sweep import COUNTER_START, build_sweep_app
 from repro.errors import (
     HandoffReplayed,
+    InvariantViolation,
+    KeyReused,
+    MigrationAborted,
     SealedStorageError,
     StorageRetired,
     StorageRolledBack,
 )
+from repro.faults import FaultInjector, FaultPlan
 from repro.migration.chain import hop_view
 from repro.migration.orchestrator import MigrationOrchestrator
 from repro.migration.testbed import build_testbed
@@ -281,12 +300,101 @@ def run_handoff_replay_attack(seed: int | str = 44) -> CrossMigrationOutcome:
     )
 
 
+#: ``incr`` calls the live instance serves after the migration, so a
+#: forked instance would serve a visibly older counter.
+_SERVED_SINCE = 5
+
+
+def _record(tb, machine, image, party: str, kind: str):
+    name = wal.enclave_journal_name(machine.name, image.name)
+    return Journal(tb.durable, name, party).last(kind)
+
+
+def _key_fork(attack, tb, live, machine, guest_os, image, sealed_key, envelope):
+    """Go live with a journaled K_migrate copy in a second instance."""
+    for _ in range(_SERVED_SINCE):
+        live.ecall_once(0, "incr")
+    fork = HostApplication(machine, guest_os, image, [], name=f"{image.name}-fork")
+    library = fork.library
+    library.launch(owner=None)
+    try:
+        library.control_call(control.recovery_install_key, sealed_key)
+        plan = library.control_call(control.target_restore_memory, envelope)
+        library.replay_cssa(plan)
+        library.control_call(control.target_verify_and_finish, envelope)
+    except KeyReused as exc:
+        fork.destroy()
+        try:
+            tb.monitor.check_now()
+        except InvariantViolation:
+            pass
+        return CrossMigrationOutcome(
+            attack=attack,
+            blocked=True,
+            refusal=type(exc).__name__,
+            detail=str(exc),
+            state_intact=live.ecall_once(0, "read") == COUNTER_START + _SERVED_SINCE
+            and not tb.monitor.violations,
+        )
+    return CrossMigrationOutcome(
+        attack=attack,
+        blocked=False,
+        detail=f"a second instance went live serving {fork.ecall_once(0, 'read')}",
+    )
+
+
+def run_key_fork_after_migration(seed: int | str = 45) -> CrossMigrationOutcome:
+    """Fork the migrated enclave from the source's own checkpoint record."""
+    tb = build_testbed(seed=seed)
+    app = build_sweep_app(tb)
+    live = MigrationOrchestrator(tb).migrate_enclave(app).target_app
+    record = _record(tb, tb.source, app.image, wal.PARTY_SOURCE, wal.REC_CHECKPOINT)
+    return _key_fork(
+        "key-fork-after-migration", tb, live, tb.source, tb.source_os, app.image,
+        record.payload["sealed"], tb.durable.blob(record.payload["envelope"]),
+    )
+
+
+def run_key_fork_after_cancel(seed: int | str = 46) -> CrossMigrationOutcome:
+    """Fork the source from the checkpoint record of a cancelled attempt."""
+    tb = build_testbed(seed=seed)
+    app = build_sweep_app(tb)
+    plan = FaultPlan(seed=seed).drop("channel-request")
+    try:
+        MigrationOrchestrator(tb, faults=FaultInjector(plan)).migrate_enclave(app)
+    except MigrationAborted:
+        pass  # rolled back: the source cancelled and serves on
+    record = _record(tb, tb.source, app.image, wal.PARTY_SOURCE, wal.REC_CHECKPOINT)
+    return _key_fork(
+        "key-fork-after-cancel", tb, app, tb.source, tb.source_os, app.image,
+        record.payload["sealed"], tb.durable.blob(record.payload["envelope"]),
+    )
+
+
+def run_key_fork_after_go_live(seed: int | str = 47) -> CrossMigrationOutcome:
+    """Fork the live target from its own ``key-installed`` record."""
+    tb = build_testbed(seed=seed)
+    app = build_sweep_app(tb)
+    live = MigrationOrchestrator(tb).migrate_enclave(app).target_app
+    record = _record(tb, tb.target, app.image, wal.PARTY_TARGET, wal.REC_KEY_INSTALLED)
+    transferred = Journal(
+        tb.durable, wal.orchestrator_journal_name(app.image.name), wal.PARTY_ORCHESTRATOR
+    ).last(wal.WAL_TRANSFERRED)
+    return _key_fork(
+        "key-fork-after-go-live", tb, live, tb.target, tb.target_os, app.image,
+        record.payload["sealed"], tb.durable.blob(transferred.payload["blob"]),
+    )
+
+
 #: The whole matrix, in one call (CLI + CI entry point).
 CROSS_MIGRATION_ATTACKS = {
     "storage-rollback": run_storage_rollback_attack,
     "counter-fork": run_counter_fork_attack,
     "stale-checkpoint": run_stale_checkpoint_attack,
     "handoff-replay": run_handoff_replay_attack,
+    "key-fork-after-migration": run_key_fork_after_migration,
+    "key-fork-after-cancel": run_key_fork_after_cancel,
+    "key-fork-after-go-live": run_key_fork_after_go_live,
 }
 
 

@@ -184,11 +184,7 @@ def _cmd_faults(args) -> int:
     from repro import build_testbed
     from repro.errors import MigrationAborted
     from repro.faults import FaultInjector, FaultPlan, parse_fault_spec
-    from repro.migration.orchestrator import (
-        FAULT_TOLERANT_RETRY,
-        MigrationOrchestrator,
-        RetryPolicy,
-    )
+    from repro.migration.orchestrator import MigrationOrchestrator, RetryPolicy
     from repro.sdk import HostApplication, counter_program
 
     try:
@@ -198,10 +194,7 @@ def _cmd_faults(args) -> int:
     plan.seed = args.seed
     try:
         retry = RetryPolicy(
-            max_attempts=args.retries,
-            base_backoff_ns=FAULT_TOLERANT_RETRY.base_backoff_ns,
-            chunk_bytes=args.chunk_bytes or None,
-            max_transfer_rounds=FAULT_TOLERANT_RETRY.max_transfer_rounds,
+            max_attempts=args.retries, chunk_bytes=args.chunk_bytes or None
         )
     except ValueError as exc:
         raise SystemExit(f"repro faults: {exc}")
@@ -333,11 +326,7 @@ def _cmd_recover(args) -> int:
         )
     plan.seed = args.seed
     tb = build_testbed(seed=args.seed)
-    app = build_sweep_app(tb)
-    if args.storage:
-        from repro.sdk import control as _control
-
-        app.library.control_call(_control.storage_put, "cli-note", "survives crashes")
+    app = build_sweep_app(tb, storage=args.storage)
     orch = MigrationOrchestrator(
         tb, retry=FAULT_TOLERANT_RETRY, faults=FaultInjector(plan)
     )

@@ -1,44 +1,37 @@
-"""Crash recovery: rebuild a migration's state machine from the journals.
+"""Crash recovery: resume a migration's protocol table from the journals.
 
 After a :class:`~repro.errors.PartyCrash` the protocol driver is gone and
-one party's volatile state with it.  :class:`MigrationRecovery` reads the
-write-ahead journals of all parties, decides where the protocol stood at
-the instant of the crash, and either *finalizes* the migration (the key
-already moved: finish delivery/restore, or rebuild the target from its
-own sealed journal records) or *rolls it back* (the key never moved:
-cancel the source, or rebuild the source from its own sealed checkpoint
-record) — converging, in every case, to **at most one live instance**:
+one party's volatile state with it.  :class:`MigrationRecovery` validates
+every party's write-ahead journal, finds the last step of the protocol
+table (:data:`repro.migration.protocol.STEPS`) whose proof the
+orchestrator journaled, and drives the table with the same runner a
+forward run uses (:meth:`MigrationOrchestrator.run_steps
+<repro.migration.orchestrator.MigrationOrchestrator.run_steps>`),
+converging in every case to **at most one live instance**:
 
-===========================================  ================================
-observed journal state                        action → outcome
-===========================================  ================================
-orchestrator ``done``                         nothing to do (already-complete)
-key not released, source enclave alive        cancel source, scrap any
-                                              half-built target (resumed-source)
-key not released, source dead, has a          rebuild source from its own
-``checkpoint`` record                         sealed record (source-restored)
-key not released, source dead, no record      clean abort, zero live
-source ``released`` but the sealed blob was   clean abort, zero live — a SPENT
-never journaled by the orchestrator           source **stays SPENT**, always
-orchestrator ``release``, target alive        redeliver sealed key
-                                              (idempotent), restore, respawn
-orchestrator ``release``+``restored``,        respawn from the journaled
-target alive                                  replay plan
-orchestrator ``release``, target dead,        rebuild target, unseal K_migrate
-target journaled ``key-installed``            from its own journal (completed)
-orchestrator ``release``, target dead,        clean abort, zero live (the key
-no ``key-installed`` record                   died with the target)
-===========================================  ================================
+* before the point of no return (nobody journaled ``released``) it runs
+  the table's rollbacks, or rebuilds a dead source from its own sealed
+  ``checkpoint`` record;
+* after it, with the target alive, it redelivers the journaled sealed key
+  and runs on from ``handoff-key`` — from ``resume`` once ``restored``
+  is journaled;
+* after it, with the target dead, it rebuilds the target, installs the
+  key from the target's own sealed ``key-installed`` record and runs the
+  table's ``restore`` and ``resume`` steps.  Without that record, or
+  without the orchestrator's ``release`` record, the key is gone: a clean
+  abort with zero live, and a SPENT source **stays SPENT**.
 
-Retransmitted sealed keys are idempotent (``target_receive_key`` installs
-the same K_migrate again); rebuilt instances re-unseal their own secrets
-via their EGETKEY sealing key, which a crash does not erase (same CPU,
-same measurement).  A truncated or rolled-back journal makes
-:meth:`Journal.records` raise before any action is taken, and a
-checkpoint blob that is missing or fails its digest makes
-:meth:`~repro.durability.store.DurableStore.blob` raise
-:class:`~repro.errors.JournalCorrupt` before any enclave is rebuilt —
-recovery *refuses* rather than guesses.
+Redelivery is idempotent (``target_receive_key`` installs the same
+K_migrate again); rebuilt instances re-unseal their own secrets via their
+EGETKEY sealing key, which a crash does not erase (same CPU, same
+measurement), and a journaled K_migrate goes live at most once (its
+one-use token in :mod:`repro.sdk.control`).  A crash *during* recovery
+takes effect like any other, and :func:`recover_until_rest` re-drives.
+A truncated or rolled-back journal makes :meth:`Journal.records` raise
+before any action is taken, and a checkpoint blob that is missing or
+fails its digest makes :meth:`~repro.durability.store.DurableStore.blob`
+raise :class:`~repro.errors.JournalCorrupt` before any enclave is
+rebuilt — recovery *refuses* rather than guesses.
 """
 
 from __future__ import annotations
@@ -47,11 +40,20 @@ from dataclasses import dataclass, field
 
 from repro.durability import wal
 from repro.durability.journal import Journal, JournalRecord
-from repro.errors import NetworkFault, PartyCrash, RecoveryError, ReproError
+from repro.errors import PartyCrash, RecoveryError, ReproError
+from repro.migration.orchestrator import (
+    FAULT_TOLERANT_RETRY,
+    MigrationOrchestrator,
+    MigrationRun,
+)
+from repro.migration.protocol import (
+    POINT_OF_NO_RETURN,
+    STEP_RESTORE,
+    STEP_RESUME,
+    steps_from,
+)
 from repro.sdk import control
 from repro.sdk.host import HostApplication
-
-_REDELIVERY_ROUNDS = 5
 
 #: How many back-to-back recoveries one plan may force before the caller
 #: declares it wedged.  A crash *pair* needs two; anything past the
@@ -86,38 +88,33 @@ class MigrationRecovery:
     ) -> None:
         self.tb = testbed
         self.app = source_app
-        if target_app is None and orchestrator is not None:
-            target_app = getattr(orchestrator, "_current_target", None)
+        if target_app is None and orchestrator is not None and orchestrator.run:
+            target_app = orchestrator.run.target
         self.target_app = target_app
-        image = source_app.image
-        store = testbed.durable
+        # A fresh driver: the crashed one's memory is gone, and only its
+        # journal speaks for it.
+        self.driver = MigrationOrchestrator(testbed, retry=FAULT_TOLERANT_RETRY)
+        image, store = source_app.image.name, testbed.durable
         # Journals are addressed by machine *name* and journal epoch, not
         # by the literal roles: an N-hop chain swaps which machine plays
         # source, and each hop's journals carry the hop's epoch stamp.
         self.wal = Journal(
             store,
-            wal.orchestrator_journal_name(
-                image.name, getattr(testbed, "wal_epoch", 0)
-            ),
+            wal.orchestrator_journal_name(image, getattr(testbed, "wal_epoch", 0)),
             wal.PARTY_ORCHESTRATOR,
         )
-        self.source_journal = Journal(
-            store,
-            wal.enclave_journal_name(
-                testbed.source.name,
-                image.name,
-                getattr(testbed.source, "journal_epoch", 0),
-            ),
-            wal.PARTY_SOURCE,
-        )
-        self.target_journal = Journal(
-            store,
-            wal.enclave_journal_name(
-                testbed.target.name,
-                image.name,
-                getattr(testbed.target, "journal_epoch", 0),
-            ),
-            wal.PARTY_TARGET,
+        self.source_journal, self.target_journal = (
+            Journal(
+                store,
+                wal.enclave_journal_name(
+                    machine.name, image, getattr(machine, "journal_epoch", 0)
+                ),
+                party,
+            )
+            for machine, party in (
+                (testbed.source, wal.PARTY_SOURCE),
+                (testbed.target, wal.PARTY_TARGET),
+            )
         )
 
     # ------------------------------------------------------------------ main
@@ -168,13 +165,9 @@ class MigrationRecovery:
 
     # ------------------------------------------------- before point of no return
     def _recover_before_release(self, source_records, kinds) -> RecoveryReport:
-        self._scrap_target()
+        # An unjournaled run: a rollback's `cancel` is no step's proof.
+        self.driver.rollback(MigrationRun(self.app, self.target_app))
         if self.app.library.enclave_id is not None:
-            # The source never gave up K_migrate: roll the protocol back
-            # and return the source to service.
-            self.app.library.control_call(control.source_cancel_migration)
-            self.app.library.last_checkpoint = None
-            self.tb.source_os.end_migration()
             return self._report(
                 "resumed-source", 1, None, "migration rolled back; source resumed", kinds
             )
@@ -183,150 +176,114 @@ class MigrationRecovery:
             return self._report(
                 "aborted", 0, None, "source lost before any durable checkpoint", kinds
             )
-        rebuilt = self._rebuild_instance(
-            machine=self.tb.source,
-            guest_os=self.tb.source_os,
-            sealed_key=checkpoint.payload["sealed"],
-            envelope=self.tb.durable.blob(checkpoint.payload["envelope"]),
-            name_suffix="recovered-source",
+        rebuilt = self._rebuild(
+            self.tb.source,
+            self.tb.source_os,
+            checkpoint.payload["sealed"],
+            self.tb.durable.blob(checkpoint.payload["envelope"]),
+            "recovered-source",
         )
-        return self._report(
-            "source-restored",
-            1,
-            rebuilt,
-            "source rebuilt from its own sealed checkpoint record",
-            kinds,
-        )
+        detail = "source rebuilt from its own sealed checkpoint record"
+        return self._report("source-restored", 1, rebuilt, detail, kinds)
 
     # -------------------------------------------------- after point of no return
     def _recover_after_release(self, wal_records, target_records, kinds) -> RecoveryReport:
         release = _last(wal_records, wal.WAL_RELEASE)
         transferred = _last(wal_records, wal.WAL_TRANSFERRED)
-        if release is None:
+        if release is None or transferred is None:
             # The source marked itself SPENT but the sealed key never
             # reached the orchestrator's log: K_migrate is gone.  The one
-            # thing recovery must never do here is resurrect the source.
-            self._scrap_target()
-            return self._report(
-                "aborted",
-                0,
-                None,
-                "K_migrate was never exported; the SPENT source stays SPENT",
-                kinds,
+            # thing recovery must never do here is resurrect the source
+            # (which refuses a cancel once SPENT anyway).
+            self.driver.rollback(MigrationRun(self.app, self.target_app))
+            detail = "K_migrate was never exported; the SPENT source stays SPENT"
+            return self._report("aborted", 0, None, detail, kinds)
+        if not self._target_alive():
+            # Target died after the release.  Its journal sealed the
+            # received K_migrate under the target enclave's own sealing
+            # key: a rebuilt enclave with the same measurement on the same
+            # machine can unseal it and restore from the journaled
+            # checkpoint envelope.
+            installed = _last(target_records, wal.REC_KEY_INSTALLED)
+            if installed is None:
+                detail = (
+                    "the key died with the target before it was journaled; "
+                    "the source has self-destroyed — clean abort"
+                )
+                return self._report("aborted", 0, None, detail, kinds)
+            rebuilt = self._rebuild(
+                self.tb.target,
+                self.tb.target_os,
+                installed.payload["sealed"],
+                self.tb.durable.blob(transferred.payload["blob"]),
+                "recovered-target",
             )
-        if self._target_alive():
-            return self._finalize_live_target(wal_records, release, transferred, kinds)
-        # Target died after the release.  Its journal sealed the received
-        # K_migrate under the target enclave's own sealing key: a rebuilt
-        # enclave with the same measurement on the same machine can
-        # unseal it and restore from the journaled checkpoint envelope.
-        installed = _last(target_records, wal.REC_KEY_INSTALLED)
-        if installed is None or transferred is None:
             return self._report(
-                "aborted",
-                0,
-                None,
-                "the key died with the target before it was journaled; "
-                "the source has self-destroyed — clean abort",
-                kinds,
+                "completed", 1, rebuilt, "target rebuilt from its sealed journal", kinds
             )
-        rebuilt = self._rebuild_instance(
-            machine=self.tb.target,
-            guest_os=self.tb.target_os,
-            sealed_key=installed.payload["sealed"],
-            envelope=self.tb.durable.blob(transferred.payload["blob"]),
-            name_suffix="recovered-target",
+        run = MigrationRun(
+            self.app, self.target_app, wal=self.wal, sealed_key=release.payload["sealed"]
         )
-        return self._report(
-            "completed", 1, rebuilt, "target rebuilt from its sealed journal", kinds
-        )
-
-    def _finalize_live_target(self, wal_records, release, transferred, kinds) -> RecoveryReport:
-        target = self.target_app
         restored = _last(wal_records, wal.WAL_RESTORED)
         if restored is not None:
             # Crash landed between restore and respawn: only host-side
             # thread bookkeeping is missing.
-            plan = {int(k): v for k, v in restored.payload["plan"].items()}
-            target.respawn_after_restore(plan)
-            self.tb.target_os.end_migration()
-            self.wal.append(wal.WAL_DONE, {"via": "recovery-respawn"})
-            self._join_lineage(target)
-            return self._report(
-                "completed", 1, target, "respawned from journaled replay plan", kinds
-            )
-        if transferred is None:
-            self._scrap_target()
-            return self._report(
-                "aborted",
-                0,
-                None,
-                "checkpoint was never journaled; nothing to restore",
-                kinds,
-            )
-        # Redeliver the sealed key (same ciphertext — target_receive_key
-        # is idempotent for a repeated blob) and run the restore steps.
-        blob = self.tb.durable.blob(transferred.payload["blob"])
-        delivered = self._redeliver(release.payload["sealed"])
-        library = target.library
-        library.control_call(control.target_receive_key, delivered)
-        plan = library.control_call(control.target_restore_memory, blob)
-        library.replay_cssa(plan)
-        library.control_call(control.target_verify_and_finish, blob)
-        target.respawn_after_restore(plan)
-        self.tb.target_os.end_migration()
-        self.wal.append(wal.WAL_DONE, {"via": "recovery-redeliver"})
-        self._join_lineage(target)
-        return self._report(
-            "completed", 1, target, "sealed key redelivered; restore completed", kinds
-        )
+            run.plan = {int(k): v for k, v in restored.payload["plan"].items()}
+            steps, detail = steps_from(STEP_RESUME), "respawned from journaled replay plan"
+        else:
+            # Redeliver the sealed key (same ciphertext, so even a proven
+            # delivery is safe to repeat) and run on through restore.
+            run.delivered = self.tb.durable.blob(transferred.payload["blob"])
+            steps = steps_from(POINT_OF_NO_RETURN)
+            detail = "sealed key redelivered; restore completed"
+        try:
+            self.driver.run_steps(run, steps)
+        except PartyCrash:
+            raise
+        except ReproError as exc:
+            raise RecoveryError(f"recovery could not finish the migration: {exc}") from exc
+        self._join_lineage(self.target_app)
+        return self._report("completed", 1, self.target_app, detail, kinds)
 
     # --------------------------------------------------------------- rebuild
-    def _rebuild_instance(
-        self,
-        machine,
-        guest_os,
-        sealed_key: bytes,
-        envelope: bytes,
-        name_suffix: str,
+    def _rebuild(
+        self, machine, guest_os, sealed_key: bytes, envelope: bytes, name_suffix: str
     ) -> HostApplication:
-        """Fresh enclave, same image, state restored from journaled bytes."""
+        """Fresh enclave, same image, restored from journaled bytes.
+
+        The journaled key goes in first; the table's ``restore`` and
+        ``resume`` steps do the rest.  The run journals no proofs: no
+        later recovery could find this instance by them, and its
+        K_migrate goes live once at most anyway.
+        """
         party = "target" if machine is self.tb.target else "source"
         with self.tb.trace.tracer.span(
-            "recovery.rebuild",
-            party=party,
-            image=self.app.image.name,
-            suffix=name_suffix,
+            "recovery.rebuild", party=party, image=self.app.image.name, suffix=name_suffix
         ):
             # The crashed party may have left its OS in migration mode,
             # which refuses new enclaves; recovery ends that migration.
             guest_os.end_migration()
             mirror = self.target_app if machine is self.tb.target else self.app
             mirror = mirror or self.app
+            name = f"{self.app.image.name}-{name_suffix}"
             new_app = HostApplication(
-                machine,
-                guest_os,
-                self.app.image,
-                self.app.workers,
-                owner=None,
-                name=f"{self.app.image.name}-{name_suffix}",
+                machine, guest_os, self.app.image, self.app.workers, owner=None, name=name
             )
             new_app.completed_iterations = list(mirror.completed_iterations)
             new_app.results = {k: list(v) for k, v in mirror.results.items()}
             new_app.library.launch(owner=None)
-            library = new_app.library
+            run = MigrationRun(self.app, new_app, delivered=envelope)
             try:
-                self._repair_storage(machine, library)
-                library.control_call(control.recovery_install_key, sealed_key)
-                plan = library.control_call(control.target_restore_memory, envelope)
-                library.replay_cssa(plan)
-                library.control_call(control.target_verify_and_finish, envelope)
+                self._repair_storage(machine, new_app.library)
+                new_app.library.control_call(control.recovery_install_key, sealed_key)
+                self.driver.run_steps(run, steps_from(STEP_RESTORE))
+            except PartyCrash:
+                raise
             except ReproError as exc:
-                library.destroy()
+                new_app.destroy()
                 raise RecoveryError(
                     f"rebuilt instance could not restore from its journal: {exc}"
                 ) from exc
-            new_app.respawn_after_restore(plan)
             self._join_lineage(new_app)
             return new_app
 
@@ -361,28 +318,6 @@ class MigrationRecovery:
             and self.target_app.library.enclave_id is not None
         )
 
-    def _scrap_target(self) -> None:
-        """Best-effort teardown of a half-built target instance."""
-        if self.target_app is None:
-            return
-        try:
-            self.target_app.destroy()
-        except ReproError:
-            pass
-
-    def _redeliver(self, sealed: bytes) -> bytes:
-        with self.tb.trace.tracer.span("recovery.redeliver", party="orchestrator"):
-            last_exc: Exception | None = None
-            for _ in range(_REDELIVERY_ROUNDS):
-                try:
-                    return self.tb.network.transfer("kmigrate", sealed)
-                except NetworkFault as exc:
-                    last_exc = exc
-                    self.tb.clock.advance(8_000_000)
-            raise RecoveryError(
-                "sealed key could not be redelivered during recovery"
-            ) from last_exc
-
     def _join_lineage(self, app: HostApplication) -> None:
         monitor = getattr(self.tb, "monitor", None)
         if monitor is None:
@@ -411,11 +346,10 @@ def recover_until_rest(
     """Drive :class:`MigrationRecovery` until it reaches rest.
 
     A crash pair/chain plan (``crash-record:A:N+B:M``) crashes a party
-    *during* recovery; each drive consumes one crash fault, so
-    re-driving converges.  The crash surfaces as a bare
-    :class:`~repro.errors.PartyCrash` or wrapped (e.g. a
-    ``RecoveryError`` caused by one): both re-drive, any other error
-    propagates.  Returns the report (``None`` when
+    *during* recovery; the crash takes effect, surfaces as a
+    :class:`~repro.errors.PartyCrash` and re-drives (any other error
+    propagates), and each drive consumes one crash fault, so re-driving
+    converges.  Returns the report (``None`` when
     :data:`MAX_RECOVERIES` drives never reached rest), the number of
     drives, and each in-recovery crash's message.  Each message is
     appended to ``crashes`` as it happens when a list is passed, so a
@@ -428,11 +362,7 @@ def recover_until_rest(
             report = MigrationRecovery(
                 testbed, source_app, orchestrator=orchestrator
             ).recover()
-        except ReproError as exc:
-            if not isinstance(exc, PartyCrash) and not isinstance(
-                exc.__cause__, PartyCrash
-            ):
-                raise
+        except PartyCrash as exc:
             crashes.append(str(exc))
         else:
             return report, drive, crashes

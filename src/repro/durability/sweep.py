@@ -35,12 +35,15 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import MessageFault, FaultPlan
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
 from repro.migration.testbed import Testbed, build_testbed
+from repro.sdk import control
 from repro.sdk.host import HostApplication
 from repro.sdk.program import AtomicEntry, EnclaveProgram
 from repro.sim.rng import DeterministicRng
 
 #: The counter value every surviving instance must still report.
 COUNTER_START = 7
+#: With sealed storage on, the one entry every survivor must still read.
+STORAGE_NOTE = ("cli-note", "survives crashes")
 
 #: Wire labels the chaos soak aims its message faults at.
 CHAOS_LABELS = ("channel-request", "channel-answer", "checkpoint-chunk", "kmigrate")
@@ -56,6 +59,7 @@ class CrashPointResult:
     #: ``completed`` / ``aborted`` / ``recovered:<recovery outcome>``.
     outcome: str
     live_instances: int
+    #: The survivor still reads ``COUNTER_START`` (and the storage note).
     counter_ok: bool
     violations: list[str] = field(default_factory=list)
     #: ``"source:2+target:3"`` when this point was a crash pair/chain.
@@ -87,8 +91,9 @@ def _sweep_program() -> EnclaveProgram:
     return program
 
 
-def build_sweep_app(tb: Testbed) -> HostApplication:
-    """The standard sweep subject: a counter enclave at ``COUNTER_START``."""
+def build_sweep_app(tb: Testbed, storage: bool = False) -> HostApplication:
+    """The standard sweep subject: a counter enclave at ``COUNTER_START``,
+    holding :data:`STORAGE_NOTE` in sealed storage when ``storage``."""
     built = tb.builder.build(
         "sweep-counter", _sweep_program(), n_workers=1, global_names=("n",)
     )
@@ -97,13 +102,26 @@ def build_sweep_app(tb: Testbed) -> HostApplication:
         tb.source, tb.source_os, built.image, [], owner=tb.owner
     ).launch()
     app.ecall_once(0, "incr", COUNTER_START)
+    if storage:
+        app.library.control_call(control.storage_put, *STORAGE_NOTE)
     return app
 
 
-def reference_record_counts(seed: int | str = 0) -> dict[str, int]:
+def _state_ok(app: HostApplication, storage: bool) -> bool:
+    try:
+        return app.ecall_once(0, "read") == COUNTER_START and (
+            not storage
+            or app.library.control_call(control.storage_get, STORAGE_NOTE[0])
+            == STORAGE_NOTE[1]
+        )
+    except ReproError:
+        return False
+
+
+def reference_record_counts(seed: int | str = 0, storage: bool = False) -> dict[str, int]:
     """Clean-run journal lengths per party: the sweep's crash-point axis."""
     tb = build_testbed(seed=seed)
-    app = build_sweep_app(tb)
+    app = build_sweep_app(tb, storage)
     MigrationOrchestrator(tb, retry=FAULT_TOLERANT_RETRY).migrate_enclave(app)
     image = app.image.name
     return {
@@ -120,17 +138,17 @@ def reference_record_counts(seed: int | str = 0) -> dict[str, int]:
 
 
 def run_crash_point(
-    party: str, record: int, seed: int | str = 0
+    party: str, record: int, seed: int | str = 0, storage: bool = False
 ) -> CrashPointResult:
     """Crash ``party`` right after its ``record``-th commit; recover; judge."""
     plan = FaultPlan(seed=seed).crash_at_record(party, record)
-    return _run_plan(plan, party=party, record=record, seed=seed)
+    return _run_plan(plan, party=party, record=record, seed=seed, storage=storage)
 
 
-def _sweep_point(task: tuple[str, int, object]) -> CrashPointResult:
+def _sweep_point(task: tuple[str, int, object, bool]) -> CrashPointResult:
     """Module-level (hence picklable) worker for one crash point."""
-    party, record, seed = task
-    return run_crash_point(party, record, seed=seed)
+    party, record, seed, storage = task
+    return run_crash_point(party, record, seed=seed, storage=storage)
 
 
 def sweep(
@@ -141,6 +159,7 @@ def sweep(
         wal.PARTY_TARGET,
     ),
     workers: int | None = None,
+    storage: bool = False,
 ) -> list[CrashPointResult]:
     """Visit every (party, record boundary) crash point of a migration.
 
@@ -149,11 +168,12 @@ def sweep(
     across that many OS processes (results come back in the same
     deterministic order as the serial path).  The default stays serial —
     callers opt in because process start-up only pays off once the
-    record axis is long enough.
+    record axis is long enough.  ``storage`` migrates a sealed-storage
+    namespace too (the negotiated ``handoff-storage`` step).
     """
-    reference = reference_record_counts(seed)
+    reference = reference_record_counts(seed, storage)
     tasks = [
-        (party, record, seed)
+        (party, record, seed, storage)
         for party in parties
         for record in range(1, reference[party] + 1)
     ]
@@ -245,9 +265,10 @@ def _run_plan(
     record: int = 0,
     seed: int | str = 0,
     pair: str = "",
+    storage: bool = False,
 ) -> CrashPointResult:
     tb = build_testbed(seed=seed)
-    app = build_sweep_app(tb)
+    app = build_sweep_app(tb, storage)
     orch = MigrationOrchestrator(
         tb, retry=FAULT_TOLERANT_RETRY, faults=FaultInjector(plan)
     )
@@ -261,7 +282,7 @@ def _run_plan(
         # A clean abort pre-release leaves the source back in service; an
         # abort past the point of no return leaves nothing alive.
         outcome = "aborted"
-        if app.library.enclave_id is not None and not orch._source_crashed:
+        if app.library.enclave_id is not None:
             live_app = app
     except PartyCrash:
         recovery_started_ns = tb.clock.now_ns
@@ -281,18 +302,12 @@ def _run_plan(
         violations = ["recovery did not converge within "
                       f"{MAX_RECOVERIES} drives"] + violations
     live = _live_count(tb, app, live_app)
-    counter_ok = True
-    if live_app is not None:
-        try:
-            counter_ok = live_app.ecall_once(0, "read") == COUNTER_START
-        except ReproError:
-            counter_ok = False
     return CrashPointResult(
         party=party,
         record=record,
         outcome=outcome,
         live_instances=live,
-        counter_ok=counter_ok,
+        counter_ok=live_app is None or _state_ok(live_app, storage),
         violations=violations,
         pair=pair,
         recoveries=recoveries,

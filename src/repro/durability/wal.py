@@ -30,7 +30,9 @@ PARTY_AGENT = "agent"
 
 MIGRATION_PARTIES = (PARTY_SOURCE, PARTY_TARGET, PARTY_ORCHESTRATOR, PARTY_AGENT)
 
-# Orchestrator record kinds, in protocol order.
+# Orchestrator record kinds.  Each step of the protocol table
+# (repro.migration.protocol.STEPS) names the kind that proves it done;
+# the rest carry the artifacts recovery needs, or the run's end.
 WAL_BEGIN = "begin"
 WAL_CHECKPOINT = "checkpoint"        # payload: the checkpoint's sequence
 WAL_TARGET_BUILT = "target-built"

@@ -294,6 +294,17 @@ class HandoffReplayed(MigrationError):
     """
 
 
+class KeyReused(MigrationError):
+    """A K_migrate was offered for a second use.
+
+    Each K_migrate has a one-use token: the source's release, escrow or
+    cancel moves it once, and one go-live with the key moves it again.
+    A journaled copy of the key installed after that would fork or roll
+    back the enclave (§V-B: a cancelled migration's checkpoint is
+    useless), so the enclave refuses it.
+    """
+
+
 class RestoreError(MigrationError):
     """The target enclave could not be restored from the checkpoint."""
 

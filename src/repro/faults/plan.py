@@ -19,23 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Protocol step names, in flow order.  Crash points reference these.
-STEP_CHECKPOINT = "checkpoint"
-STEP_BUILD_TARGET = "build-target"
-STEP_ESTABLISH_CHANNEL = "establish-channel"
-STEP_TRANSFER_CHECKPOINT = "transfer-checkpoint"
-STEP_HANDOFF_STORAGE = "handoff-storage"
-STEP_HANDOFF_KEY = "handoff-key"
-STEP_RESTORE = "restore"
-
-PROTOCOL_STEPS = (
-    STEP_CHECKPOINT,
+# Crash points name protocol steps (the rows of the protocol table) and
+# journal-writing parties; both are re-exported from here.
+from repro.durability.wal import MIGRATION_PARTIES
+from repro.migration.protocol import (
+    PROTOCOL_STEPS,
     STEP_BUILD_TARGET,
+    STEP_CHECKPOINT,
     STEP_ESTABLISH_CHANNEL,
-    STEP_TRANSFER_CHECKPOINT,
-    STEP_HANDOFF_STORAGE,
     STEP_HANDOFF_KEY,
+    STEP_HANDOFF_STORAGE,
     STEP_RESTORE,
+    STEP_TRANSFER_CHECKPOINT,
 )
 
 #: Message-fault kinds understood by the injector.
@@ -85,11 +80,6 @@ class CrashFault:
             raise ValueError(f"crash side must be source/target, got {self.side!r}")
         if self.step not in PROTOCOL_STEPS:
             raise ValueError(f"unknown protocol step {self.step!r}")
-
-
-#: Parties addressable by record-granularity crash faults (the four
-#: journal writers; see :mod:`repro.durability.wal`).
-MIGRATION_PARTIES = ("source", "target", "orchestrator", "agent")
 
 
 @dataclass

@@ -2,6 +2,8 @@
 
 * :mod:`repro.migration.checkpoint` — the checkpoint format (§IV): dumped
   memory pages, per-thread CSSA/flag state, hash-then-encrypt sealing.
+* :mod:`repro.migration.protocol` — the protocol as one ordered step
+  table, which migrations, rollbacks and crash recovery all drive.
 * :mod:`repro.migration.orchestrator` — source/target migration managers
   implementing §III's three operations and §V's defenses.
 * :mod:`repro.migration.agent` — the agent-enclave attestation-latency

@@ -19,7 +19,7 @@ from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
 from repro.crypto.dh import dh_check_peer, dh_private, dh_public, dh_session_key
 from repro.crypto.keys import SymmetricKey
 from repro.durability.wal import PARTY_AGENT
-from repro.errors import AttestationError, ChannelError, MigrationError, NetworkFault
+from repro.errors import AttestationError, ChannelError, MigrationError
 from repro.migration.orchestrator import RetryPolicy
 from repro.sdk import control
 from repro.sdk.builder import BuiltImage, SdkBuilder
@@ -206,19 +206,13 @@ class AgentService:
     def _transfer(self, label: str, payload: bytes, wan: bool = False) -> bytes:
         """Retry a transfer through transient faults (escrow messages are
         ciphertext under the exchange's session key: resending is safe)."""
-        backoff = self.retry.base_backoff_ns
-        for round_no in range(self.retry.max_transfer_rounds):
-            try:
-                return self.tb.network.transfer(label, payload, wan=wan)
-            except NetworkFault:
-                if round_no + 1 >= self.retry.max_transfer_rounds or (
-                    self.retry.max_attempts <= 1
-                ):
-                    raise
-                self.tb.trace.emit("migration", "agent_resend", label=label)
-                self.tb.clock.advance(backoff)
-                backoff = self.retry.next_backoff(backoff)
-        raise AssertionError("unreachable")  # pragma: no cover
+        return self.retry.deliver(
+            self.tb,
+            label,
+            payload,
+            lambda _round: self.tb.trace.emit("migration", "agent_resend", label=label),
+            wan=wan,
+        )
 
     def escrow_from(self, source_app: HostApplication) -> None:
         """Pre-migration: source attests the agent and escrows K_migrate."""

@@ -18,7 +18,7 @@ to think about:
   retired on hop k serve again on hop k+2 (the strictly increasing
   channel sequence makes the un-retire sound).
 * **crash healing** — hops may carry fault plans; in-protocol retries
-  heal what they can and :class:`~repro.durability.recovery.MigrationRecovery`
+  heal what they can and :func:`~repro.durability.recovery.recover_until_rest`
   re-drives the rest, so a chain soak can inject a crash at every
   handoff boundary and still demand a single live instance at the end.
 """
@@ -145,7 +145,7 @@ def _drive_hop(
     max_redrives: int,
 ) -> tuple[HostApplication, HopReport]:
     """One hop, driven to completion through crashes and recoveries."""
-    from repro.durability.recovery import MigrationRecovery
+    from repro.durability.recovery import recover_until_rest
 
     crashes = 0
     redrives = 0
@@ -178,8 +178,12 @@ def _drive_hop(
                 # re-drive without the (already fired) fault plan.
                 outcome = "resumed-source"
             else:
-                recovery = MigrationRecovery(view, app, orchestrator=orch)
-                rec = recovery.recover()
+                # A crash inside recovery takes effect too; re-drive.
+                rec, _, _ = recover_until_rest(view, app, orchestrator=orch)
+                if rec is None:
+                    raise MigrationAborted(
+                        f"chain hop {hop}: recovery did not converge"
+                    ) from exc
                 if rec.finalized:
                     return rec.target_app, HopReport(
                         hop=hop,
@@ -194,15 +198,13 @@ def _drive_hop(
                     app = rec.target_app  # the rebuilt source instance
                 elif rec.outcome != "resumed-source":
                     raise MigrationAborted(
-                        f"chain hop {hop}: lineage lost ({rec.outcome})",
-                        cause=exc,
+                        f"chain hop {hop}: lineage lost ({rec.outcome})"
                     ) from exc
                 outcome = rec.outcome
             redrives += 1
             if redrives > max_redrives:
                 raise MigrationAborted(
                     f"chain hop {hop}: gave up after {redrives} re-drives "
-                    f"(last recovery outcome: {outcome})",
-                    cause=exc,
+                    f"(last recovery outcome: {outcome})"
                 ) from exc
             plan = None  # the fault fired; the re-drive runs clean

@@ -7,24 +7,24 @@ whether the checkpoint is intact, whether the replayed CSSA is right) is
 made inside the enclaves by :mod:`repro.sdk.control`; a hostile
 orchestrator can only cause the protocol to abort, never to leak or fork.
 
-The flow implements §III's three operations with §V's defenses:
-
-1. source control thread checkpoints (two-phase, engine-scheduled);
-2. target rebuilds a virgin enclave from the same image;
-3. attested DH channel (source attests target via IAS; target verifies
-   the source's image-key signature);
-4. checkpoint transfer, K_migrate last, source self-destroy;
-5. target restores memory, the library replays CSSA, the control thread
-   verifies and goes live.
+The flow implements §III's three operations with §V's defenses as the
+rows of one table, :data:`repro.migration.protocol.STEPS`: checkpoint,
+virgin target, attested channel, checkpoint transfer, the negotiated
+storage handoff, K_migrate last with source self-destroy, restore (the
+library replays CSSA, the control thread verifies and goes live) and
+resume.  :meth:`MigrationOrchestrator.run_steps` is the one runner of
+that table — forward runs and crash recovery alike — and
+:meth:`MigrationOrchestrator.rollback` undoes a failed run from it.
 
 Degraded-mode operation (the failure-handling layer added around that
 flow) is a retry/abort state machine whose rules keep the paper's
 invariants intact under arbitrary infrastructure faults:
 
-* Any failure *before* ``source_release_key`` is recoverable: the source
-  cancels (wiping K_migrate, resuming its workers), the half-built
-  target is destroyed, and the retry renegotiates everything — new
-  checkpoint, new K_migrate, new attested channel — from scratch.
+* Any failure *before* ``source_release_key`` is recoverable: the
+  rollback cancels the source (wiping K_migrate, resuming its workers)
+  and destroys the half-built target, and the retry renegotiates
+  everything — new checkpoint, new K_migrate, new attested channel —
+  from scratch.
 * ``source_release_key`` is the point of no return.  The source is
   SPENT the instant the sealed key leaves the enclave; the orchestrator
   may retransmit the *same* sealed blob (resending ciphertext is
@@ -40,7 +40,8 @@ invariants intact under arbitrary infrastructure faults:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field
 
 from repro.durability import wal
 from repro.durability.journal import Journal
@@ -59,22 +60,36 @@ from repro.errors import (
     SelfDestroyed,
     StepTimeout,
 )
-from repro.faults.plan import (
+from repro.migration.checkpoint import DEFAULT_CHUNK_BYTES, ChunkReassembler, chunk_blob
+from repro.migration.protocol import (
     STEP_BUILD_TARGET,
     STEP_CHECKPOINT,
     STEP_ESTABLISH_CHANNEL,
     STEP_HANDOFF_KEY,
     STEP_HANDOFF_STORAGE,
     STEP_RESTORE,
+    STEP_RESUME,
     STEP_TRANSFER_CHECKPOINT,
+    STEPS,
+    Step,
 )
-from repro.migration.checkpoint import DEFAULT_CHUNK_BYTES, ChunkReassembler, chunk_blob
-from repro.sim.engine import EngineStall
 from repro.migration.testbed import Testbed
+from repro.sim.engine import EngineStall
 from repro.sdk import control
 from repro.sdk.host import HostApplication, WorkerSpec
 from repro.serde import SerdeError, pack, unpack
 from repro.sgx.structures import Quote
+
+
+#: Degraded-mode delivery: a resent blob waits ``BASE_BACKOFF_NS`` on the
+#: virtual clock, doubling per round, for at most ``MAX_TRANSFER_ROUNDS``
+#: rounds (the chunk stream, the sealed storage table, the sealed key).
+BASE_BACKOFF_NS = 8_000_000
+BACKOFF_MULTIPLIER = 2
+MAX_TRANSFER_ROUNDS = 5
+
+#: What a resend can heal: the wire lost or mangled the blob.
+_DELIVERY_FAULTS = (NetworkFault, IntegrityError, CryptoError, SerdeError)
 
 
 @dataclass(frozen=True)
@@ -89,38 +104,56 @@ class RetryPolicy:
 
     #: Whole-protocol attempts (1 = fail on first fault, seed behaviour).
     max_attempts: int = 1
-    #: First retry backoff on the virtual clock; doubles per retry.
-    base_backoff_ns: int = 8_000_000
-    backoff_multiplier: int = 2
     #: Engine-round budget for any single engine-driven step (the fix
     #: for the previously unbounded ``checkpoint_enclave`` wait).
     max_step_rounds: int = 2_000_000
     #: Chunk size for the resumable checkpoint transfer; ``None`` ships
     #: the envelope in one message exactly like the seed protocol.
     chunk_bytes: int | None = None
-    #: Retransmission passes for the chunk stream / the sealed key.
-    max_transfer_rounds: int = 5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.max_transfer_rounds < 1:
-            raise ValueError("max_transfer_rounds must be at least 1")
         if self.chunk_bytes is not None and self.chunk_bytes < 1:
             raise ValueError("chunk_bytes must be positive (or None)")
 
-    def next_backoff(self, backoff_ns: int) -> int:
-        return backoff_ns * self.backoff_multiplier
+    @property
+    def single_shot(self) -> bool:
+        """One attempt: the first fault reaches the caller as itself."""
+        return self.max_attempts <= 1
+
+    def deliver(self, testbed, label, payload, resent, install=None, wan=False, abort=None):
+        """Send ``payload`` until ``install`` accepts what arrives.
+
+        Each round resends the same bytes (ciphertext only the receiving
+        enclave can open) after a backoff; ``resent(round)`` reports it.
+        Returns ``install``'s result, or the delivered bytes.  Single-shot
+        re-raises the first fault; otherwise the last one is re-raised
+        after the last round — or :class:`MigrationAborted` (``abort``).
+        """
+        backoff = BASE_BACKOFF_NS
+        for round_no in range(MAX_TRANSFER_ROUNDS):
+            if round_no:
+                resent(round_no)
+                testbed.clock.advance(backoff)
+                backoff *= BACKOFF_MULTIPLIER
+            try:
+                delivered = testbed.network.transfer(label, payload, wan=wan)
+                return delivered if install is None else install(delivered)
+            except _DELIVERY_FAULTS as exc:
+                if self.single_shot:
+                    raise
+                last_exc = exc
+        if abort is not None:
+            raise MigrationAborted(abort) from last_exc
+        raise last_exc
 
 
 #: The preset used by the fault matrix and the CLI's degraded-mode demo.
 FAULT_TOLERANT_RETRY = RetryPolicy(
     max_attempts=5,
-    base_backoff_ns=8_000_000,
-    backoff_multiplier=2,
     max_step_rounds=2_000_000,
     chunk_bytes=DEFAULT_CHUNK_BYTES,
-    max_transfer_rounds=5,
 )
 
 
@@ -138,16 +171,7 @@ class MigrationStats:
     duplicate_chunks_ignored: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "attempts": self.attempts,
-            "retries": self.retries,
-            "aborts": self.aborts,
-            "chunk_retransmits": self.chunk_retransmits,
-            "key_retransmits": self.key_retransmits,
-            "step_timeouts": self.step_timeouts,
-            "crashes_seen": self.crashes_seen,
-            "duplicate_chunks_ignored": self.duplicate_chunks_ignored,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -160,6 +184,34 @@ class EnclaveMigrationResult:
     transferred_bytes: int
     attempts: int = 1
     stats: MigrationStats = field(default_factory=MigrationStats)
+
+
+@dataclass
+class MigrationRun:
+    """One run of the protocol table: what its steps read and write.
+
+    A forward attempt starts empty; crash recovery fills it from the
+    journals (the sealed key, the delivered envelope, the replay plan)
+    and runs on from where the crashed run stood.
+    """
+
+    app: HostApplication
+    target: HostApplication | None = None
+    #: The orchestrator WAL this run journals to; ``None`` journals nothing.
+    wal: Journal | None = None
+    checkpoint: control.CheckpointResult | None = None
+    #: The sealed checkpoint envelope as the target received it.
+    delivered: bytes | None = None
+    #: K_migrate sealed for the target, once the source released it.
+    sealed_key: bytes | None = None
+    plan: dict[int, int] | None = None
+    #: Names of the steps this run has completed.
+    proven: set[str] = field(default_factory=set)
+
+    @property
+    def released(self) -> bool:
+        """Past the point of no return: the source is SPENT."""
+        return self.sealed_key is not None
 
 
 class MigrationOrchestrator:
@@ -184,14 +236,8 @@ class MigrationOrchestrator:
         self._run_start_ns = 0
         if faults is not None:
             faults.attach(testbed)
-        # Point-of-no-return bookkeeping for the current migration.
-        self._key_released = False
-        self._key_delivered = False
-        self._source_crashed = False
-        # Durability: the orchestrator's own write-ahead log plus the
-        # in-flight target, both consulted by crash recovery.
-        self._wal: Journal | None = None
-        self._current_target: HostApplication | None = None
+        #: The run being driven; crash recovery reads its target.
+        self.run: MigrationRun | None = None
         self._lineage: int | None = None
 
     # ------------------------------------------------------------- pieces
@@ -247,13 +293,11 @@ class MigrationOrchestrator:
         quote, target_pub = target_app.library.control_call(
             control.target_channel_request, self.tb.target.quoting_enclave
         )
-        request = net.transfer(
-            "channel-request", pack({"quote": _quote_to_dict(quote), "dh": target_pub})
-        )
+        request = net.transfer("channel-request", pack({"quote": asdict(quote), "dh": target_pub}))
         fields = unpack(request)
-        delivered_quote = _quote_from_dict(fields["quote"])
+        delivered_quote = Quote(**fields["quote"])
         # The source fetches an AVR from IAS (WAN) and verifies it inside.
-        net.transfer("ias-quote", pack({"quote": _quote_to_dict(delivered_quote)}), wan=True)
+        net.transfer("ias-quote", pack({"quote": asdict(delivered_quote)}), wan=True)
         avr = self.tb.ias.verify_quote(delivered_quote)
         source_pub, signature = app.library.control_call(
             control.source_open_channel, avr, fields["dh"]
@@ -287,8 +331,8 @@ class MigrationOrchestrator:
         else:
             order = list(range(len(frames)))
         pending = order
-        backoff = self.retry.base_backoff_ns
-        for round_no in range(self.retry.max_transfer_rounds):
+        backoff = BASE_BACKOFF_NS
+        for round_no in range(MAX_TRANSFER_ROUNDS):
             failed: list[int] = []
             for seq in pending:
                 try:
@@ -313,17 +357,17 @@ class MigrationOrchestrator:
             pending = [s for s in failed if s in set(reassembler.missing())] or (
                 reassembler.missing()
             )
-            if round_no + 1 < self.retry.max_transfer_rounds:
+            if round_no + 1 < MAX_TRANSFER_ROUNDS:
                 self.stats.chunk_retransmits += len(pending)
                 self.tel.counter("migration.chunk_retransmits_total").inc(len(pending))
                 self.tb.trace.emit(
                     "migration", "chunk_resend", n=len(pending), round=round_no + 1
                 )
                 self.tb.clock.advance(backoff)
-                backoff = self.retry.next_backoff(backoff)
+                backoff *= BACKOFF_MULTIPLIER
         raise LinkTimeout(
             f"checkpoint transfer incomplete after "
-            f"{self.retry.max_transfer_rounds} rounds: missing {reassembler.missing()}"
+            f"{MAX_TRANSFER_ROUNDS} rounds: missing {reassembler.missing()}"
         )
 
     def storage_pending(self, app: HostApplication) -> bool:
@@ -350,33 +394,26 @@ class MigrationOrchestrator:
         key with the channel sequence bound inside; the target re-binds
         it to its own EGETKEY key and counter bank.  Runs strictly before
         the key handoff — a failure here is still renegotiable, so the
-        delivery loop re-raises transport faults instead of aborting.
+        last transport fault goes back to the attempt loop.
         """
         sealed = app.library.control_call(control.source_export_storage)
         # Ciphertext under the session key, same trust story as the
         # checkpoint envelope: journaling it lets recovery redeliver.
         self._wal_append(wal.WAL_STORAGE, {"sealed": sealed})
-        backoff = self.retry.base_backoff_ns
-        last_exc: Exception | None = None
-        for round_no in range(self.retry.max_transfer_rounds):
-            if round_no:
-                self.tel.counter("migration.storage_retransmits_total").inc()
-                self.tb.trace.emit("migration", "storage_resend", round=round_no)
-                self.tb.clock.advance(backoff)
-                backoff = self.retry.next_backoff(backoff)
-            try:
-                delivered = self.tb.network.transfer("storage-handoff", sealed)
-                version = target_app.library.control_call(
-                    control.target_import_storage, delivered
-                )
-                self._wal_append(wal.WAL_STORAGE_DELIVERED, {"version": version})
-                return version
-            except (NetworkFault, IntegrityError, CryptoError, SerdeError) as exc:
-                last_exc = exc
-                if self.retry.max_attempts <= 1:
-                    raise  # seed behaviour: no degraded-mode retries
-        assert last_exc is not None
-        raise last_exc  # pre-point-of-no-return: the attempt loop renegotiates
+
+        def resent(round_no: int) -> None:
+            self.tel.counter("migration.storage_retransmits_total").inc()
+            self.tb.trace.emit("migration", "storage_resend", round=round_no)
+
+        return self.retry.deliver(
+            self.tb,
+            "storage-handoff",
+            sealed,
+            resent,
+            lambda delivered: target_app.library.control_call(
+                control.target_import_storage, delivered
+            ),
+        )
 
     def handoff_key(self, app: HostApplication, target_app: HostApplication) -> None:
         """K_migrate moves last; the source self-destroys (§V-B).
@@ -387,35 +424,7 @@ class MigrationOrchestrator:
         without the session key) so a dropped or corrupted kmigrate
         message does not strand an otherwise complete migration.
         """
-        sealed = app.library.control_call(control.source_release_key)
-        self._key_released = True
-        # The sealed blob is ciphertext under the session key; journaling
-        # it lets recovery *redeliver* it after a crash, which is exactly
-        # as harmless as the retransmission loop below.
-        self._wal_append(wal.WAL_RELEASE, {"sealed": sealed})
-        backoff = self.retry.base_backoff_ns
-        last_exc: Exception | None = None
-        for round_no in range(self.retry.max_transfer_rounds):
-            if round_no:
-                self.stats.key_retransmits += 1
-                self.tel.counter("migration.key_retransmits_total").inc()
-                self.tb.trace.emit("migration", "key_resend", round=round_no)
-                self.tb.clock.advance(backoff)
-                backoff = self.retry.next_backoff(backoff)
-            try:
-                delivered = self.tb.network.transfer("kmigrate", sealed)
-                target_app.library.control_call(control.target_receive_key, delivered)
-                self._key_delivered = True
-                self._wal_append(wal.WAL_DELIVERED)
-                return
-            except (NetworkFault, IntegrityError, CryptoError, SerdeError) as exc:
-                last_exc = exc
-                if self.retry.max_attempts <= 1:
-                    raise  # seed behaviour: no degraded-mode retries
-        raise MigrationAborted(
-            "K_migrate was released but could not be delivered; the source "
-            "has self-destroyed and no live instance holds the key"
-        ) from last_exc
+        _handoff_key(self, MigrationRun(app, target_app))
 
     def restore(self, target_app: HostApplication, checkpoint_bytes: bytes) -> dict[int, int]:
         """Steps 3-4 on the target: restore, replay, verify, go live."""
@@ -450,20 +459,17 @@ class MigrationOrchestrator:
             return self._run_migration(app)
 
     def _run_migration(self, app: HostApplication) -> EnclaveMigrationResult:
-        self._key_released = False
-        self._key_delivered = False
-        self._source_crashed = False
-        self._current_target = None
-        self._wal = self._make_wal(app)
-        self._wal_append(wal.WAL_BEGIN, {"image": app.image.name})
+        journal = self._make_wal(app)
+        if journal is not None:
+            journal.append(wal.WAL_BEGIN, {"image": app.image.name})
         monitor = getattr(self.tb, "monitor", None)
         if monitor is not None:
             self._lineage = monitor.register_lineage(app)
-        if self.retry.max_attempts <= 1 and self.faults is None:
-            return self._attempt_migration(app)
+        if self.retry.single_shot and self.faults is None:
+            return self._attempt(app, journal)
 
         bytes_before = self.tb.network.bytes_transferred
-        backoff = self.retry.base_backoff_ns
+        backoff = BASE_BACKOFF_NS
         last_exc: Exception | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
             self.stats.attempts = attempt
@@ -472,18 +478,15 @@ class MigrationOrchestrator:
                 self.tel.counter("migration.retries_total").inc()
                 self.tb.trace.emit("migration", "retry", attempt=attempt)
                 self.tb.clock.advance(backoff)
-                backoff = self.retry.next_backoff(backoff)
+                backoff *= BACKOFF_MULTIPLIER
             try:
-                return self._attempt_migration(app, bytes_baseline=bytes_before)
+                return self._attempt(app, journal, bytes_baseline=bytes_before)
             except MigrationAborted:
                 self._record_abort("aborted")
                 raise
-            except PartyCrash as exc:
-                # A party crash ends the protocol run where it stands: no
-                # cleanup, no retry — only journal-driven recovery may
-                # touch the migration now.  Model the physical effect of
-                # the crash (the party's volatile state is gone) and stop.
-                self._apply_party_crash(exc, app)
+            except PartyCrash:
+                # The run ends where it stands (the runner applied the
+                # crash's effect): only journal-driven recovery goes on.
                 raise
             except MachineCrash as exc:
                 last_exc = exc
@@ -496,7 +499,7 @@ class MigrationOrchestrator:
                         "enclave cannot be rebuilt from volatile state",
                         cause=exc,
                     )
-                if self._past_point_of_no_return():
+                if self.run.released:
                     self._abort(
                         app,
                         "target crashed after K_migrate was released; the key "
@@ -506,7 +509,7 @@ class MigrationOrchestrator:
                 # Target crashed pre-release: renegotiate with a new target.
             except (SelfDestroyed, MigrationError, NetworkFault, ReproError) as exc:
                 last_exc = exc
-                if self._past_point_of_no_return() or isinstance(exc, SelfDestroyed):
+                if self.run.released or isinstance(exc, SelfDestroyed):
                     self._abort(
                         app,
                         "migration failed after the point of no return "
@@ -522,15 +525,15 @@ class MigrationOrchestrator:
         raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------- attempt
-    def _attempt_migration(
-        self, app: HostApplication, bytes_baseline: int | None = None
+    def _attempt(
+        self, app: HostApplication, journal: Journal | None, bytes_baseline: int | None = None
     ) -> EnclaveMigrationResult:
-        """One full pass of the protocol; cleans up its target on failure."""
+        """One full pass of the protocol table; rolled back on failure."""
         bytes_before = (
             self.tb.network.bytes_transferred if bytes_baseline is None else bytes_baseline
         )
         self.tel.counter("migration.attempts_total").inc()
-        target_app: HostApplication | None = None
+        run = self.run = MigrationRun(app, wal=journal)
         try:
             with self.tel.span(
                 "migration.attempt", attempt=max(self.stats.attempts, 1)
@@ -540,99 +543,116 @@ class MigrationOrchestrator:
                 # live again once the target resumes — for the enclave
                 # protocol the whole attempt *is* downtime.
                 with self.tel.span("migration.stop_and_copy") as stop_and_copy:
-                    with self.tel.span(
-                        f"migration.step.{STEP_CHECKPOINT}", party="source"
-                    ):
-                        self._begin_step(app, STEP_CHECKPOINT)
-                        if app.library.last_checkpoint is None:
-                            self.checkpoint_enclave(app)
-                        checkpoint = app.library.last_checkpoint
-                        if checkpoint is None:  # pragma: no cover - guard
-                            raise MigrationError("checkpoint generation failed")
-                        self._wal_append(
-                            wal.WAL_CHECKPOINT, {"sequence": checkpoint.sequence}
-                        )
-
-                    with self.tel.span(
-                        f"migration.step.{STEP_BUILD_TARGET}", party="target"
-                    ):
-                        self._begin_step(app, STEP_BUILD_TARGET)
-                        target_app = self.build_virgin_target(app)
-                        self._current_target = target_app
-                        self._wal_append(wal.WAL_TARGET_BUILT)
-                    with self.tel.span(f"migration.step.{STEP_ESTABLISH_CHANNEL}"):
-                        self._begin_step(app, STEP_ESTABLISH_CHANNEL)
-                        self.establish_channel(app, target_app)
-                        self._wal_append(wal.WAL_CHANNEL)
-                    with self.tel.span(f"migration.step.{STEP_TRANSFER_CHECKPOINT}"):
-                        self._begin_step(app, STEP_TRANSFER_CHECKPOINT)
-                        delivered_checkpoint = self.transfer_checkpoint(app)
-                        if self._wal is not None:
-                            # The blob first, then the record naming it.
-                            digest = self._wal.store.put_blob(delivered_checkpoint)
-                            self._wal.append(wal.WAL_TRANSFERRED, {"blob": digest})
-                    # Crash faults scheduled at this step must fire even
-                    # for storageless enclaves (the step exists in the
-                    # protocol grammar either way); only the span and the
-                    # actual transfer are negotiated away.
-                    self._begin_step(app, STEP_HANDOFF_STORAGE)
-                    if self.storage_pending(app):
-                        with self.tel.span(f"migration.step.{STEP_HANDOFF_STORAGE}"):
-                            self.handoff_storage(app, target_app)
-                    with self.tel.span(f"migration.step.{STEP_HANDOFF_KEY}"):
-                        self._begin_step(app, STEP_HANDOFF_KEY)
-                        self.handoff_key(app, target_app)
-                    with self.tel.span(
-                        f"migration.step.{STEP_RESTORE}", party="target"
-                    ):
-                        self._begin_step(app, STEP_RESTORE)
-                        plan = self.restore(target_app, delivered_checkpoint)
-                        self._wal_append(
-                            wal.WAL_RESTORED,
-                            {"plan": {str(k): v for k, v in plan.items()}},
-                        )
-                    with self.tel.span("migration.step.resume", party="target"):
-                        target_app.respawn_after_restore(plan)
-                        self.tb.target_os.end_migration()
-                    self._wal_append(wal.WAL_DONE)
+                    self.run_steps(run)
                 transferred = self.tb.network.bytes_transferred - bytes_before
                 self._record_figures(stop_and_copy, transferred)
-            monitor = getattr(self.tb, "monitor", None)
-            if monitor is not None and self._lineage is not None:
-                monitor.join_lineage(self._lineage, target_app)
-            return EnclaveMigrationResult(
-                target_app=target_app,
-                replay_plan=plan,
-                checkpoint_bytes=checkpoint.envelope.size,
-                transferred_bytes=transferred,
-                attempts=max(self.stats.attempts, 1),
-                stats=self.stats,
-            )
         except PartyCrash:
-            raise  # no graceful cleanup: the crash left things as they are
-        except BaseException:
-            if target_app is not None:
-                self._destroy_target(target_app)
-                self._current_target = None
-            self._recover_source(app)
+            raise  # the crash left things as they are: recovery's job
+        except Exception:
+            self.rollback(run)
             raise
+        monitor = getattr(self.tb, "monitor", None)
+        if monitor is not None and self._lineage is not None:
+            monitor.join_lineage(self._lineage, run.target)
+        return EnclaveMigrationResult(
+            target_app=run.target,
+            replay_plan=run.plan,
+            checkpoint_bytes=run.checkpoint.envelope.size,
+            transferred_bytes=transferred,
+            attempts=max(self.stats.attempts, 1),
+            stats=self.stats,
+        )
 
-    def _begin_step(self, app: HostApplication, step: str) -> None:
+    # ------------------------------------------------------------- runner
+    def run_steps(self, run: MigrationRun, steps: tuple[Step, ...] = STEPS) -> None:
+        """Drive ``run`` through ``steps`` of the protocol table, in order.
+
+        Each step's ``migration.step.<name>`` span, crash point, forward
+        action and proof record happen here and nowhere else, and a
+        :class:`PartyCrash` takes its physical effect here wherever it
+        lands — in a forward run and in crash recovery alike.
+        """
+        self.run = run
+        with self._crash_effects(run):
+            for step in steps:
+                self._run_step(step, run)
+
+    def _run_step(self, step: Step, run: MigrationRun) -> None:
+        if step.negotiated:
+            # The crash point fires for every enclave; only the span and
+            # the work are negotiated away when there is nothing to move.
+            self._begin_step(run, step.name)
+            if not self.storage_pending(run.app):
+                return
+        with self.tel.span(f"migration.step.{step.name}", party=step.party):
+            if not step.negotiated:
+                self._begin_step(run, step.name)
+            proof = _ACTIONS[step.name][0](self, run)
+            if step.name != STEP_RESUME:
+                self._wal_append(step.proof, proof)
+        if step.name == STEP_RESUME:
+            self._wal_append(step.proof)  # `done` closes the run, outside its span
+        run.proven.add(step.name)
+
+    def rollback(self, run: MigrationRun) -> None:
+        """Undo ``run``: every step's rollback, last step first.
+
+        A rollback with nothing to undo is a no-op, and past the point of
+        no return only the target goes — a SPENT source stays SPENT.
+        Rollbacks are best effort, but a crash during one is still a
+        crash.
+        """
+        self.run = run
+        with self._crash_effects(run):
+            for step in reversed(STEPS):
+                undo = _ACTIONS[step.name][1]
+                if undo is None:
+                    continue
+                try:
+                    undo(self, run)
+                except PartyCrash:
+                    raise
+                except ReproError:  # pragma: no cover - rollback is best-effort
+                    pass
+
+    def _begin_step(self, run: MigrationRun, step: str) -> None:
         if self.faults is None:
             return
         try:
             self.faults.step_started(step)
         except MachineCrash as exc:
-            if exc.side == "source" and self._key_delivered:
+            if exc.side == "source" and STEP_HANDOFF_KEY in run.proven:
                 # The key and checkpoint already live on the target; the
                 # source is no longer needed.  Its machine dying now costs
                 # nothing but the (already spent) source instance.
                 self.stats.crashes_seen += 1
                 self.tel.counter("migration.crashes_seen_total", side=exc.side).inc()
-                self._crash_source(app)
+                run.app.destroy()
                 return
             if exc.side == "source":
-                self._crash_source(app)
+                run.app.destroy()
+            raise
+
+    @contextmanager
+    def _crash_effects(self, run: MigrationRun):
+        """Model the physical consequence of a party's process dying.
+
+        A source or target crash takes its enclave (EPC contents are
+        volatile) and freezes its host process; the party is the machine
+        its journal lives on.  An orchestrator crash kills only the
+        driver — both machines keep running, which is exactly why its
+        journal has to be enough to finish the job.
+        """
+        try:
+            yield
+        except PartyCrash as exc:
+            self.stats.crashes_seen += 1
+            self.tel.counter("migration.crashes_seen_total", side=exc.party).inc()
+            for app in (run.app, run.target):
+                if app is not None and app.machine.name == exc.party:
+                    for thread in app.process.threads:
+                        thread.suspended = True
+                    app.destroy()
             raise
 
     # ------------------------------------------------------------- durability
@@ -640,71 +660,12 @@ class MigrationOrchestrator:
         durable = getattr(self.tb, "durable", None)
         if durable is None:
             return None
-        return Journal(
-            durable,
-            wal.orchestrator_journal_name(
-                app.image.name, getattr(self.tb, "wal_epoch", 0)
-            ),
-            wal.PARTY_ORCHESTRATOR,
-        )
+        name = wal.orchestrator_journal_name(app.image.name, getattr(self.tb, "wal_epoch", 0))
+        return Journal(durable, name, wal.PARTY_ORCHESTRATOR)
 
     def _wal_append(self, kind: str, payload: dict | None = None) -> None:
-        if self._wal is not None:
-            self._wal.append(kind, payload)
-
-    def _apply_party_crash(self, exc: PartyCrash, app: HostApplication) -> None:
-        """Model the physical consequence of a party's process dying.
-
-        A source or target crash takes its enclave (EPC contents are
-        volatile) and freezes its host process.  An orchestrator crash
-        kills only the driver — both machines keep running, which is
-        exactly why its journal has to be enough to finish the job.
-        """
-        self.stats.crashes_seen += 1
-        self.tel.counter("migration.crashes_seen_total", side=exc.party).inc()
-        if exc.party == wal.PARTY_SOURCE:
-            self._halt_process(app)
-            self._crash_source(app)
-        elif exc.party == wal.PARTY_TARGET and self._current_target is not None:
-            self._halt_process(self._current_target)
-            try:
-                self._current_target.destroy()
-            except ReproError:
-                pass
-
-    def _halt_process(self, app: HostApplication) -> None:
-        for thread in app.process.threads:
-            thread.suspended = True
-
-    # ------------------------------------------------------------- recovery
-    def _past_point_of_no_return(self) -> bool:
-        """Key released but not safely installed in a live target."""
-        return self._key_released
-
-    def _source_alive(self, app: HostApplication) -> bool:
-        return app.library.enclave_id is not None and not self._source_crashed
-
-    def _crash_source(self, app: HostApplication) -> None:
-        self._source_crashed = True
-        if app.library.enclave_id is not None:
-            app.library.destroy()
-
-    def _destroy_target(self, target_app: HostApplication) -> None:
-        try:
-            target_app.destroy()
-        except ReproError:  # pragma: no cover - teardown is best-effort
-            pass
-
-    def _recover_source(self, app: HostApplication) -> None:
-        """Return the source to service if (and only if) that is safe."""
-        if not self._source_alive(app) or self._key_released:
-            return
-        try:
-            self.cancel(app)
-        except PartyCrash:
-            raise  # a crash during cleanup is still a crash
-        except ReproError:  # pragma: no cover - cancel is best-effort
-            pass
+        if self.run is not None and self.run.wal is not None:
+            self.run.wal.append(kind, payload)
 
     def _record_figures(self, stop_and_copy, transferred: int) -> None:
         """Publish the attempt's headline numbers to the registry.
@@ -732,23 +693,91 @@ class MigrationOrchestrator:
         raise MigrationAborted(reason) from cause
 
 
-def _quote_to_dict(quote: Quote) -> dict:
-    return {
-        "mrenclave": quote.mrenclave,
-        "mrsigner": quote.mrsigner,
-        "attributes": quote.attributes,
-        "platform_id": quote.platform_id,
-        "report_data": quote.report_data,
-        "signature": quote.signature,
-    }
+# ---------------------------------------------------------------------------
+# The protocol table's actions: per row of repro.migration.protocol.STEPS,
+# a forward action (runs the step through the public step methods and
+# returns its proof record's payload) and a rollback, if it has one.
+# ---------------------------------------------------------------------------
 
 
-def _quote_from_dict(fields: dict) -> Quote:
-    return Quote(
-        mrenclave=fields["mrenclave"],
-        mrsigner=fields["mrsigner"],
-        attributes=fields["attributes"],
-        platform_id=fields["platform_id"],
-        report_data=fields["report_data"],
-        signature=fields["signature"],
+def _checkpoint(orch: MigrationOrchestrator, run: MigrationRun) -> dict:
+    library = run.app.library
+    if library.last_checkpoint is None:
+        orch.checkpoint_enclave(run.app)
+    run.checkpoint = library.last_checkpoint
+    if run.checkpoint is None:  # pragma: no cover - guard
+        raise MigrationError("checkpoint generation failed")
+    return {"sequence": run.checkpoint.sequence}
+
+
+def _build_target(orch: MigrationOrchestrator, run: MigrationRun) -> None:
+    run.target = orch.build_virgin_target(run.app)
+
+
+def _transfer_checkpoint(orch: MigrationOrchestrator, run: MigrationRun) -> dict | None:
+    run.delivered = orch.transfer_checkpoint(run.app)
+    if run.wal is None:
+        return None
+    # The blob first, then the record naming it.
+    return {"blob": run.wal.store.put_blob(run.delivered)}
+
+
+def _handoff_key(orch: MigrationOrchestrator, run: MigrationRun) -> None:
+    if run.sealed_key is None:  # recovery resumes with the journaled blob
+        run.sealed_key = run.app.library.control_call(control.source_release_key)
+        # The sealed blob is ciphertext under the session key; journaling
+        # it lets recovery *redeliver* it, which is exactly as harmless as
+        # a retransmission.
+        orch._wal_append(wal.WAL_RELEASE, {"sealed": run.sealed_key})
+    target = run.target
+
+    def resent(round_no: int) -> None:
+        orch.stats.key_retransmits += 1
+        orch.tel.counter("migration.key_retransmits_total").inc()
+        orch.tb.trace.emit("migration", "key_resend", round=round_no)
+
+    orch.retry.deliver(
+        orch.tb,
+        "kmigrate",
+        run.sealed_key,
+        resent,
+        lambda delivered: target.library.control_call(
+            control.target_receive_key, delivered
+        ),
+        abort="K_migrate was released but could not be delivered; the source "
+        "has self-destroyed and no live instance holds the key",
     )
+
+
+def _restore(orch: MigrationOrchestrator, run: MigrationRun) -> dict:
+    run.plan = orch.restore(run.target, run.delivered)
+    return {"plan": {str(k): v for k, v in run.plan.items()}}
+
+
+def _resume(orch: MigrationOrchestrator, run: MigrationRun) -> None:
+    run.target.respawn_after_restore(run.plan)
+    run.target.guest_os.end_migration()
+
+
+def _cancel_source(orch: MigrationOrchestrator, run: MigrationRun) -> None:
+    if not run.released and run.app.library.enclave_id is not None:
+        orch.cancel(run.app)  # a live, unspent source goes back to service
+
+
+#: Step name → (forward action, rollback or ``None``).
+_ACTIONS = {
+    STEP_CHECKPOINT: (_checkpoint, _cancel_source),
+    STEP_BUILD_TARGET: (_build_target, lambda orch, run: run.target and run.target.destroy()),
+    STEP_ESTABLISH_CHANNEL: (
+        lambda orch, run: orch.establish_channel(run.app, run.target),
+        None,
+    ),
+    STEP_TRANSFER_CHECKPOINT: (_transfer_checkpoint, None),
+    STEP_HANDOFF_STORAGE: (
+        lambda orch, run: {"version": orch.handoff_storage(run.app, run.target)},
+        None,
+    ),
+    STEP_HANDOFF_KEY: (_handoff_key, None),
+    STEP_RESTORE: (_restore, None),
+    STEP_RESUME: (_resume, None),
+}

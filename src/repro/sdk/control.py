@@ -32,6 +32,8 @@ from repro.errors import (
     ChannelError,
     CssaMismatch,
     HandoffReplayed,
+    IntegrityError,
+    KeyReused,
     MigrationError,
     RestoreError,
     SelfDestroyed,
@@ -68,6 +70,18 @@ CHANNEL_NONE = 0
 CHANNEL_OPEN = 1
 CHANNEL_SPENT = 2  # key handed over; the enclave has self-destroyed
 
+# K_migrate's one-use token (a hardware monotonic counter per key): the
+# source's release, escrow or cancel moves it 0 -> 1, a target's go-live
+# 1 -> 2 and a rebuilt source's go-live 0 -> 1.  A journaled copy of the
+# key is sealed under the AAD of the token value its go-live moves to,
+# so the record's role costs no payload byte and cannot be swapped.
+GO_LIVE_SOURCE = 1
+GO_LIVE_TARGET = 2
+_KEY_RECORD_AAD = {
+    GO_LIVE_SOURCE: b"journal/kmigrate/source",
+    GO_LIVE_TARGET: b"journal/kmigrate/target",
+}
+
 
 @dataclass
 class CheckpointResult:
@@ -82,6 +96,16 @@ class CheckpointResult:
 def _ensure_not_destroyed(rt: EnclaveRuntime) -> None:
     if rt.channel_state() == CHANNEL_SPENT:
         raise SelfDestroyed("this enclave instance handed over its state and will not run")
+
+
+def _check_key_token(rt: EnclaveRuntime, key: bytes, expected: int) -> None:
+    """Refuse a K_migrate whose one-use token is not at ``expected``."""
+    token = rt.key_token(key)
+    if token is not None and token != expected:
+        raise KeyReused(
+            f"K_migrate's one-use token is at {token}, not {expected}: this "
+            "key was already released, cancelled or used to go live"
+        )
 
 
 def _bind_report_data(purpose: str, public: int) -> bytes:
@@ -218,6 +242,7 @@ def generate_checkpoint(
         {"sequence": sequence, "envelope": rt.journal_blob(envelope.to_bytes())},
         secret={"kmigrate": kmigrate.material, "sequence": sequence},
         defer_charge=True,
+        aad=_KEY_RECORD_AAD[GO_LIVE_SOURCE],
     )
     if commit_wait_ns:
         yield commit_wait_ns
@@ -550,6 +575,7 @@ def source_release_key(rt: EnclaveRuntime) -> bytes:
     channel = rt.load_obj(OBJ_CHANNEL)
     if not channel.get("ckpt_done"):
         raise MigrationError("no checkpoint was generated for this migration")
+    _check_key_token(rt, channel["kmigrate"], 0)
     sealed = seal_envelope(
         _session_key(rt),
         pack({"kmigrate": channel["kmigrate"], "sequence": channel["sequence"]}),
@@ -562,6 +588,7 @@ def source_release_key(rt: EnclaveRuntime) -> bytes:
     # recover as SPENT — the converse (SPENT without a record) cannot
     # happen because the record commits first.
     rt.journal_record("released", {"sequence": channel["sequence"]})
+    rt.advance_key_token(channel["kmigrate"], 1)
     # The storage namespace follows the key over the point of no return:
     # tombstone it in the same control call, so a resumed or rebuilt
     # source refuses to fork the counter lineage.
@@ -582,7 +609,7 @@ def source_cancel_migration(rt: EnclaveRuntime) -> None:
     if rt.channel_state() == CHANNEL_SPENT:
         raise SelfDestroyed("cannot cancel: K_migrate was already handed over")
     channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
-    channel.pop("kmigrate", None)
+    key = channel.pop("kmigrate", None)
     channel.pop("session_key", None)
     channel.pop("storage_exported", None)  # the namespace stays ours
     channel["ckpt_done"] = False
@@ -590,6 +617,10 @@ def source_cancel_migration(rt: EnclaveRuntime) -> None:
     rt.set_channel_state(CHANNEL_NONE)
     rt.set_global_flag(0)  # workers leave the spin region
     rt.journal_record("cancelled")
+    if key is not None:
+        # Only retires the key, so there is nothing to refuse — and the
+        # owner's K_encrypt (§V-C) is cancelled once per snapshot.
+        rt.advance_key_token(key, 1)
 
 
 def target_receive_key(rt: EnclaveRuntime, sealed: bytes) -> None:
@@ -601,6 +632,7 @@ def target_receive_key(rt: EnclaveRuntime, sealed: bytes) -> None:
     channel["kmigrate"] = payload["kmigrate"]
     channel["expected_sequence"] = payload["sequence"]
     rt.store_obj(OBJ_CHANNEL, channel)
+    rt.set_go_live_token(GO_LIVE_TARGET)
     # Re-sealed under *this* enclave's EGETKEY key: if the target dies
     # after this point, a same-measurement rebuild recovers K_migrate
     # from its own journal instead of begging the (SPENT) source.
@@ -608,6 +640,7 @@ def target_receive_key(rt: EnclaveRuntime, sealed: bytes) -> None:
         "key-installed",
         {"sequence": payload["sequence"]},
         secret={"kmigrate": payload["kmigrate"], "sequence": payload["sequence"]},
+        aad=_KEY_RECORD_AAD[GO_LIVE_TARGET],
     )
 
 
@@ -618,13 +651,21 @@ def recovery_install_key(rt: EnclaveRuntime, sealed: bytes) -> None:
     ``sealed`` is the journal-sealed record payload; only an enclave with
     the same measurement on the same CPU can open it (EGETKEY policy), so
     the untrusted recovery driver can *carry* the blob but never read or
-    forge it.
+    forge it.  The seal's AAD says whose record it is, and with it which
+    step of the key's one-use token the rebuilt instance's go-live takes.
     """
-    payload = rt.journal_unseal(sealed)
-    channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
-    channel["kmigrate"] = payload["kmigrate"]
-    channel["expected_sequence"] = payload["sequence"]
-    rt.store_obj(OBJ_CHANNEL, channel)
+    for go_live, aad in _KEY_RECORD_AAD.items():
+        try:
+            payload = rt.journal_unseal(sealed, aad)
+        except IntegrityError:
+            continue
+        channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
+        channel["kmigrate"] = payload["kmigrate"]
+        channel["expected_sequence"] = payload["sequence"]
+        rt.store_obj(OBJ_CHANNEL, channel)
+        rt.set_go_live_token(go_live)
+        return
+    raise IntegrityError("not a K_migrate journaled by this enclave identity")
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +700,7 @@ def source_escrow_to_agent(
     channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
     if not channel.get("ckpt_done"):
         raise MigrationError("no checkpoint was generated for this migration")
+    _check_key_token(rt, channel["kmigrate"], 0)
 
     private = dh_private(rt.rdrand)
     source_dh_public = dh_public(private)
@@ -688,6 +730,7 @@ def source_escrow_to_agent(
     # order as source_release_key: record first, then tombstone any
     # handed-off storage, then SPENT.
     rt.journal_record("released", {"sequence": channel["sequence"], "escrow": True})
+    rt.advance_key_token(channel["kmigrate"], 1)
     if storage is not None:
         _retire_storage(rt, channel["sequence"])
     rt.set_channel_state(CHANNEL_SPENT)
@@ -726,6 +769,7 @@ def target_install_agent_key(
     channel["kmigrate"] = payload["kmigrate"]
     channel["expected_sequence"] = payload["sequence"]
     rt.store_obj(OBJ_CHANNEL, channel)
+    rt.set_go_live_token(GO_LIVE_TARGET)
     rt.delete_obj(OBJ_BOOT)
     storage = payload.get("storage")
     if storage is not None:
@@ -739,6 +783,7 @@ def target_install_agent_key(
         "key-installed",
         {"sequence": payload["sequence"], "via": "agent"},
         secret={"kmigrate": payload["kmigrate"], "sequence": payload["sequence"]},
+        aad=_KEY_RECORD_AAD[GO_LIVE_TARGET],
     )
 
 
@@ -762,6 +807,7 @@ def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[
         raise RestoreError("checkpoint was taken from a different image")
     if checkpoint.sequence != channel.get("expected_sequence"):
         raise RestoreError("checkpoint sequence does not match the delivered key")
+    go_live = rt.go_live_token()
 
     writable = {
         p.vaddr
@@ -775,6 +821,8 @@ def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[
             # Read-only pages (code, embedded keys) are measured into the
             # image; the virgin enclave must already hold identical bytes.
             raise RestoreError(f"immutable page 0x{vaddr:x} differs from the image")
+    # The page writes restored the source's control block; keep ours.
+    rt.set_go_live_token(go_live)
     # Enter restore mode: replayed EENTERs are counted, not executed.
     rt.set_restore_mode(1)
     for template in rt.image.tcs_templates:
@@ -795,6 +843,7 @@ def target_verify_and_finish(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> No
     enclave refuses to run.
     """
     channel = rt.load_obj(OBJ_CHANNEL)
+    go_live = rt.go_live_token()
     kmigrate = SymmetricKey(channel["kmigrate"], "kmigrate")
     checkpoint = open_checkpoint(kmigrate, Envelope.from_bytes(sealed_checkpoint))
     control_index = rt.image.control_tcs.index
@@ -841,6 +890,13 @@ def target_verify_and_finish(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> No
                 "go live on rolled-back persistent state"
             )
 
+    # A key goes live once: owner-keyed resumes (§V-C, token step 0)
+    # are the owner's to grant and audit instead.
+    if go_live:
+        _check_key_token(rt, channel["kmigrate"], go_live - 1)
     rt.journal_record("live")
+    if go_live:
+        rt.advance_key_token(channel["kmigrate"], go_live)
+        rt.set_go_live_token(0)
     rt.set_restore_mode(0)
     rt.set_global_flag(0)  # end of migration: workers may run

@@ -20,6 +20,7 @@ GLOBAL_FLAG_OFF = 0       # 0 = clear, 1 = migration in progress
 RESTORE_MODE_OFF = 8      # 1 while the target replays CSSA
 ATTESTED_OFF = 16         # 1 once the owner has provisioned secrets
 CHANNEL_STATE_OFF = 24    # see control thread: 0 none / 1 open / 2 spent
+GO_LIVE_TOKEN_OFF = 32     # value go-live moves K_migrate's one-use token to (0: none)
 TCS_RECORDS_OFF = 64      # per-TCS records start here
 TCS_RECORD_STRIDE = 64
 TCS_LOCAL_FLAG_OFF = 0    # 0 free / 1 busy / 2 spin
@@ -94,6 +95,9 @@ class EnclaveLayout:
 
     def channel_state_vaddr(self) -> int:
         return self.base + CHANNEL_STATE_OFF
+
+    def go_live_token_vaddr(self) -> int:
+        return self.base + GO_LIVE_TOKEN_OFF
 
     def tcs_record_vaddr(self, tcs_index: int, field_off: int) -> int:
         return self.base + TCS_RECORDS_OFF + tcs_index * TCS_RECORD_STRIDE + field_off

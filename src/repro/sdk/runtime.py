@@ -20,6 +20,7 @@ from typing import Any, Callable
 
 from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
 from repro.crypto.dh import dh_private
+from repro.crypto.hashes import sha256
 from repro.errors import (
     EnclavePageFault,
     MigrationError,
@@ -140,6 +141,12 @@ class EnclaveRuntime:
 
     def set_channel_state(self, value: int) -> None:
         self.store_u64(self.layout.channel_state_vaddr(), value)
+
+    def go_live_token(self) -> int:
+        return self.load_u64(self.layout.go_live_token_vaddr())
+
+    def set_go_live_token(self, value: int) -> None:
+        self.store_u64(self.layout.go_live_token_vaddr(), value)
 
     def local_flag(self, tcs_index: int) -> int:
         return self.load_u64(self.layout.tcs_record_vaddr(tcs_index, TCS_LOCAL_FLAG_OFF))
@@ -302,7 +309,12 @@ class EnclaveRuntime:
 
     # ------------------------------------------------------------ durability
     def journal_record(
-        self, kind: str, payload: dict | None = None, secret=None, defer_charge: bool = False
+        self,
+        kind: str,
+        payload: dict | None = None,
+        secret=None,
+        defer_charge: bool = False,
+        aad: bytes = b"journal",
     ) -> int:
         """Append one write-ahead record for this enclave's party.
 
@@ -311,7 +323,8 @@ class EnclaveRuntime:
         already sees.  ``secret`` is sealed under this enclave's EGETKEY
         sealing key first (MRENCLAVE policy: only a same-measurement
         enclave on this CPU can unseal it after a crash) and stored as
-        ``payload["sealed"]``.  No-op when journaling is off.
+        ``payload["sealed"]``, bound to ``aad``.  No-op when journaling
+        is off.
 
         With ``defer_charge=True`` the modelled fsync cost is returned
         (instead of charged to the clock) so a cost-yielding caller can
@@ -322,7 +335,7 @@ class EnclaveRuntime:
             return 0
         if secret is not None:
             payload = dict(payload or {})
-            payload["sealed"] = self.journal_seal(secret)
+            payload["sealed"] = self.journal_seal(secret, aad)
         self._journal.append(kind, payload, defer_charge=defer_charge)
         if defer_charge:
             return int(self._journal.store.commit_cost_ns or 0)
@@ -340,21 +353,42 @@ class EnclaveRuntime:
             return None
         return self._journal.store.put_blob(data)
 
-    def journal_seal(self, value) -> bytes:
-        """Seal a serde value for journal storage (crash-survivable)."""
+    def journal_seal(self, value, aad: bytes = b"journal") -> bytes:
+        """Seal a serde value for journal storage (crash-survivable).
+
+        ``aad`` binds what the record is for (its role) without adding a
+        byte to it: only :meth:`journal_unseal` with the same ``aad``
+        opens it.
+        """
         envelope = seal_envelope(
             self._journal_seal_key(),
             pack(value),
             self.random_bytes(16),
             "aes",
-            aad=b"journal",
+            aad=aad,
         )
         return envelope.to_bytes()
 
-    def journal_unseal(self, blob: bytes):
+    def journal_unseal(self, blob: bytes, aad: bytes = b"journal"):
         """Open a journal-sealed blob (same measurement, same CPU only)."""
         envelope = Envelope.from_bytes(blob)
-        return unpack(open_envelope(self._journal_seal_key(), envelope, aad=b"journal"))
+        return unpack(open_envelope(self._journal_seal_key(), envelope, aad=aad))
+
+    # ------------------------------------------------------------ one-use keys
+    # Each K_migrate has a one-use token: a hardware monotonic counter
+    # named from a hash of the key, moved by the control thread as the
+    # key is released, cancelled or goes live (see repro.sdk.control).
+    # Like the storage counters it costs no virtual time.
+
+    def key_token(self, key: bytes) -> int | None:
+        """The key's token; ``None`` without a durable store (no tokens)."""
+        if self._journal is None:
+            return None
+        return self._journal.store.counter(_key_token_name(key))
+
+    def advance_key_token(self, key: bytes, value: int) -> None:
+        if self._journal is not None:
+            self._journal.store.counter_advance(_key_token_name(key), value)
 
     def _journal_seal_key(self):
         # Imported lazily: instructions/authenc import serde/keys, and a
@@ -485,3 +519,7 @@ class EnclaveRuntime:
     def fresh_dh_private_store(self, slot: str = OBJ_BOOT) -> None:
         """Generate and persist a DH private key inside the enclave."""
         self.store_obj(slot, {"dh_private": dh_private(self.rdrand)})
+
+
+def _key_token_name(key: bytes) -> str:
+    return "kmigrate/" + sha256(b"kmigrate-token" + key).hex()[:32]

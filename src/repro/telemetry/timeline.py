@@ -10,9 +10,9 @@ Phase mapping (span name → phase):
 
 * enclave migration (``MigrationOrchestrator``): every
   ``migration.step.<step>`` span is the phase ``<step>`` — the
-  orchestrator names those spans from the protocol's own step constants
-  (:data:`repro.faults.plan.PROTOCOL_STEPS`, plus ``resume``), so a step
-  shows up here exactly when a run takes it — plus the enclosing
+  orchestrator names those spans from the protocol table's rows
+  (:data:`repro.migration.protocol.STEPS`), so a step shows up here
+  exactly when a run takes it — plus the enclosing
   ``migration.stop_and_copy`` window, whose duration *is* the
   ``migration.downtime_ns`` metric;
 * whole-VM migration (``QemuMonitor``): ``vm.prepare``, the

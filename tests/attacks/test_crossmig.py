@@ -1,9 +1,9 @@
 """The cross-migration attack matrix: every attack refused, typed.
 
-Four adversaries aim at the sealed-storage handoff; the contract is
-zero silent successes — each attack must end with a typed
-:class:`~repro.errors.SealedStorageError` subclass naming the refusal,
-and the legitimate instance's state must be intact afterwards.
+Four adversaries aim at the sealed-storage handoff and three at the
+journaled copies of K_migrate; the contract is zero silent successes —
+each attack must end with a typed refusal naming what it tried, and the
+legitimate instance's state must be intact afterwards.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from repro.attacks.crossmig import (
     run_counter_fork_attack,
     run_cross_migration_matrix,
     run_handoff_replay_attack,
+    run_key_fork_after_cancel,
+    run_key_fork_after_go_live,
+    run_key_fork_after_migration,
     run_stale_checkpoint_attack,
     run_storage_rollback_attack,
 )
@@ -24,6 +27,9 @@ EXPECTED_REFUSALS = {
     "counter-fork": "StorageRetired",
     "stale-checkpoint": "StorageRolledBack",
     "handoff-replay": "HandoffReplayed",
+    "key-fork-after-migration": "KeyReused",
+    "key-fork-after-cancel": "KeyReused",
+    "key-fork-after-go-live": "KeyReused",
 }
 
 
@@ -71,4 +77,21 @@ class TestIndividualAttacks:
     def test_handoff_replay_refused_inside_the_session(self):
         out = run_handoff_replay_attack(seed="unit/replay")
         assert out.blocked and out.refusal == "HandoffReplayed"
+        assert out.state_intact
+
+
+class TestJournalKeyForks:
+    """A journaled K_migrate goes live once: the copies the source's
+    ``checkpoint`` and the target's ``key-installed`` records keep are
+    refused after the key was released, cancelled or used to go live —
+    while the live instance keeps its 5 later increments."""
+
+    @pytest.mark.parametrize(
+        "attack",
+        [run_key_fork_after_migration, run_key_fork_after_cancel, run_key_fork_after_go_live],
+        ids=["after-migration", "after-cancel", "after-go-live"],
+    )
+    def test_second_go_live_refused(self, attack):
+        out = attack(seed="unit/key-fork")
+        assert out.blocked and out.refusal == "KeyReused", out
         assert out.state_intact

@@ -8,6 +8,7 @@ the issue calls out (partition + crash, agent exactly-once).
 
 from __future__ import annotations
 
+import os
 import struct
 
 import pytest
@@ -19,12 +20,23 @@ from repro.durability.sweep import (
     build_sweep_app,
     run_agent_crash_point,
     run_crash_point,
+    sweep_pairs,
 )
 from repro.durability.journal import Journal
-from repro.errors import JournalCorrupt, JournalRolledBack, MigrationError, PartyCrash
+from repro.errors import (
+    JournalCorrupt,
+    JournalRolledBack,
+    KeyReused,
+    MigrationAborted,
+    MigrationError,
+    PartyCrash,
+    RecoveryError,
+)
 from repro.faults import FaultInjector, FaultPlan
 from repro.migration.testbed import build_testbed
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
+
+SEED = int(os.environ.get("FAULT_SEED", "5"))
 
 
 class TestRecoveryMatrix:
@@ -90,6 +102,53 @@ class TestRecoveryMatrix:
         assert second.outcome == "already-complete"
         assert second.live_instances == 1
         tb.monitor.assert_clean()
+
+    @pytest.mark.parametrize(("party", "record"), [("target", 2), ("source", 1)])
+    def test_second_recovery_after_a_rebuild_does_not_fork(self, party, record):
+        """A rebuilt instance is known to no journal, so recovering again
+        rebuilds a second one — whose go-live must be refused: its key
+        already went live once."""
+        tb = build_testbed(seed=82)
+        app = build_sweep_app(tb)
+        plan = FaultPlan(seed=82).crash_at_record(party, record)
+        orch = MigrationOrchestrator(
+            tb, retry=FAULT_TOLERANT_RETRY, faults=FaultInjector(plan)
+        )
+        with pytest.raises(PartyCrash):
+            orch.migrate_enclave(app)
+        assert MigrationRecovery(tb, app, orchestrator=orch).recover().live_instances == 1
+        with pytest.raises(RecoveryError) as refused:
+            MigrationRecovery(tb, app, orchestrator=orch).recover()
+        assert isinstance(refused.value.__cause__, KeyReused)
+        assert tb.monitor.lineage_live_count(app) == 1
+        tb.monitor.assert_clean()
+
+    def test_cancelled_checkpoint_is_not_rebuilt(self):
+        """§V-B: a cancelled migration's checkpoint is useless.  The source
+        served on after the rollback; once it is gone, recovery must not
+        bring it back at the cancelled checkpoint's state."""
+        tb = build_testbed(seed=81)
+        app = build_sweep_app(tb)
+        plan = FaultPlan(seed=81).drop("channel-request")
+        with pytest.raises(MigrationAborted):
+            MigrationOrchestrator(tb, faults=FaultInjector(plan)).migrate_enclave(app)
+        app.ecall_once(0, "incr", 5)
+        app.destroy()
+        with pytest.raises(RecoveryError) as refused:
+            MigrationRecovery(tb, app).recover()
+        assert isinstance(refused.value.__cause__, KeyReused)
+
+
+@pytest.mark.sweep
+class TestEveryCrashPair:
+    def test_full_pair_matrix_ends_safe(self):
+        """Every (first crash, second crash) pair — the second lands in the
+        recovery the first forced, where it must take effect like any
+        crash: each pair ends with one live instance or a clean abort."""
+        results = sweep_pairs(seed=SEED, stride=1)
+        assert len(results) == 15 * 15
+        bad = [r for r in results if not r.safe]
+        assert not bad, f"unsafe crash pairs: {[(r.pair, r.outcome) for r in bad]}"
 
 
 def _drop_last_frame(store, name: str) -> None:

@@ -67,6 +67,23 @@ class TestCrashPairs:
         assert result.safe
         assert result.recoveries >= 1
 
+    def test_target_crash_inside_recovery_takes_effect(self):
+        """The target dies at its `live` record while recovery redelivers
+        the key: the re-drive must rebuild it from its sealed journal (the
+        crashed enclave has no channel left to redeliver into)."""
+        result = run_crash_pair(("orchestrator", 6), ("target", 3), seed=SEED)
+        assert (result.outcome, result.live_instances, result.recoveries) == (
+            "recovered:completed", 1, 2
+        )
+        assert result.safe
+
+    def test_source_crash_inside_recovery_stays_dead(self):
+        """The source dies right after recovery cancelled it, holding no
+        durable checkpoint: zero live, not a resumed source."""
+        result = run_crash_pair(("orchestrator", 1), ("source", 1), seed=SEED)
+        assert (result.outcome, result.live_instances) == ("recovered:aborted", 0)
+        assert result.safe
+
     def test_sampled_pair_sweep_all_safe(self):
         results = sweep_pairs(seed=SEED, stride=3, limit=10)
         assert results

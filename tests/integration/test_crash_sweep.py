@@ -18,6 +18,46 @@ SOAK_ITERS = int(os.environ.get("SOAK_ITERS", "4"))
 SWEEP_WORKERS = int(os.environ.get("SWEEP_WORKERS", "0"))
 
 
+def _table(**ranges) -> dict[tuple[str, int], tuple[str, int]]:
+    """``party=[(first, last, outcome, live), ...]`` → one entry per record."""
+    return {
+        (party, record): (outcome, live)
+        for party, rows in ranges.items()
+        for first, last, outcome, live in rows
+        for record in range(first, last + 1)
+    }
+
+
+#: Where recovery leaves each single crash point: (outcome, live instances).
+EXPECTED = _table(
+    orchestrator=[
+        (1, 5, "resumed-source", 1),
+        (6, 8, "completed", 1),
+        (9, 9, "already-complete", 1),
+    ],
+    source=[(1, 2, "source-restored", 1), (3, 3, "aborted", 0)],
+    target=[(1, 1, "resumed-source", 1), (2, 3, "completed", 1)],
+)
+#: The same with a sealed-storage namespace (two more orchestrator
+#: records and one more per enclave: the `handoff-storage` step).
+EXPECTED_WITH_STORAGE = _table(
+    orchestrator=[
+        (1, 7, "resumed-source", 1),
+        (8, 10, "completed", 1),
+        (11, 11, "already-complete", 1),
+    ],
+    source=[(1, 3, "source-restored", 1), (4, 4, "aborted", 0)],
+    target=[(1, 2, "resumed-source", 1), (3, 4, "completed", 1)],
+)
+
+
+def _outcomes(results) -> dict[tuple[str, int], tuple[str, int]]:
+    return {
+        (r.party, r.record): (r.outcome.removeprefix("recovered:"), r.live_instances)
+        for r in results
+    }
+
+
 @pytest.mark.sweep
 class TestCrashPointSweep:
     def test_every_party_every_record_boundary(self):
@@ -25,12 +65,17 @@ class TestCrashPointSweep:
         point must end with exactly one live instance or a clean abort
         with zero — never a fork, never post-SPENT execution."""
         results = sweep(seed=SEED, workers=SWEEP_WORKERS or None)
-        assert len(results) >= 15  # 9 orchestrator + 3 source + 3 target
         bad = [r for r in results if not r.safe]
         assert not bad, f"unsafe crash points: {bad}"
-        # Both terminal shapes actually occur across the matrix.
-        assert any(r.live_instances == 1 for r in results)
-        assert any(r.live_instances == 0 for r in results)
+        assert _outcomes(results) == EXPECTED
+
+    def test_every_record_boundary_with_sealed_storage(self):
+        """The same sweep over a migration that hands off a sealed-storage
+        namespace: the note survives in every live outcome."""
+        results = sweep(seed=SEED, storage=True)
+        bad = [r for r in results if not r.safe]
+        assert not bad, f"unsafe crash points: {bad}"
+        assert _outcomes(results) == EXPECTED_WITH_STORAGE
 
     def test_agent_record_boundaries(self):
         for record in (1, 2):

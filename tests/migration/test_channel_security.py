@@ -21,7 +21,7 @@ from repro.errors import (
     QuoteRejected,
     SignatureError,
 )
-from repro.migration.orchestrator import MigrationOrchestrator, _quote_to_dict
+from repro.migration.orchestrator import MigrationOrchestrator
 from repro.migration.testbed import build_testbed
 from repro.sdk import control
 from repro.sdk.host import HostApplication

@@ -16,6 +16,7 @@ from repro.migration.agent import AgentService, build_agent_image
 from repro.migration.checkpoint import ChunkReassembler, chunk_blob
 from repro.migration.orchestrator import (
     FAULT_TOLERANT_RETRY,
+    MAX_TRANSFER_ROUNDS,
     MigrationOrchestrator,
     RetryPolicy,
 )
@@ -106,7 +107,7 @@ class TestKeyHandoffExhaustion:
         so the protocol must end with *no* live instance (P-5 beats
         availability) rather than retrying the whole migration."""
         plan = FaultPlan(seed=3)
-        for nth in range(1, FAULT_TOLERANT_RETRY.max_transfer_rounds + 1):
+        for nth in range(1, MAX_TRANSFER_ROUNDS + 1):
             plan.drop("kmigrate", nth=nth)
         app = build_counter_app(testbed, tag="keyloss")
         orch = MigrationOrchestrator(
@@ -116,7 +117,7 @@ class TestKeyHandoffExhaustion:
             orch.migrate_enclave(app)
         # Post-release failure is terminal: no whole-protocol retry.
         assert orch.stats.attempts == 1
-        assert orch.stats.key_retransmits == FAULT_TOLERANT_RETRY.max_transfer_rounds - 1
+        assert orch.stats.key_retransmits == MAX_TRANSFER_ROUNDS - 1
         # Source self-destroyed, target torn down: zero live instances.
         with pytest.raises(SelfDestroyed):
             app.library.control_call(control.source_release_key)
