@@ -321,7 +321,7 @@ def _key_fork(attack, tb, live, machine, guest_os, image, sealed_key, envelope):
         library.control_call(control.recovery_install_key, sealed_key)
         plan = library.control_call(control.target_restore_memory, envelope)
         library.replay_cssa(plan)
-        library.control_call(control.target_verify_and_finish, envelope)
+        library.control_call(control.target_verify_and_finish)
     except KeyReused as exc:
         fork.destroy()
         try:

@@ -15,10 +15,13 @@ for hardware acceleration; same bytes, cheaper modelled cost).
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.crypto.backend import CryptoBackend, get_backend
-from repro.crypto.hashes import constant_time_equal, hmac_sha256, sha256
+from repro.crypto.hashes import constant_time_equal, sha256
 from repro.crypto.keys import SymmetricKey
 from repro.errors import CryptoError, IntegrityError
 
@@ -79,7 +82,16 @@ class Envelope:
 
     @property
     def size(self) -> int:
-        return len(self.to_bytes())
+        """Length of :meth:`to_bytes`, summed from the field lengths."""
+        # Field by field as to_bytes lays them out, each behind its
+        # length prefix (1, 1 and 8 bytes).
+        return (
+            len(_MAGIC)
+            + 1 + len(self.algorithm.encode())
+            + 1 + len(self.nonce)
+            + 8 + len(self.ciphertext)
+            + len(self.mac)
+        )
 
 
 def _cipher_process(
@@ -105,18 +117,32 @@ def _cipher_process(
     raise CryptoError(f"unknown cipher algorithm: {algorithm!r}")
 
 
-def seal_envelope(
+def _envelope_mac(
+    mac_key: bytes, algorithm: str, nonce: bytes, aad: bytes, ciphertext: bytes
+) -> bytes:
+    """HMAC over ``algorithm || nonce || aad || ciphertext``, fed piece by
+    piece so a multi-MB ciphertext is never concatenated first."""
+    mac = hmac.new(mac_key, algorithm.encode(), hashlib.sha256)
+    mac.update(nonce)
+    mac.update(aad)
+    mac.update(ciphertext)
+    return mac.digest()
+
+
+def seal_parts(
     key: SymmetricKey,
-    plaintext: bytes,
+    parts: Sequence[bytes],
     nonce: bytes,
     algorithm: str = "rc4",
     aad: bytes = b"",
 ) -> Envelope:
-    """Seal ``plaintext`` under ``key``.
+    """Seal the concatenation of ``parts`` under ``key``.
 
     The inner layout is ``sha256(plaintext) || plaintext`` (the paper's
     hash-then-encrypt), the whole of which is encrypted; the outer MAC
-    covers ``algorithm || nonce || aad || ciphertext``.
+    covers ``algorithm || nonce || aad || ciphertext``.  The parts are
+    hashed one by one and joined once, behind their digest, so a large
+    plaintext is copied once on its way to the cipher.
     """
     if algorithm not in CIPHER_NAMES:
         raise CryptoError(f"unknown cipher algorithm: {algorithm!r}")
@@ -124,18 +150,37 @@ def seal_envelope(
         raise CryptoError("nonce must be at least 8 bytes")
     enc_key = key.derive("enc").material
     mac_key = key.derive("mac").material
-    inner = sha256(plaintext) + plaintext
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    inner = b"".join([digest.digest(), *parts])
     ciphertext = _cipher_process(algorithm, enc_key, nonce, inner, encrypt=True)
-    mac = hmac_sha256(mac_key, algorithm.encode() + nonce + aad + ciphertext)
-    return Envelope(algorithm, nonce, ciphertext, mac)
+    return Envelope(
+        algorithm, nonce, ciphertext, _envelope_mac(mac_key, algorithm, nonce, aad, ciphertext)
+    )
 
 
-def open_envelope(key: SymmetricKey, envelope: Envelope, aad: bytes = b"") -> bytes:
-    """Open an envelope; raises :class:`IntegrityError` on any mismatch."""
+def seal_envelope(
+    key: SymmetricKey,
+    plaintext: bytes,
+    nonce: bytes,
+    algorithm: str = "rc4",
+    aad: bytes = b"",
+) -> Envelope:
+    """Seal one ``plaintext`` under ``key`` (see :func:`seal_parts`)."""
+    return seal_parts(key, (plaintext,), nonce, algorithm, aad)
+
+
+def open_view(key: SymmetricKey, envelope: Envelope, aad: bytes = b"") -> memoryview:
+    """Open an envelope; raises :class:`IntegrityError` on any mismatch.
+
+    Returns the plaintext as a read-only view into the decrypted buffer,
+    so a large payload is not copied again after decryption.
+    """
     enc_key = key.derive("enc").material
     mac_key = key.derive("mac").material
-    expected_mac = hmac_sha256(
-        mac_key, envelope.algorithm.encode() + envelope.nonce + aad + envelope.ciphertext
+    expected_mac = _envelope_mac(
+        mac_key, envelope.algorithm, envelope.nonce, aad, envelope.ciphertext
     )
     if not constant_time_equal(expected_mac, envelope.mac):
         raise IntegrityError("envelope MAC mismatch")
@@ -145,7 +190,13 @@ def open_envelope(key: SymmetricKey, envelope: Envelope, aad: bytes = b"") -> by
         )
     except CryptoError as exc:
         raise IntegrityError(f"envelope decryption failed: {exc}") from exc
-    digest, plaintext = inner[:_DIGEST_LEN], inner[_DIGEST_LEN:]
+    view = memoryview(inner)
+    digest, plaintext = view[:_DIGEST_LEN], view[_DIGEST_LEN:]
     if not constant_time_equal(digest, sha256(plaintext)):
         raise IntegrityError("inner checkpoint hash mismatch")
     return plaintext
+
+
+def open_envelope(key: SymmetricKey, envelope: Envelope, aad: bytes = b"") -> bytes:
+    """Open an envelope into bytes (see :func:`open_view`)."""
+    return bytes(open_view(key, envelope, aad))

@@ -22,7 +22,9 @@ On replay the counter is the ground truth the disk has to agree with:
   :class:`~repro.errors.JournalCorrupt`.
 
 Because the torn tail never committed, the next append first drops it:
-the new frame goes right behind the last committed one.
+the new frame goes right behind the last committed one.  The store
+remembers where each journal's last commit ended, so an append walks the
+frame headers only when the log's length disagrees with that end.
 
 Record payloads are the restricted :mod:`repro.serde` value universe.
 Large ciphertext — a sealed checkpoint envelope — is not a payload: it
@@ -97,7 +99,10 @@ class Journal:
         counter = self.store.counter(self.name) + 1
         body = serde.pack({"c": counter, "k": kind, "p": payload})
         log = self.store.log(self.name)
-        end = self._committed_end(log, counter - 1)
+        if self.store.journal_ends.get(self.name) == (counter - 1, len(log)):
+            end = len(log)
+        else:
+            end = self._committed_end(log, counter - 1)
         if end is not None:
             # Bytes past the last committed frame are a torn append that
             # never committed; writing behind them would bury this frame.
@@ -121,6 +126,7 @@ class Journal:
             ):
                 self.store.clock.advance(self.store.commit_cost_ns)
         self.store.counter_bump(self.name)
+        self.store.journal_ends[self.name] = (counter, len(log))
         if trace is not None:
             # Payload-free by construction: journal payloads may hold
             # sealed blobs, and nothing sealed ever enters the trace.

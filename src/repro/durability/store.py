@@ -43,6 +43,10 @@ class DurableStore:
         self._logs: dict[str, bytearray] = {}
         self._blobs: dict[str, bytes] = {}
         self._counters: dict[str, int] = {}
+        #: ``name -> (counter, end offset)`` of each journal's last commit:
+        #: an append whose log still ends there writes its frame without
+        #: walking the headers (see :meth:`Journal.append`).
+        self.journal_ends: dict[str, tuple[int, int]] = {}
         #: Optional fault injector; journal commits report record
         #: boundaries to it so crash plans can fire at record
         #: granularity (see :meth:`FaultInjector.record_appended`).
@@ -75,6 +79,7 @@ class DurableStore:
         namespace's monotonic counter — not the bytes — for freshness.
         """
         self._logs[name] = bytearray(data)
+        self.journal_ends.pop(name, None)
 
     def names(self) -> list[str]:
         return sorted(self._logs)

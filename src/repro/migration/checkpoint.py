@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
+from repro.crypto.authenc import Envelope, open_view, seal_parts
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
 from repro.errors import ChunkError, RestoreError
@@ -68,12 +68,17 @@ class EnclaveCheckpoint:
         raise RestoreError(f"checkpoint has no TCS state for index {index}")
 
     def to_bytes(self) -> bytes:
-        """Serialize as the compact v2 format: packed header + raw pages.
+        """Serialize as the compact v2 format: packed header + raw pages."""
+        return b"".join(self.parts())
+
+    def parts(self) -> list[bytes]:
+        """The v2 format in the pieces :meth:`to_bytes` joins.
 
         Page *content* travels as raw bytes after the header instead of
         hex inside JSON — half the sealed size and none of the encode
         cost.  The header carries everything else plus a (vaddr, length)
-        index locating each page in the tail.
+        index locating each page in the tail.  Sealing takes the pieces
+        as they are, so the pages are copied once, into the cipher input.
         """
         vaddrs = sorted(self.pages)
         header = pack(
@@ -93,10 +98,10 @@ class EnclaveCheckpoint:
         )
         parts = [_CKPT_MAGIC, len(header).to_bytes(4, "big"), header]
         parts.extend(self.pages[vaddr] for vaddr in vaddrs)
-        return b"".join(parts)
+        return parts
 
     @staticmethod
-    def from_bytes(blob: bytes) -> "EnclaveCheckpoint":
+    def from_bytes(blob: bytes | memoryview) -> "EnclaveCheckpoint":
         if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
             raise SerdeError("not an ECKPT2 checkpoint (bad magic)")
         view = memoryview(blob)
@@ -141,12 +146,12 @@ def seal_checkpoint(
     algorithm: str = "rc4",
 ) -> Envelope:
     """Seal a checkpoint for transfer over untrusted channels."""
-    return seal_envelope(key, checkpoint.to_bytes(), nonce, algorithm, aad=b"enclave-ckpt")
+    return seal_parts(key, checkpoint.parts(), nonce, algorithm, aad=b"enclave-ckpt")
 
 
 def open_checkpoint(key: SymmetricKey, envelope: Envelope) -> EnclaveCheckpoint:
     """Open and validate a sealed checkpoint (raises on any tampering)."""
-    return EnclaveCheckpoint.from_bytes(open_envelope(key, envelope, aad=b"enclave-ckpt"))
+    return EnclaveCheckpoint.from_bytes(open_view(key, envelope, aad=b"enclave-ckpt"))
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +209,21 @@ class ChunkReassembler:
     Chunks may arrive in any order; duplicates are ignored; a frame whose
     digest does not match (line corruption) raises :class:`ChunkError` so
     the sender retransmits exactly that chunk.  ``missing()`` names what
-    a resumed transfer still owes.
+    a resumed transfer still owes.  Payloads are kept as views into their
+    (immutable) frames and copied once, by :meth:`assemble`.
     """
 
     def __init__(self) -> None:
         self.total: int | None = None
         self.n_chunks: int | None = None
-        self._parts: dict[int, bytes] = {}
+        self._parts: dict[int, memoryview] = {}
         self._offsets: dict[int, int] = {}
         self.duplicates_seen = 0
 
     def accept(self, frame: bytes) -> bool:
         """Ingest one frame; returns True when it carried new data."""
+        if not isinstance(frame, bytes):
+            frame = bytes(frame)  # a view must not see the sender's buffer change
         view = memoryview(frame)
         if len(view) < _FRAME_HEADER_LEN or view[: len(_FRAME_MAGIC)] != _FRAME_MAGIC:
             raise ChunkError("malformed chunk frame: bad magic or truncated header")
@@ -225,7 +233,7 @@ class ChunkReassembler:
         offset = int.from_bytes(view[cursor + 8 : cursor + 16], "big")
         total = int.from_bytes(view[cursor + 16 : cursor + 24], "big")
         digest = bytes(view[cursor + 24 : cursor + 56])
-        data = bytes(view[cursor + 56 :])
+        data = view[cursor + 56 :]
         if sha256(data) != digest:
             raise ChunkError(f"chunk {seq} failed its frame digest (line corruption)")
         if self.total is None:

@@ -431,7 +431,7 @@ class MigrationOrchestrator:
         library = target_app.library
         plan = library.control_call(control.target_restore_memory, checkpoint_bytes)
         library.replay_cssa(plan)
-        library.control_call(control.target_verify_and_finish, checkpoint_bytes)
+        library.control_call(control.target_verify_and_finish)
         return plan
 
     def cancel(self, app: HostApplication) -> None:

@@ -19,7 +19,7 @@ verification (§IV-C / §III step-4), and finish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
@@ -790,6 +790,15 @@ def target_install_agent_key(
 # ---------------------------------------------------------------------------
 # Target restore (§III steps 3-4)
 # ---------------------------------------------------------------------------
+#
+# The checkpoint is opened once, in step 3.  What step 4 still reads of
+# it — the TCS states, the SSA-frame pages and the storage version — is
+# kept as the *restore record* in enclave-private state (never on the
+# untrusted library, never in a measured object slot): cleared when a
+# restore starts, set when it completes, dropped at go-live.
+
+_RESTORE_RECORD = "restore-record"
+
 
 def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[int, int]:
     """Step-3a: decrypt the checkpoint and restore all memory.
@@ -798,6 +807,8 @@ def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[
     library must now execute with EENTER/AEX; the enclave will *verify*
     the library actually did it (step-4) before going live.
     """
+    private = rt.session.private
+    private.pop(_RESTORE_RECORD, None)
     channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
     if "kmigrate" not in channel:
         raise RestoreError("K_migrate has not arrived")
@@ -827,6 +838,13 @@ def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[
     rt.set_restore_mode(1)
     for template in rt.image.tcs_templates:
         rt.set_replay_count(template.index, 0)
+    ssa_pages = {
+        vaddr: checkpoint.pages[vaddr]
+        for template in rt.image.tcs_templates
+        for vaddr in range(template.ossa, template.ossa + template.nssa * PAGE_SIZE, PAGE_SIZE)
+        if vaddr in checkpoint.pages
+    }
+    private[_RESTORE_RECORD] = replace(checkpoint, pages=ssa_pages, skipped_pages=[])
     return {
         state.index: state.cssa
         for state in checkpoint.tcs_states
@@ -834,18 +852,20 @@ def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[
     }
 
 
-def target_verify_and_finish(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> None:
+def target_verify_and_finish(rt: EnclaveRuntime) -> None:
     """Step-4: check the tracked CSSA against the checkpoint, go live.
 
     "before resuming execution, the target control thread will check
     whether the tracked CSSA is the same as the one in the checkpoint."
     A lying SGX library (wrong replay count) is caught here and the
-    enclave refuses to run.
+    enclave refuses to run.  The checkpoint is the one step 3 opened in
+    this instance: its restore record, not bytes the library hands in.
     """
+    checkpoint = rt.session.private.get(_RESTORE_RECORD)
+    if checkpoint is None:
+        raise RestoreError("no checkpoint restore completed in this enclave instance")
     channel = rt.load_obj(OBJ_CHANNEL)
     go_live = rt.go_live_token()
-    kmigrate = SymmetricKey(channel["kmigrate"], "kmigrate")
-    checkpoint = open_checkpoint(kmigrate, Envelope.from_bytes(sealed_checkpoint))
     control_index = rt.image.control_tcs.index
 
     for state in checkpoint.tcs_states:
@@ -894,6 +914,7 @@ def target_verify_and_finish(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> No
     # are the owner's to grant and audit instead.
     if go_live:
         _check_key_token(rt, channel["kmigrate"], go_live - 1)
+    del rt.session.private[_RESTORE_RECORD]
     rt.journal_record("live")
     if go_live:
         rt.advance_key_token(channel["kmigrate"], go_live)

@@ -22,7 +22,7 @@ from repro.errors import SgxAccessFault, SgxInstructionFault
 from repro.sgx.enclave import EnclaveHw
 from repro.sgx.epc import Epc
 from repro.sgx.mee import MemoryEncryptionEngine
-from repro.sgx.structures import Permissions, Tcs
+from repro.sgx.structures import PAGE_SIZE, Permissions, Tcs
 from repro.sim.clock import VirtualClock
 from repro.sim.costs import CostModel
 from repro.sim.rng import DeterministicRng
@@ -174,33 +174,60 @@ class EnclaveSession:
         if not self._open:
             raise SgxAccessFault("enclave session is closed (after EEXIT/AEX)")
 
-    # ------------------------------------------------------------- memory
-    def _check_pages(self, vaddr: int, n: int, needed: Permissions) -> None:
-        from repro.sgx.structures import PAGE_SIZE  # local to avoid cycle noise
+    @property
+    def private(self) -> dict[str, object]:
+        """Enclave-private state that outlives this session, not the enclave.
 
+        The trusted runtime's own heap: state one ecall leaves for a later
+        one (the target keeps what it restored for step 4 here) without a
+        named object slot in the measured layout.  Only an open session of
+        a live enclave reaches it.
+        """
+        self._require_open()
+        self.enclave._check_alive()
+        return self.enclave._private
+
+    # ------------------------------------------------------------- memory
+    # Faults come in one order on every path: a closed session, an
+    # address outside the range, then per touched page, lowest first, a
+    # dead enclave, an unmapped page, an evicted page (EnclavePageFault),
+    # a missing permission.  An access inside one page is checked once
+    # and served from the page it looked up.
+    def _page_data(self, page: int, needed: Permissions) -> bytearray:
+        perms, epc_page = self.enclave.page_slot(page)
+        if needed not in perms:
+            raise SgxAccessFault(f"page 0x{page:x} lacks {needed} permission (has {perms})")
+        return epc_page.data
+
+    def _check_pages(self, vaddr: int, n: int, needed: Permissions) -> None:
         first = vaddr - (vaddr % PAGE_SIZE)
         last = (vaddr + max(n, 1) - 1) - ((vaddr + max(n, 1) - 1) % PAGE_SIZE)
         for page in range(first, last + 1, PAGE_SIZE):
-            perms = self.enclave.page_permissions(page)
-            if needed not in perms:
-                raise SgxAccessFault(
-                    f"page 0x{page:x} lacks {needed} permission (has {perms})"
-                )
+            self._page_data(page, needed)
 
-    def read(self, vaddr: int, n: int) -> bytes:
-        """Read enclave memory (requires R permission on touched pages)."""
+    def _check_range(self, vaddr: int) -> int:
+        """Refuse a closed session or a foreign address; the page offset."""
         self._require_open()
         if not self.enclave.contains(vaddr):
             raise SgxAccessFault(f"0x{vaddr:x} is outside the enclave range")
+        return vaddr % PAGE_SIZE
+
+    def read(self, vaddr: int, n: int) -> bytes:
+        """Read enclave memory (requires R permission on touched pages)."""
+        offset = self._check_range(vaddr)
+        if offset + n <= PAGE_SIZE:
+            return bytes(self._page_data(vaddr - offset, Permissions.R)[offset : offset + n])
         self._check_pages(vaddr, n, Permissions.R)
         return self.enclave.hw_read(vaddr, n)
 
     def write(self, vaddr: int, data: bytes) -> None:
         """Write enclave memory (requires W permission on touched pages)."""
-        self._require_open()
-        if not self.enclave.contains(vaddr):
-            raise SgxAccessFault(f"0x{vaddr:x} is outside the enclave range")
-        self._check_pages(vaddr, len(data), Permissions.W)
+        offset = self._check_range(vaddr)
+        n = len(data)
+        if offset + n <= PAGE_SIZE:
+            self._page_data(vaddr - offset, Permissions.W)[offset : offset + n] = data
+            return
+        self._check_pages(vaddr, n, Permissions.W)
         self.enclave.hw_write(vaddr, data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

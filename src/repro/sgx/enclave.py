@@ -11,7 +11,7 @@ allowed to call — outside software never sees these objects' contents.
 from __future__ import annotations
 
 from repro.errors import EnclavePageFault, SgxAccessFault, SgxInstructionFault
-from repro.sgx.epc import Epc
+from repro.sgx.epc import Epc, EpcPage
 from repro.sgx.measurement import MeasurementLog
 from repro.sgx.structures import PAGE_SIZE, PageType, Permissions, Secs, Tcs
 
@@ -35,6 +35,8 @@ class EnclaveHw:
         # Set by the proposed EMIGRATE instruction (§VII-B): while frozen,
         # EENTER/ERESUME fault so the enclave state cannot change mid-copy.
         self.frozen = False
+        # Enclave-private runtime state; see EnclaveSession.private.
+        self._private: dict[str, object] = {}
 
     # ----------------------------------------------------------------- layout
     def contains(self, vaddr: int) -> bool:
@@ -64,6 +66,12 @@ class EnclaveHw:
     def page_type(self, vaddr: int) -> PageType:
         index = self._page_index(vaddr)
         return self._epc.entry(index).page_type
+
+    def page_slot(self, vaddr: int) -> tuple[Permissions, EpcPage]:
+        """EPCM permissions of the page at ``vaddr`` and the EPC page
+        backing it (hardware / enclave-mode only), from one lookup."""
+        index = self._page_index(vaddr)
+        return self._epc.entry(index).permissions, self._epc.page(index)
 
     # ------------------------------------------------------- hardware internal
     def _check_alive(self) -> None:

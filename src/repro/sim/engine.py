@@ -123,19 +123,18 @@ class Engine:
     def spawn(self, name: str, body: ThreadBody) -> SimThread:
         return self.add(SimThread(name, body))
 
-    def remove_finished(self) -> None:
-        self._threads = [t for t in self._threads if not t.finished]
-        self._cursor = 0
-
     @property
     def threads(self) -> list[SimThread]:
+        """The threads the engine still runs: a finished thread leaves at
+        the start of the next round."""
         return list(self._threads)
-
-    def live_threads(self) -> list[SimThread]:
-        return [t for t in self._threads if not t.finished]
 
     # ------------------------------------------------------------- scheduling
     def _ready_threads(self) -> list[SimThread]:
+        # A finished thread is never READY, so dropping it changes neither
+        # the ready list nor the cursor into it; it only stops every later
+        # round from waking the engine's whole history.
+        self._threads = [t for t in self._threads if t.state is not ThreadState.FINISHED]
         for thread in self._threads:
             thread.maybe_wake()
         return [
@@ -154,7 +153,7 @@ class Engine:
         """
         ready = self._ready_threads()
         if not ready:
-            blocked = [t for t in self.live_threads() if not t.suspended]
+            blocked = [t for t in self._threads if not t.suspended]
             if blocked:
                 # Everyone is waiting: let virtual time pass (an idle CPU)
                 # so time-based conditions can come true.  A condition

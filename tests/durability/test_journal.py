@@ -164,6 +164,53 @@ class TestTamperDefense:
             journal.records()
 
 
+class TestCommittedEndCache:
+    """The store remembers where each journal's last commit ends."""
+
+    def test_torn_tail_after_a_warm_cache_is_dropped(self, store, journal):
+        for kind in ("a", "b", "c"):
+            journal.append(kind)
+        assert store.journal_ends[journal.name] == (3, len(store.log(journal.name)))
+        store.log(journal.name).extend(b"\x99\x00\x00")
+        journal.append("done")
+        assert journal.kinds() == ["a", "b", "c", "done"]
+
+    def test_truncation_after_a_warm_cache_is_refused(self, store, journal):
+        journal.append("a")
+        keep = len(store.log(journal.name))
+        journal.append("b")
+        journal.append("released")
+        del store.log(journal.name)[keep:]
+        with pytest.raises(JournalRolledBack):
+            journal.records()
+        journal.append("c")  # written behind the hole, not over it
+        with pytest.raises(JournalCorrupt, match="out of sequence"):
+            journal.records()
+
+    def test_append_reads_constant_headers(self, store, journal, monkeypatch):
+        from repro.durability import journal as journal_module
+
+        for i in range(1_000):
+            journal.append("tick", {"i": i})
+
+        class CountingHeader:
+            def __init__(self, real):
+                self.real, self.size, self.reads = real, real.size, 0
+
+            def pack(self, *values):
+                return self.real.pack(*values)
+
+            def unpack_from(self, buffer, offset=0):
+                self.reads += 1
+                return self.real.unpack_from(buffer, offset)
+
+        header = CountingHeader(journal_module._FRAME_HEADER)
+        monkeypatch.setattr(journal_module, "_FRAME_HEADER", header)
+        journal.append("done")
+        assert header.reads <= 1
+        assert len(journal) == 1_001
+
+
 class TestSealedRecords:
     def test_seal_roundtrip_inside_enclave(self):
         tb = build_testbed(seed=61)

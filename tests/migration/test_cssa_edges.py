@@ -115,9 +115,7 @@ class TestReplayMismatch:
         orch.handoff_key(app, target)
         plan = target.library.control_call(control.target_restore_memory, blob)
         target.library.replay_cssa(mutate(dict(plan)))
-        return lambda: target.library.control_call(
-            control.target_verify_and_finish, blob
-        )
+        return lambda: target.library.control_call(control.target_verify_and_finish)
 
     def test_under_replay_aborts_restore(self, testbed):
         """A lazy SGX library that skips the replay is caught in-enclave."""

@@ -44,7 +44,7 @@ class TestLyingLibraryCssa:
         assert plan  # there is something to replay
         # The library "forgets" to replay: step-4 must catch it.
         with pytest.raises(CssaMismatch):
-            target.library.control_call(control.target_verify_and_finish, ckpt)
+            target.library.control_call(control.target_verify_and_finish)
 
     def test_extra_replay_detected(self, testbed, orch):
         app, target, ckpt = migrate_until_restore(testbed, orch, "extra")
@@ -52,7 +52,7 @@ class TestLyingLibraryCssa:
         inflated = {idx: cssa + 1 for idx, cssa in plan.items()}
         target.library.replay_cssa(inflated)
         with pytest.raises(CssaMismatch):
-            target.library.control_call(control.target_verify_and_finish, ckpt)
+            target.library.control_call(control.target_verify_and_finish)
 
     def test_replay_on_wrong_tcs_detected(self, testbed, orch):
         app, target, ckpt = migrate_until_restore(testbed, orch, "wrongtcs")
@@ -60,13 +60,13 @@ class TestLyingLibraryCssa:
         assert plan == {0: 1}
         target.library.replay_cssa({1: 1})  # replays the idle worker instead
         with pytest.raises(CssaMismatch):
-            target.library.control_call(control.target_verify_and_finish, ckpt)
+            target.library.control_call(control.target_verify_and_finish)
 
     def test_honest_replay_passes(self, testbed, orch):
         app, target, ckpt = migrate_until_restore(testbed, orch, "honest")
         plan = target.library.control_call(control.target_restore_memory, ckpt)
         target.library.replay_cssa(plan)
-        target.library.control_call(control.target_verify_and_finish, ckpt)  # no raise
+        target.library.control_call(control.target_verify_and_finish)  # no raise
 
 
 class TestHostileRestoreInputs:
@@ -155,3 +155,61 @@ class TestConfidentialityOnHost:
         for value in app.process.shared_memory.values():
             blob = value.to_bytes() if hasattr(value, "to_bytes") else b""
             assert kmigrate not in blob
+
+
+class TestCheckpointOpenedOnce:
+    """Step 3 opens the checkpoint; step 4 reads only its restore record."""
+
+    def test_one_migration_opens_the_checkpoint_once(self, testbed, orch, monkeypatch):
+        opened = []
+        real_open = control.open_checkpoint
+
+        def counting_open(key, envelope):
+            opened.append(envelope.size)
+            return real_open(key, envelope)
+
+        monkeypatch.setattr(control, "open_checkpoint", counting_open)
+        app = build_counter_app(
+            testbed, tag="open-once", workers=[WorkerSpec("slow_incr", args=500, repeat=1)]
+        )
+        for _ in range(40):
+            testbed.source_os.engine.step_round()
+        result = orch.migrate_enclave(app)
+        assert result.replay_plan  # the verify step had CSSA work to check
+        assert opened == [result.checkpoint_bytes]
+
+    def test_verify_without_a_restore_is_refused(self, testbed, orch):
+        app, target, ckpt = migrate_until_restore(testbed, orch, "no-restore")
+        with pytest.raises(RestoreError, match="no checkpoint restore"):
+            target.library.control_call(control.target_verify_and_finish)
+
+    def test_restore_record_belongs_to_its_instance(self, testbed, orch):
+        app, target, ckpt = migrate_until_restore(testbed, orch, "other-instance")
+        plan = target.library.control_call(control.target_restore_memory, ckpt)
+        target.library.replay_cssa(plan)
+        # A second instance of the same image, with the same key journaled
+        # nowhere: it never restored, so it has nothing to go live with.
+        twin = orch.build_virgin_target(app)
+        with pytest.raises(RestoreError, match="no checkpoint restore"):
+            twin.library.control_call(control.target_verify_and_finish)
+        target.library.control_call(control.target_verify_and_finish)  # no raise
+
+    def test_failed_restore_leaves_no_record(self, testbed, orch):
+        app, target, ckpt = migrate_until_restore(testbed, orch, "failed-restore")
+        plan = target.library.control_call(control.target_restore_memory, ckpt)
+        target.library.replay_cssa(plan)
+        tampered = bytearray(ckpt)
+        tampered[len(tampered) // 2] ^= 0x01
+        with pytest.raises(IntegrityError):
+            target.library.control_call(control.target_restore_memory, bytes(tampered))
+        # The good restore's record was cleared when the bad one started.
+        with pytest.raises(RestoreError, match="no checkpoint restore"):
+            target.library.control_call(control.target_verify_and_finish)
+
+    def test_record_is_dropped_at_go_live(self, testbed, orch):
+        app, target, ckpt = migrate_until_restore(testbed, orch, "go-live")
+        plan = target.library.control_call(control.target_restore_memory, ckpt)
+        target.library.replay_cssa(plan)
+        target.library.control_call(control.target_verify_and_finish)
+        with pytest.raises(RestoreError, match="no checkpoint restore"):
+            target.library.control_call(control.target_verify_and_finish)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import EnclavePageFault, SgxAccessFault
+from repro.errors import EnclavePageFault, SgxAccessFault, SgxInstructionFault
 from repro.sgx import instructions as isa
 from repro.sgx.structures import PAGE_SIZE
 
@@ -54,6 +54,64 @@ class TestCrossPageAccess:
         session.write(BASE + offset, payload)
         assert session.read(BASE + offset, length) == payload
         isa.eexit(session)
+
+
+#: Fault -> the exception every access touching the faulting page raises.
+_FAULTS = {
+    "outside the range": SgxAccessFault,
+    "unmapped page": SgxAccessFault,
+    "evicted page": EnclavePageFault,
+    "missing permission": SgxAccessFault,
+    "closed session": SgxAccessFault,
+    "dead enclave": SgxInstructionFault,
+}
+
+
+def _armed(cpu, vendor, fault):
+    """An open or closed session, and the page where ``fault`` waits.
+
+    The page before it is a clean RW page (or equally faulty), so an
+    access crossing into the faulting page meets the same fault.
+    """
+    enclave, tcs = build_raw_enclave(cpu, vendor, n_data_pages=3)
+    page = BASE + PAGE_SIZE
+    if fault == "outside the range":
+        page = BASE - PAGE_SIZE
+    elif fault == "unmapped page":
+        page = BASE + enclave.secs.size - PAGE_SIZE
+    elif fault == "evicted page":
+        isa.ewb(cpu, enclave, page, isa.alloc_va_page(cpu), 0)
+    elif fault == "missing permission":
+        page = tcs  # TCS pages carry no R/W permission
+    session = isa.eenter(cpu, enclave, tcs)
+    if fault == "closed session":
+        isa.eexit(session)
+    elif fault == "dead enclave":
+        # EREMOVE refuses an active TCS, so mark the SECS removed under
+        # the open session directly.
+        enclave.dead = True
+    return session, page
+
+
+class TestOneFaultOrder:
+    """A single-page access, checked once, faults like a page-crossing one."""
+
+    @pytest.mark.parametrize("op", ["read", "write"])
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_single_page_and_crossing_access_fault_alike(self, cpu, vendor, fault, op):
+        session, page = _armed(cpu, vendor, fault)
+
+        def access(vaddr):
+            if op == "read":
+                session.read(vaddr, 8)
+            else:
+                session.write(vaddr, b"\x5a" * 8)
+
+        with pytest.raises(_FAULTS[fault]) as single:
+            access(page + 16)
+        with pytest.raises(_FAULTS[fault]) as crossing:
+            access(page - 4)
+        assert type(single.value) is type(crossing.value) is _FAULTS[fault]
 
 
 class TestIsolation:

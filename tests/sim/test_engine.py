@@ -191,8 +191,33 @@ class TestEngine:
         assert max(steps) - min(steps) <= 1  # nobody starves
 
     def test_remove_finished(self):
+        """A finished thread leaves ``Engine.threads`` at the next round."""
         engine = make_engine()
-        engine.spawn("t", ticker(1))
+        short = engine.spawn("short", ticker(1))
+        long = engine.spawn("long", ticker(5))
+        engine.step_round()
+        engine.step_round()  # short's body returns in this round
+        assert short.finished and short in engine.threads
+        engine.step_round()
+        assert engine.threads == [long]
         engine.run_all()
-        engine.remove_finished()
         assert engine.threads == []
+
+    def test_round_wakes_only_live_threads(self, monkeypatch):
+        engine = make_engine(n_vcpus=100)
+        for i in range(10_000):
+            engine.spawn(f"done-{i}", ticker(0))
+        engine.run_all()
+        live = [engine.spawn("ticker", ticker(3))]
+
+        def waiting():
+            yield Block(lambda: False)
+
+        live.append(engine.spawn("waiting", waiting()))
+        woken = []
+        wake = SimThread.maybe_wake
+        monkeypatch.setattr(
+            SimThread, "maybe_wake", lambda thread: (woken.append(thread), wake(thread))[1]
+        )
+        engine.step_round()
+        assert woken == live
