@@ -14,9 +14,9 @@ Commands:
   the migration from the write-ahead journals, and print the invariant
   verdict.
 * ``trace``     — run one seeded migration and export its span trace
-  (Chrome trace_event JSON, JSONL, or the phase-timeline report).
+  (Chrome trace_event JSON, OTLP/JSON, or the phase-timeline report).
 * ``metrics``   — run one seeded migration and export its metrics
-  snapshot (Prometheus text or JSON); ``--require`` turns it into a CI
+  (Prometheus text or OTLP/JSON); ``--require`` turns it into a CI
   gate that fails when a metric is absent or zero.
 * ``explain``   — run one seeded migration and print the critical-path
   report: who to blame for every nanosecond of total time and downtime,
@@ -33,8 +33,10 @@ Commands:
 * ``inventory`` — print the system inventory (modules and their paper
   sections).
 
-``faults`` and ``recover`` take ``--json`` to emit their report as one
-machine-readable JSON object instead of prose (same exit codes).
+``faults`` and ``recover`` each build one report: ``--json`` prints it
+as one JSON object, otherwise it is rendered as prose (same exit codes).
+Every output is pinned byte for byte by ``tests/golden/``
+(``scripts/regen_golden.py`` rewrites it).
 """
 
 from __future__ import annotations
@@ -48,6 +50,10 @@ def _json_dumps(payload) -> str:
     from repro.telemetry.exporters import json_safe
 
     return json.dumps(json_safe(payload), indent=2, sort_keys=True)
+
+
+def _print_json(payload) -> None:
+    print(_json_dumps(payload))
 
 
 def _write_or_print(text: str, out: str | None, what: str) -> None:
@@ -180,62 +186,54 @@ def _cmd_vm(args) -> int:
     return 0
 
 
-def _cmd_faults(args) -> int:
-    from repro import build_testbed
-    from repro.errors import MigrationAborted
-    from repro.faults import FaultInjector, FaultPlan, parse_fault_spec
-    from repro.migration.orchestrator import MigrationOrchestrator, RetryPolicy
-    from repro.sdk import HostApplication, counter_program
-
-    try:
-        plan = parse_fault_spec(args.plan) if args.plan else FaultPlan(seed=args.seed)
-    except ValueError as exc:
-        raise SystemExit(f"repro faults: bad --plan: {exc}")
-    plan.seed = args.seed
-    try:
-        retry = RetryPolicy(
-            max_attempts=args.retries, chunk_bytes=args.chunk_bytes or None
+def _print_storage(storage: dict) -> None:
+    for ns, digest in sorted(storage.items()):
+        print(
+            f"sealed store {ns}: blob sha256 {digest['sha256']} "
+            f"(version {digest['version']}, handoff {digest['handoff']}, "
+            f"retired {digest['retired']})"
         )
-    except ValueError as exc:
-        raise SystemExit(f"repro faults: {exc}")
 
-    # Same shape as the demo: a counter enclave with one worker.
-    tb = build_testbed(seed=args.seed)
-    program = counter_program("cli/faults-v1")
-    built = tb.builder.build("cli-faults", program, n_workers=1, global_names=("n",))
+
+#: Testbed and fault-plan seed of ``faults`` and ``recover``.
+_FAULTS_SEED = 7
+
+
+def _faults_app(storage: bool):
+    """A counter enclave with one worker, at 7, in a fresh testbed: the
+    faulted run and its fault-free reference each build exactly this."""
+    from repro import build_testbed
+    from repro.sdk import HostApplication, control, counter_program
+
+    tb = build_testbed(seed=_FAULTS_SEED)
+    built = tb.builder.build(
+        "cli-faults", counter_program("cli/faults-v1"), n_workers=1, global_names=("n",)
+    )
     tb.owner.register_image(built)
     app = HostApplication(
         tb.source, tb.source_os, built.image, [], owner=tb.owner
     ).launch()
     app.ecall_once(0, "incr", 7)
-    if args.storage:
-        from repro.sdk import control as _control
+    if storage:
+        app.library.control_call(control.storage_put, "cli-note", "survives faults")
+    return tb, app
 
-        app.library.control_call(_control.storage_put, "cli-note", "survives faults")
 
-    report: dict = {"plan": plan.describe() or None, "seed": args.seed}
-    if not args.json:
-        print(f"fault plan: {plan.describe() or '(none)'}")
-    baseline_ms = None
-    reference_counter = None
+def _faults_report(plan, retry, storage: bool) -> tuple[int, dict]:
+    """Migrate under ``plan``; the exit code and the report, whose outcome
+    is ``completed``, ``aborted`` (exit 1) or ``diverged`` (exit 2)."""
+    from repro.durability.wal import storage_digests
+    from repro.errors import MigrationAborted
+    from repro.faults import FaultInjector
+    from repro.migration.orchestrator import MigrationOrchestrator
+
+    tb, app = _faults_app(storage)
+    report: dict = {"plan": plan.describe() or None, "seed": _FAULTS_SEED}
+    baseline_ms = reference_counter = None
     if not plan.empty:
         # Fault-free reference run: the degraded-mode overhead figure and
         # the divergence oracle (same program, same inputs, no faults).
-        ref_tb = build_testbed(seed=args.seed)
-        ref_built = ref_tb.builder.build(
-            "cli-faults-ref", program, n_workers=1, global_names=("n",)
-        )
-        ref_tb.owner.register_image(ref_built)
-        ref_app = HostApplication(
-            ref_tb.source, ref_tb.source_os, ref_built.image, [], owner=ref_tb.owner
-        ).launch()
-        ref_app.ecall_once(0, "incr", 7)
-        if args.storage:
-            from repro.sdk import control as _control
-
-            ref_app.library.control_call(
-                _control.storage_put, "cli-note", "survives faults"
-            )
+        ref_tb, ref_app = _faults_app(storage)
         t0 = ref_tb.clock.now_ms
         ref_result = MigrationOrchestrator(ref_tb, retry=retry).migrate_enclave(ref_app)
         baseline_ms = ref_tb.clock.now_ms - t0
@@ -246,75 +244,187 @@ def _cmd_faults(args) -> int:
     try:
         result = orch.migrate_enclave(app)
     except MigrationAborted as exc:
-        from repro.durability import wal as _wal
-
+        report.update(outcome="aborted", error=str(exc), stats=orch.stats.as_dict())
+    else:
+        elapsed_ms = tb.clock.now_ms - t0
+        counter = result.target_app.ecall_once(0, "incr", 0)
+        diverged = reference_counter is not None and counter != reference_counter
         report.update(
-            outcome="aborted",
-            error=str(exc),
-            stats=orch.stats.as_dict(),
-            faults_fired=dict(tb.trace.tally("fault")),
-            storage=_wal.storage_digests(tb.durable),
-            timeline=tb.telemetry.timeline().as_dict(),
+            outcome="diverged" if diverged else "completed",
+            attempts=result.attempts,
+            counter=counter,
+            reference_counter=reference_counter,
+            stats=result.stats.as_dict(),
+            elapsed_ms=elapsed_ms,
+            baseline_ms=baseline_ms,
         )
-        if args.json:
-            print(_json_dumps(report))
-        else:
-            print(f"outcome: ABORTED — {exc}")
-            print(f"stats:   {orch.stats.as_dict()}")
-            print(f"faults fired: {dict(tb.trace.tally('fault')) or '(none)'}")
-        return 1
-    elapsed_ms = tb.clock.now_ms - t0
-    counter = result.target_app.ecall_once(0, "incr", 0)
-    diverged = reference_counter is not None and counter != reference_counter
-    from repro.durability import wal as _wal
-
-    storage = _wal.storage_digests(tb.durable)
-    if storage and not args.json:
-        for ns, digest in sorted(storage.items()):
-            print(
-                f"sealed store {ns}: blob sha256 {digest['sha256']} "
-                f"(version {digest['version']}, handoff {digest['handoff']}, "
-                f"retired {digest['retired']})"
-            )
     report.update(
-        storage=storage,
-        outcome="diverged" if diverged else "completed",
-        attempts=result.attempts,
-        counter=counter,
-        reference_counter=reference_counter,
-        stats=result.stats.as_dict(),
         faults_fired=dict(tb.trace.tally("fault")),
-        elapsed_ms=elapsed_ms,
-        baseline_ms=baseline_ms,
+        storage=storage_digests(tb.durable),
         timeline=tb.telemetry.timeline().as_dict(),
     )
-    if args.json:
-        print(_json_dumps(report))
-        return 2 if diverged else 0
-    print(f"outcome: COMPLETED in {result.attempts} attempt(s) — counter={counter}")
-    print(f"stats:   {result.stats.as_dict()}")
-    print(f"faults fired: {dict(tb.trace.tally('fault')) or '(none)'}")
-    if baseline_ms is not None:
+    return {"aborted": 1, "diverged": 2}.get(report["outcome"], 0), report
+
+
+def _print_faults(report: dict) -> None:
+    print(f"fault plan: {report['plan'] or '(none)'}")
+    _print_storage(report["storage"])
+    if report["outcome"] == "aborted":
+        print(f"outcome: ABORTED — {report['error']}")
+    else:
+        print(
+            f"outcome: COMPLETED in {report['attempts']} attempt(s) — "
+            f"counter={report['counter']}"
+        )
+    print(f"stats:   {report['stats']}")
+    print(f"faults fired: {report['faults_fired'] or '(none)'}")
+    if report.get("baseline_ms") is not None:
+        elapsed_ms, baseline_ms = report["elapsed_ms"], report["baseline_ms"]
         print(
             f"degraded-mode overhead: {elapsed_ms:.2f} ms vs "
             f"{baseline_ms:.2f} ms fault-free (+{elapsed_ms - baseline_ms:.2f} ms)"
         )
-    if diverged:
+    if report["outcome"] == "diverged":
         print(
-            f"outcome: DIVERGED — counter {counter} under faults vs "
-            f"{reference_counter} in the fault-free reference"
+            f"outcome: DIVERGED — counter {report['counter']} under faults vs "
+            f"{report['reference_counter']} in the fault-free reference"
         )
-        return 2
-    return 0
 
 
-def _cmd_recover(args) -> int:
+def _cmd_faults(args) -> int:
+    from repro.faults import FaultPlan, parse_fault_spec
+    from repro.migration.orchestrator import RetryPolicy
+
+    try:
+        plan = parse_fault_spec(args.plan) if args.plan else FaultPlan()
+    except ValueError as exc:
+        raise SystemExit(f"repro faults: bad --plan: {exc}")
+    plan.seed = _FAULTS_SEED
+    try:
+        retry = RetryPolicy(
+            max_attempts=args.retries, chunk_bytes=args.chunk_bytes or None
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro faults: {exc}")
+    code, report = _faults_report(plan, retry, args.storage)
+    (_print_json if args.json else _print_faults)(report)
+    return code
+
+
+def _recover_report(plan, storage: bool) -> tuple[int, dict]:
+    """Crash, recover to rest, judge; the exit code and the report.
+
+    Exit 1 is an abort before the crash point, 3 a refused recovery and
+    2 a violated invariant or diverged state.
+    """
     from repro import build_testbed
     from repro.durability.recovery import MAX_RECOVERIES, recover_until_rest
     from repro.durability.sweep import COUNTER_START, build_sweep_app
-    from repro.errors import DurabilityError, MigrationAborted, PartyCrash
-    from repro.faults import FaultInjector, parse_fault_spec
+    from repro.durability.wal import storage_digests
+    from repro.errors import (
+        DurabilityError,
+        InvariantViolation,
+        MigrationAborted,
+        PartyCrash,
+    )
+    from repro.faults import FaultInjector
     from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
+
+    tb = build_testbed(seed=_FAULTS_SEED)
+    app = build_sweep_app(tb, storage=storage)
+    orch = MigrationOrchestrator(
+        tb, retry=FAULT_TOLERANT_RETRY, faults=FaultInjector(plan)
+    )
+    out: dict = {"plan": plan.describe(), "seed": _FAULTS_SEED}
+    try:
+        orch.migrate_enclave(app)
+        out.update(outcome="completed", detail="the crash point was never reached")
+        return 0, out
+    except MigrationAborted as exc:
+        out.update(outcome="aborted", error=str(exc))
+        return 1, out
+    except PartyCrash as exc:
+        out["crash"] = str(exc)
+
+    # A crash *pair* plan (crash-record:A:N+B:M) lands its second crash
+    # inside the first recovery, which is then re-driven.
+    crashes: list[str] = []
+    try:
+        report, recoveries, _ = recover_until_rest(
+            tb, app, orchestrator=orch, crashes=crashes
+        )
+        refusal = (
+            f"recovery did not converge within {MAX_RECOVERIES} drives"
+            if report is None
+            else None
+        )
+    except DurabilityError as exc:
+        refusal = f"{type(exc).__name__}: {exc}"
+    if crashes:
+        out["crashes_in_recovery"] = crashes
+    if refusal:
+        out.update(outcome="refused", error=refusal)
+        return 3, out
+    out["recoveries"] = recoveries
+    survivor = report.target_app
+    if survivor is None and report.live_instances:
+        survivor = app
+    counter = survivor.ecall_once(0, "read") if survivor is not None else None
+    try:
+        tb.monitor.check_now()
+    except InvariantViolation:
+        pass
+    violations = list(tb.monitor.violations)
+    diverged = report.live_instances not in (0, 1) or (
+        counter is not None and counter != COUNTER_START
+    )
+    out.update(
+        outcome=report.outcome,
+        detail=report.detail,
+        journal_kinds={k: list(v) for k, v in sorted(report.journal_kinds.items())},
+        live_instances=report.live_instances,
+        counter=counter,
+        storage=storage_digests(tb.durable),
+        violations=violations,
+        diverged=diverged,
+        invariants_clean=not violations and not diverged,
+    )
+    return (2 if violations or diverged else 0), out
+
+
+def _print_recover(out: dict) -> None:
+    print(f"fault plan: {out['plan']}")
+    if "crash" not in out:
+        if out["outcome"] == "completed":
+            print("outcome: COMPLETED (the crash point was never reached)")
+        else:
+            print(f"outcome: ABORTED before the crash point — {out['error']}")
+        return
+    print(f"crash:   {out['crash']}")
+    for crash in out.get("crashes_in_recovery", ()):
+        print(f"crash during recovery (re-driving): {crash}")
+    if out["outcome"] == "refused":
+        print(f"recovery REFUSED: {out['error']}")
+        return
+    print(f"recovery: {out['outcome']} — {out['detail']}")
+    for name, kinds in out["journal_kinds"].items():
+        print(f"  journal {name}: {' -> '.join(kinds) if kinds else '(empty)'}")
+    counter = out["counter"]
+    print(
+        f"live instances: {out['live_instances']}"
+        + (f" (counter={counter})" if counter is not None else "")
+    )
+    _print_storage(out["storage"])
+    for violation in out["violations"]:
+        print(f"invariant VIOLATED: {violation}")
+    if out["diverged"] and not out["violations"]:
+        print("invariant VIOLATED: recovered state diverged")
+    if out["invariants_clean"]:
+        print("invariants: CLEAN (at most one live instance, state intact)")
+
+
+def _cmd_recover(args) -> int:
+    from repro.faults import parse_fault_spec
 
     try:
         plan = parse_fault_spec(args.plan)
@@ -324,137 +434,20 @@ def _cmd_recover(args) -> int:
         raise SystemExit(
             "repro recover: the plan needs a crash-record:PARTY:N fault to recover from"
         )
-    plan.seed = args.seed
-    tb = build_testbed(seed=args.seed)
-    app = build_sweep_app(tb, storage=args.storage)
-    orch = MigrationOrchestrator(
-        tb, retry=FAULT_TOLERANT_RETRY, faults=FaultInjector(plan)
-    )
-    out: dict = {"plan": plan.describe(), "seed": args.seed}
-    if not args.json:
-        print(f"fault plan: {plan.describe()}")
-    try:
-        orch.migrate_enclave(app)
-        out.update(outcome="completed", detail="the crash point was never reached")
-        if args.json:
-            print(_json_dumps(out))
-        else:
-            print("outcome: COMPLETED (the crash point was never reached)")
-        return 0
-    except MigrationAborted as exc:
-        out.update(outcome="aborted", error=str(exc))
-        if args.json:
-            print(_json_dumps(out))
-        else:
-            print(f"outcome: ABORTED before the crash point — {exc}")
-        return 1
-    except PartyCrash as exc:
-        out["crash"] = str(exc)
-        if not args.json:
-            print(f"crash:   {exc}")
-
-    # A crash *pair* plan (crash-record:A:N+B:M) lands its second crash
-    # inside the first recovery, which is then re-driven.
-    crashes: list[str] = []
-    refusal = None
-    try:
-        report, recoveries, _ = recover_until_rest(
-            tb, app, orchestrator=orch, crashes=crashes
-        )
-    except DurabilityError as exc:
-        refusal = exc
-    if crashes:
-        out["crashes_in_recovery"] = crashes
-        if not args.json:
-            for crash in crashes:
-                print(f"crash during recovery (re-driving): {crash}")
-    if refusal is not None:
-        out.update(outcome="refused", error=f"{type(refusal).__name__}: {refusal}")
-        if args.json:
-            print(_json_dumps(out))
-        else:
-            print(f"recovery REFUSED: {type(refusal).__name__}: {refusal}")
-        return 3
-    if report is None:
-        out.update(
-            outcome="refused",
-            error=f"recovery did not converge within {MAX_RECOVERIES} drives",
-        )
-        if args.json:
-            print(_json_dumps(out))
-        else:
-            print(f"recovery REFUSED: no convergence in {MAX_RECOVERIES} drives")
-        return 3
-    out["recoveries"] = recoveries
-    if not args.json:
-        print(f"recovery: {report.outcome} — {report.detail}")
-        for name, kinds in sorted(report.journal_kinds.items()):
-            print(f"  journal {name}: {' -> '.join(kinds) if kinds else '(empty)'}")
-    survivor = report.target_app
-    if survivor is None and report.live_instances:
-        survivor = app
-    counter = survivor.ecall_once(0, "read") if survivor is not None else None
-    if not args.json:
-        print(
-            f"live instances: {report.live_instances}"
-            + (f" (counter={counter})" if counter is not None else "")
-        )
-
-    from repro.errors import InvariantViolation
-
-    try:
-        tb.monitor.check_now()
-    except InvariantViolation:
-        pass
-    violations = list(tb.monitor.violations)
-    diverged = report.live_instances not in (0, 1) or (
-        counter is not None and counter != COUNTER_START
-    )
-    from repro.durability import wal as _wal
-
-    storage = _wal.storage_digests(tb.durable)
-    if storage and not args.json:
-        for ns, digest in sorted(storage.items()):
-            print(
-                f"sealed store {ns}: blob sha256 {digest['sha256']} "
-                f"(version {digest['version']}, handoff {digest['handoff']}, "
-                f"retired {digest['retired']})"
-            )
-    out.update(
-        outcome=report.outcome,
-        detail=report.detail,
-        journal_kinds={k: list(v) for k, v in sorted(report.journal_kinds.items())},
-        live_instances=report.live_instances,
-        counter=counter,
-        storage=storage,
-        violations=violations,
-        diverged=diverged,
-        invariants_clean=not violations and not diverged,
-    )
-    if args.json:
-        print(_json_dumps(out))
-        return 2 if (violations or diverged) else 0
-    if violations:
-        for violation in violations:
-            print(f"invariant VIOLATED: {violation}")
-        return 2
-    if diverged:
-        print("invariant VIOLATED: recovered state diverged")
-        return 2
-    print("invariants: CLEAN (at most one live instance, state intact)")
-    return 0
+    plan.seed = _FAULTS_SEED
+    code, out = _recover_report(plan, args.storage)
+    (_print_json if args.json else _print_recover)(out)
+    return code
 
 
 def _cmd_trace(args) -> int:
-    from repro.telemetry.exporters import to_chrome_trace, to_jsonl
+    from repro.telemetry.exporters import to_chrome_trace
     from repro.telemetry.runs import run_seeded_migration
 
     tb = run_seeded_migration(seed=args.seed, vm=args.vm)
     tel = tb.telemetry
     if args.format == "chrome":
         text = json.dumps(to_chrome_trace(tel), sort_keys=True)
-    elif args.format == "jsonl":
-        text = to_jsonl(tel)
     elif args.format == "otlp":
         from repro.telemetry.otlp import default_resource, to_otlp_traces
 
@@ -471,19 +464,17 @@ def _cmd_metrics(args) -> int:
     from repro.telemetry.exporters import to_prometheus
     from repro.telemetry.runs import run_seeded_migration
 
-    tb = run_seeded_migration(seed=args.seed, vm=args.vm)
+    tb = run_seeded_migration(seed=args.seed)
     metrics = tb.trace.metrics
     if args.format == "prom":
         text = to_prometheus(metrics)
-    elif args.format == "otlp":
+    else:  # otlp
         from repro.telemetry.otlp import default_resource, to_otlp_metrics
 
         tel = tb.telemetry
         text = _json_dumps(
             to_otlp_metrics(tel, resource=default_resource(tel, seed=str(args.seed)))
         )
-    else:  # json
-        text = _json_dumps(metrics.snapshot())
     _write_or_print(text, args.out, f"{args.format} metrics snapshot")
     failed = False
     for name in args.require:
@@ -514,9 +505,7 @@ def _cmd_fleet(args) -> int:
         config = FleetConfig(
             n=args.n,
             seeds=tuple(int(s) if s.isdigit() else s for s in seeds) or (1,),
-            max_inflight=args.max_inflight,
             fault_every=args.fault_every,
-            fault_spec=args.fault_plan,
             hosts=hosts,
             epc_per_host=args.epc_per_host,
             bw_per_host=args.bw_per_host,
@@ -623,9 +612,7 @@ def _cmd_diff(args) -> int:
     base = resolve_run(args.base)
     fresh = resolve_run(args.fresh)
     diff = diff_runs(base, fresh)
-    if args.format == "json":
-        text = _json_dumps(diff.as_dict())
-    elif args.format == "markdown":
+    if args.format == "markdown":
         text = diff.render_markdown()
     else:  # text
         text = diff.render_text()
@@ -707,7 +694,6 @@ def main(argv: list[str] | None = None) -> int:
             "partition:20'"
         ),
     )
-    faults.add_argument("--seed", type=int, default=7, help="fault plan RNG seed")
     faults.add_argument("--retries", type=int, default=5, help="protocol attempts")
     faults.add_argument(
         "--chunk-bytes", type=int, default=16 * 1024,
@@ -733,7 +719,6 @@ def main(argv: list[str] | None = None) -> int:
             "(PARTY in source/target/orchestrator/agent)"
         ),
     )
-    recover.add_argument("--seed", type=int, default=7, help="testbed / plan seed")
     recover.add_argument(
         "--storage",
         action="store_true",
@@ -751,11 +736,8 @@ def main(argv: list[str] | None = None) -> int:
         "--vm", action="store_true", help="trace a whole-VM migration instead"
     )
     trace.add_argument(
-        "--format", choices=("chrome", "jsonl", "otlp", "report"), default="chrome",
-        help=(
-            "chrome trace_event JSON, JSONL dump, OTLP/JSON traces, or the "
-            "phase-timeline report"
-        ),
+        "--format", choices=("chrome", "otlp", "report"), default="chrome",
+        help="chrome trace_event JSON, OTLP/JSON traces, or the phase-timeline report",
     )
     trace.add_argument("--out", default="", help="write to a file instead of stdout")
     trace.set_defaults(fn=_cmd_trace)
@@ -764,11 +746,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     metrics.add_argument("--seed", default=1, help="testbed seed")
     metrics.add_argument(
-        "--vm", action="store_true", help="measure a whole-VM migration instead"
-    )
-    metrics.add_argument(
-        "--format", choices=("prom", "json", "otlp"), default="prom",
-        help="Prometheus text exposition, the JSON snapshot, or OTLP/JSON",
+        "--format", choices=("prom", "otlp"), default="prom",
+        help="Prometheus text exposition or OTLP/JSON",
     )
     metrics.add_argument("--out", default="", help="write to a file instead of stdout")
     metrics.add_argument(
@@ -792,16 +771,8 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated base seeds, cycled across migrations",
     )
     fleet.add_argument(
-        "--max-inflight", type=int, default=8, dest="max_inflight",
-        help="concurrent admission slots on the fleet timeline",
-    )
-    fleet.add_argument(
         "--fault-every", type=int, default=0, dest="fault_every", metavar="K",
-        help="inject the fault plan into every K-th migration (0 = never)",
-    )
-    fleet.add_argument(
-        "--fault-plan", default="delay:checkpoint:1", dest="fault_plan",
-        help="fault spec for the --fault-every cadence",
+        help="delay the checkpoint of every K-th migration (0 = never)",
     )
     fleet.add_argument(
         "--hosts", type=int, default=0,
@@ -894,8 +865,8 @@ def main(argv: list[str] | None = None) -> int:
     diff.add_argument("base", help="baseline run: a run spec or a snapshot path")
     diff.add_argument("fresh", help="fresh run: a run spec or a snapshot path")
     diff.add_argument(
-        "--format", choices=("text", "json", "markdown"), default="text",
-        help="ranked text report, JSON report, or a markdown summary table",
+        "--format", choices=("text", "markdown"), default="text",
+        help="ranked text report or a markdown summary table",
     )
     diff.add_argument("--out", default="", help="write to a file instead of stdout")
     diff.add_argument(

@@ -145,12 +145,6 @@ def run_crash_point(
     return _run_plan(plan, party=party, record=record, seed=seed, storage=storage)
 
 
-def _sweep_point(task: tuple[str, int, object, bool]) -> CrashPointResult:
-    """Module-level (hence picklable) worker for one crash point."""
-    party, record, seed, storage = task
-    return run_crash_point(party, record, seed=seed, storage=storage)
-
-
 def sweep(
     seed: int | str = 0,
     parties: tuple[str, ...] = (
@@ -158,33 +152,21 @@ def sweep(
         wal.PARTY_SOURCE,
         wal.PARTY_TARGET,
     ),
-    workers: int | None = None,
     storage: bool = False,
 ) -> list[CrashPointResult]:
     """Visit every (party, record boundary) crash point of a migration.
 
-    Each point builds its own testbed and shares nothing, so the sweep
-    is embarrassingly parallel: ``workers`` > 1 fans the points out
-    across that many OS processes (results come back in the same
-    deterministic order as the serial path).  The default stays serial —
-    callers opt in because process start-up only pays off once the
-    record axis is long enough.  ``storage`` migrates a sealed-storage
-    namespace too (the negotiated ``handoff-storage`` step).
+    Each point builds its own testbed and shares nothing; points run in
+    party order, then record order.  ``storage`` migrates a
+    sealed-storage namespace too (the negotiated ``handoff-storage``
+    step).
     """
     reference = reference_record_counts(seed, storage)
-    tasks = [
-        (party, record, seed, storage)
+    return [
+        run_crash_point(party, record, seed=seed, storage=storage)
         for party in parties
         for record in range(1, reference[party] + 1)
     ]
-    if workers is None or workers <= 1 or len(tasks) <= 1:
-        return [_sweep_point(task) for task in tasks]
-    import multiprocessing as mp
-
-    method = "fork" if "fork" in mp.get_all_start_methods() else None
-    ctx = mp.get_context(method)
-    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(_sweep_point, tasks)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +194,6 @@ def run_crash_pair(
     return _run_plan(plan, party=first[0], record=first[1], seed=seed, pair=pair)
 
 
-def _pair_point(task) -> CrashPointResult:
-    """Module-level (hence picklable) worker for one crash pair."""
-    first, second, seed = task
-    return run_crash_pair(first, second, seed=seed)
-
-
 def sweep_pairs(
     seed: int | str = 0,
     parties: tuple[str, ...] = (
@@ -227,7 +203,6 @@ def sweep_pairs(
     ),
     stride: int = 2,
     limit: int | None = None,
-    workers: int | None = None,
 ) -> list[CrashPointResult]:
     """A sampled sweep over (first crash, second crash) pairs.
 
@@ -237,22 +212,14 @@ def sweep_pairs(
     deterministic, so a sampled prefix is a stable subset.
     """
     reference = reference_record_counts(seed)
-    tasks = []
-    for party_a in parties:
-        for rec_a in range(1, reference[party_a] + 1, stride):
-            for party_b in parties:
-                for rec_b in range(1, reference[party_b] + 1, stride):
-                    tasks.append(((party_a, rec_a), (party_b, rec_b), seed))
-    if limit is not None:
-        tasks = tasks[:limit]
-    if workers is None or workers <= 1 or len(tasks) <= 1:
-        return [_pair_point(task) for task in tasks]
-    import multiprocessing as mp
-
-    method = "fork" if "fork" in mp.get_all_start_methods() else None
-    ctx = mp.get_context(method)
-    with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-        return pool.map(_pair_point, tasks)
+    pairs = [
+        ((party_a, rec_a), (party_b, rec_b))
+        for party_a in parties
+        for rec_a in range(1, reference[party_a] + 1, stride)
+        for party_b in parties
+        for rec_b in range(1, reference[party_b] + 1, stride)
+    ]
+    return [run_crash_pair(first, second, seed=seed) for first, second in pairs[:limit]]
 
 
 # ---------------------------------------------------------------------------

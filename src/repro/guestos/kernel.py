@@ -41,11 +41,10 @@ class GuestOs:
         self.processes: dict[int, GuestProcess] = {}
         self.migrating = False
         self._ready_enclaves: set[int] = set()
-        #: Per-kernel PID allocator.  Deliberately not the class-level
-        #: counter on GuestProcess: that one is process-global, so a
-        #: second testbed in the same interpreter would see different
-        #: pids — and the per-process RDRAND stream (forked by pid)
-        #: would diverge between two same-seed runs.
+        #: Per-kernel PID allocator.  A process-global one would hand a
+        #: second testbed in the same interpreter different pids, and
+        #: the per-process RDRAND stream (forked by pid) would diverge
+        #: between two same-seed runs.
         self._next_pid = itertools.count(100)
         vm.guest_os = self
 

@@ -8,7 +8,6 @@ guest scheduler on the VM's VCPUs.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable
 
 from repro.sim.engine import SimThread, ThreadBody
@@ -27,14 +26,9 @@ class GuestThread(SimThread):
 class GuestProcess:
     """One guest user process: threads, signals, a host address space."""
 
-    _pids = itertools.count(100)
-
-    def __init__(self, name: str, pid: int | None = None) -> None:
-        # PIDs must come from the owning kernel: the class-level counter
-        # (kept as a fallback for bare constructions) is process-global
-        # state that would leak across testbeds and break same-seed
-        # determinism — the per-process RDRAND stream is forked by pid.
-        self.pid = next(self._pids) if pid is None else pid
+    def __init__(self, name: str, pid: int) -> None:
+        #: Allocated per kernel by ``GuestOs.spawn_process``.
+        self.pid = pid
         self.name = name
         self.threads: list[GuestThread] = []
         self.signal_handlers: dict[int, Callable[[], None]] = {}

@@ -139,15 +139,6 @@ class DeltaEntry:
     def delta(self) -> float:
         return self.fresh - self.base
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "base": self.base,
-            "fresh": self.fresh,
-            "delta": self.delta,
-        }
-
 
 @dataclass
 class RunDiff:
@@ -205,21 +196,6 @@ class RunDiff:
         return lines[0]
 
     # ------------------------------------------------------------ rendering
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "base": self.base_label,
-            "fresh": self.fresh_label,
-            "headline": self.headline(),
-            "figures": {k: e.as_dict() for k, e in self.figures.items()},
-            "downtime_attribution": [
-                {**e.as_dict(), "share_of_delta_pct": round(self.share_of_downtime_delta(e), 2)}
-                for e in self.downtime_attribution
-            ],
-            "total_attribution": [e.as_dict() for e in self.total_attribution],
-            "span_deltas": [e.as_dict() for e in self.span_deltas],
-            "metric_deltas": [e.as_dict() for e in self.metric_deltas],
-        }
-
     def render_text(self) -> str:
         lines = [f"=== repro diff: {self.base_label} -> {self.fresh_label} ==="]
         lines.append(self.headline())

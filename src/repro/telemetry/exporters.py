@@ -1,7 +1,7 @@
-"""Telemetry exporters: JSONL, Chrome trace_event, Prometheus text.
+"""Telemetry exporters: Chrome trace_event and Prometheus text.
 
-* :func:`to_jsonl` — every event and span as one JSON object per line;
-  the machine-readable dump CI diffs across runs.
+(The OTLP/JSON exporter is :mod:`repro.telemetry.otlp`.)
+
 * :func:`to_chrome_trace` — the Chrome ``trace_event`` JSON format
   (object form, ``{"traceEvents": [...]}``) loadable in Perfetto or
   chrome://tracing; parties map to processes, tracks to threads.
@@ -14,7 +14,6 @@ advance the clock or mutate anything, so exporting mid-run is safe.
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any
 
 from repro.telemetry.metrics import (
@@ -40,48 +39,6 @@ def json_safe(value: Any) -> Any:
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return repr(value)
-
-
-_json_safe = json_safe
-
-
-# ---------------------------------------------------------------------- jsonl
-
-def to_jsonl(telemetry: "Telemetry") -> str:
-    """Events and spans, one JSON object per line, in causal order."""
-    lines = []
-    for event in telemetry.trace.events:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "event",
-                    "t_ns": event.t_ns,
-                    "category": event.category,
-                    "name": event.name,
-                    "payload": _json_safe(event.payload),
-                },
-                sort_keys=True,
-            )
-        )
-    for span in telemetry.tracer.spans:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "span",
-                    "span_id": span.span_id,
-                    "name": span.name,
-                    "party": span.party,
-                    "track": span.track,
-                    "start_ns": span.start_ns,
-                    "end_ns": span.end_ns,
-                    "parent_id": span.parent_id,
-                    "status": span.status,
-                    "attrs": _json_safe(span.attrs),
-                },
-                sort_keys=True,
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # --------------------------------------------------------------- chrome trace
@@ -154,7 +111,7 @@ def to_chrome_trace(
                     "dur": span.duration_ns / 1_000,
                     "pid": pid,
                     "tid": tid,
-                    "args": _json_safe({"status": span.status, **span.attrs}),
+                    "args": json_safe({"status": span.status, **span.attrs}),
                 }
             )
         else:
@@ -167,7 +124,7 @@ def to_chrome_trace(
                     "pid": pid,
                     "tid": tid,
                     "s": "t",
-                    "args": _json_safe(span.attrs),
+                    "args": json_safe(span.attrs),
                 }
             )
     events_pid = pid_for("events")
@@ -182,7 +139,7 @@ def to_chrome_trace(
                 "pid": events_pid,
                 "tid": events_tid,
                 "s": "t",
-                "args": _json_safe(event.payload),
+                "args": json_safe(event.payload),
             }
         )
 

@@ -205,8 +205,8 @@ class MetricsRegistry:
     def snapshot(self) -> dict[str, Any]:
         """One JSON-shaped mapping of every series to its current value.
 
-        This is the structure the benchmark harness and the ``repro
-        metrics`` CLI consume; keys are canonical ``name{labels}`` series
+        This is the structure the benchmark harness, run snapshots
+        (``repro diff``) and flight-recorder dumps carry; keys are canonical ``name{labels}`` series
         keys, values are scalars (counter/gauge) or histogram dicts.
         """
         return {

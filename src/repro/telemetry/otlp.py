@@ -22,9 +22,8 @@ into any OpenTelemetry backend:
   beyond the sketch's).
 
 Per the OTLP JSON mapping, 64-bit integers (timestamps, int sums) are
-encoded as **strings** and trace/span ids as lowercase hex.  The
-:func:`spans_from_otlp` / :func:`metrics_from_otlp` readers invert the
-encoding for round-trip tests and offline tooling.
+encoded as **strings** and trace/span ids as lowercase hex.  This module
+only writes: the collector is the reader.
 
 Everything is a pure function of telemetry state — exporting never
 advances the clock — and every list is emitted in a deterministic
@@ -52,9 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "default_resource",
-    "metrics_from_otlp",
     "sketch_to_otlp_histogram",
-    "spans_from_otlp",
     "to_otlp_metrics",
     "to_otlp_traces",
 ]
@@ -97,29 +94,6 @@ def _kv(key: str, value: Any) -> dict[str, Any]:
 
 def _attributes(attrs: dict[str, Any]) -> list[dict[str, Any]]:
     return [_kv(str(k), json_safe(attrs[k])) for k in sorted(attrs)]
-
-
-def _decode_value(any_value: dict[str, Any]) -> Any:
-    if "intValue" in any_value:
-        return int(any_value["intValue"])
-    if "doubleValue" in any_value:
-        return any_value["doubleValue"]
-    if "boolValue" in any_value:
-        return any_value["boolValue"]
-    if "stringValue" in any_value:
-        return any_value["stringValue"]
-    if "arrayValue" in any_value:
-        return [_decode_value(v) for v in any_value["arrayValue"].get("values", [])]
-    if "kvlistValue" in any_value:
-        return {
-            kv["key"]: _decode_value(kv["value"])
-            for kv in any_value["kvlistValue"].get("values", [])
-        }
-    return None
-
-
-def _decode_attributes(attributes: list[dict[str, Any]]) -> dict[str, Any]:
-    return {kv["key"]: _decode_value(kv["value"]) for kv in attributes}
 
 
 def otlp_trace_id(trace_id: str | None) -> str:
@@ -183,33 +157,6 @@ def to_otlp_traces(
             }
         ]
     }
-
-
-def spans_from_otlp(document: dict[str, Any]) -> list[dict[str, Any]]:
-    """Flatten an OTLP traces document back into plain span dicts."""
-    result = []
-    for resource_spans in document.get("resourceSpans", []):
-        resource = _decode_attributes(resource_spans["resource"]["attributes"])
-        for scope_spans in resource_spans.get("scopeSpans", []):
-            for span in scope_spans.get("spans", []):
-                result.append(
-                    {
-                        "trace_id": span["traceId"],
-                        "span_id": int(span["spanId"], 16),
-                        "parent_id": (
-                            int(span["parentSpanId"], 16)
-                            if span.get("parentSpanId")
-                            else None
-                        ),
-                        "name": span["name"],
-                        "start_ns": int(span["startTimeUnixNano"]),
-                        "end_ns": int(span["endTimeUnixNano"]),
-                        "status": span.get("status", {}),
-                        "attributes": _decode_attributes(span.get("attributes", [])),
-                        "resource": resource,
-                    }
-                )
-    return result
 
 
 # ------------------------------------------------------------------- metrics
@@ -338,37 +285,3 @@ def to_otlp_metrics(
             }
         ]
     }
-
-
-def metrics_from_otlp(document: dict[str, Any]) -> dict[str, Any]:
-    """Flatten an OTLP metrics document into ``series key -> value``.
-
-    Counters and gauges come back as scalars, histograms as
-    ``{"count", "sum", "bucket_counts", "bounds"}`` dicts — enough for
-    round-trip tests to compare against the registry they started from.
-    """
-    result: dict[str, Any] = {}
-    for resource_metrics in document.get("resourceMetrics", []):
-        for scope_metrics in resource_metrics.get("scopeMetrics", []):
-            for metric in scope_metrics.get("metrics", []):
-                name = metric["name"]
-                if "sum" in metric or "gauge" in metric:
-                    body = metric.get("sum") or metric.get("gauge")
-                    for point in body.get("dataPoints", []):
-                        labels = _decode_attributes(point.get("attributes", []))
-                        value = (
-                            int(point["asInt"])
-                            if "asInt" in point
-                            else point.get("asDouble", 0)
-                        )
-                        result[metric_key(name, labels)] = value
-                elif "histogram" in metric:
-                    for point in metric["histogram"].get("dataPoints", []):
-                        labels = _decode_attributes(point.get("attributes", []))
-                        result[metric_key(name, labels)] = {
-                            "count": int(point["count"]),
-                            "sum": point["sum"],
-                            "bucket_counts": [int(c) for c in point["bucketCounts"]],
-                            "bounds": list(point["explicitBounds"]),
-                        }
-    return result

@@ -14,7 +14,6 @@ import itertools
 
 from repro.crypto.backend import BACKEND_NAMES, use_backend
 from repro.crypto.hashes import sha256
-from repro.guestos.process import GuestProcess
 from repro.migration.orchestrator import MigrationOrchestrator
 from repro.migration.testbed import build_testbed
 from repro.sgx.cpu import SgxCpu
@@ -23,9 +22,9 @@ from tests.conftest import build_counter_app
 
 
 def _reset_global_counters() -> None:
-    """Pin process-global id counters so repeated testbeds draw identical
-    rdrand fork labels (same trick as the fault-matrix regression test)."""
-    GuestProcess._pids = itertools.count(100)
+    """Pin the process-global CPU id counter so repeated testbeds draw
+    identical rdrand fork labels (same trick as the fault-matrix
+    regression test)."""
     SgxCpu._ids = itertools.count(1)
 
 

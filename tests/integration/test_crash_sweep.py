@@ -15,7 +15,6 @@ from repro.durability.sweep import chaos_soak, run_agent_crash_point, sweep
 
 SEED = int(os.environ.get("FAULT_SEED", "5"))
 SOAK_ITERS = int(os.environ.get("SOAK_ITERS", "4"))
-SWEEP_WORKERS = int(os.environ.get("SWEEP_WORKERS", "0"))
 
 
 def _table(**ranges) -> dict[tuple[str, int], tuple[str, int]]:
@@ -64,7 +63,7 @@ class TestCrashPointSweep:
         """Crash each migration party after each record it commits: every
         point must end with exactly one live instance or a clean abort
         with zero — never a fork, never post-SPENT execution."""
-        results = sweep(seed=SEED, workers=SWEEP_WORKERS or None)
+        results = sweep(seed=SEED)
         bad = [r for r in results if not r.safe]
         assert not bad, f"unsafe crash points: {bad}"
         assert _outcomes(results) == EXPECTED

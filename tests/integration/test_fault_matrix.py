@@ -161,14 +161,12 @@ class TestPartitionMatrix:
 class TestNoFaultRegression:
     @staticmethod
     def _reset_global_counters():
-        """Pin the process-global id counters so two testbeds built in the
-        same pytest process draw identical rdrand fork labels."""
+        """Pin the process-global CPU id counter so two testbeds built in
+        the same pytest process draw identical rdrand fork labels."""
         import itertools
 
-        from repro.guestos.process import GuestProcess
         from repro.sgx.cpu import SgxCpu
 
-        GuestProcess._pids = itertools.count(100)
         SgxCpu._ids = itertools.count(1)
 
     def test_resilient_path_matches_seed_bytes_modulo_framing(self):

@@ -96,9 +96,6 @@ class TestDiff:
         assert "journal.commit" in text and "% of delta" in text
         md = diff.render_markdown()
         assert md.count("|") > 10 and "journal.commit" in md
-        payload = diff.as_dict()
-        assert payload["headline"] == diff.headline()
-        assert payload["downtime_attribution"][0]["share_of_delta_pct"] > 0
 
     def test_share_is_signed(self, base_snapshot, perturbed_snapshot):
         # Diffing the other way round: downtime *improved*, and the same

@@ -1,4 +1,4 @@
-"""OTLP-JSON exporter: golden-file round-trip, nesting, sketch buckets."""
+"""OTLP-JSON exporter: golden file, nesting, status, sketch buckets."""
 
 import json
 import os
@@ -12,11 +12,9 @@ from repro.sim.trace import EventTrace
 from repro.telemetry import Telemetry
 from repro.telemetry.otlp import (
     default_resource,
-    metrics_from_otlp,
     otlp_span_id,
     otlp_trace_id,
     sketch_to_otlp_histogram,
-    spans_from_otlp,
     to_otlp_metrics,
     to_otlp_traces,
 )
@@ -92,40 +90,52 @@ class TestGoldenFile:
             golden = json.load(fh)
         assert golden_document() == golden
 
-    def test_fixture_round_trips_through_the_readers(self):
+    def test_fixture_keeps_nesting_error_status_and_resource(self):
         with open(FIXTURE, "r", encoding="utf-8") as fh:
             golden = json.load(fh)
         telemetry = build_golden_telemetry()
 
-        spans = spans_from_otlp(golden["traces"])
-        assert [s["name"] for s in spans] == [
+        (resource_spans,) = golden["traces"]["resourceSpans"]
+        (scope_spans,) = resource_spans["scopeSpans"]
+        assert [s["name"] for s in scope_spans["spans"]] == [
             s.name for s in telemetry.tracer.spans
         ]
-        by_id = {s["span_id"]: s for s in spans}
+        spans = {s["name"]: s for s in scope_spans["spans"]}
         # Span nesting survives: checkpoint/restore/verify hang off run.
-        run = next(s for s in spans if s["name"] == "migration.run")
+        run = spans["migration.run"]
         for child in ("checkpoint", "restore", "verify"):
-            span = next(s for s in spans if s["name"] == child)
-            assert by_id[span["parent_id"]] is run
-        assert run["parent_id"] is None
-        resume = next(s for s in spans if s["name"] == "enclave.resume")
-        assert resume["parent_id"] is None  # own party: a separate root
-        assert resume["attributes"]["repro.track"] == "enclave"
-        # Resource attributes round-trip on every span.
-        assert all(s["resource"] == GOLDEN_RESOURCE for s in spans)
-        # Error status propagates.
-        verify = next(s for s in spans if s["name"] == "verify")
-        assert verify["status"]["code"] == 2
-        assert "digest mismatch" in verify["status"]["message"]
+            assert spans[child]["parentSpanId"] == run["spanId"]
+        assert run["parentSpanId"] == ""
+        resume = spans["enclave.resume"]
+        assert resume["parentSpanId"] == ""  # own party: a separate root
+        assert {"key": "repro.track", "value": {"stringValue": "enclave"}} in (
+            resume["attributes"]
+        )
+        # The resource carries every run-identity attribute, in key order,
+        # on the traces and the metrics document alike.
+        assert resource_spans["resource"]["attributes"] == [
+            {"key": key, "value": {"stringValue": GOLDEN_RESOURCE[key]}}
+            for key in sorted(GOLDEN_RESOURCE)
+        ]
+        (resource_metrics,) = golden["metrics"]["resourceMetrics"]
+        assert resource_metrics["resource"] == resource_spans["resource"]
+        # Error status propagates; a clean span is plain OK.
+        assert spans["verify"]["status"] == {"code": 2, "message": "error: digest mismatch"}
+        assert run["status"] == {"code": 1}
 
-        metrics = metrics_from_otlp(golden["metrics"])
-        assert metrics["migration.completed_total"] == 1
-        assert metrics["faults.injected{kind=delay}"] == 2
-        assert metrics["migration.downtime_ns"] == 5_500
-        histogram = metrics["journal.commit_latency_ns"]
-        assert histogram["count"] == 3
-        assert histogram["bucket_counts"] == [1, 1, 1]
-        assert histogram["bounds"] == [1_000, 10_000]
+        (scope_metrics,) = resource_metrics["scopeMetrics"]
+        metrics = {m["name"]: m for m in scope_metrics["metrics"]}
+        (completed,) = metrics["migration.completed_total"]["sum"]["dataPoints"]
+        assert completed["asInt"] == "1"
+        (injected,) = metrics["faults.injected"]["sum"]["dataPoints"]
+        assert injected["attributes"] == [{"key": "kind", "value": {"stringValue": "delay"}}]
+        assert injected["asInt"] == "2"
+        (downtime,) = metrics["migration.downtime_ns"]["gauge"]["dataPoints"]
+        assert downtime["asInt"] == "5500"
+        (histogram,) = metrics["journal.commit_latency_ns"]["histogram"]["dataPoints"]
+        assert histogram["count"] == "3"
+        assert histogram["bucketCounts"] == ["1", "1", "1"]
+        assert histogram["explicitBounds"] == [1_000, 10_000]
 
     def test_sketch_histogram_preserves_counts_exactly(self):
         sketch = build_golden_sketch()
@@ -179,17 +189,24 @@ class TestRealRun:
         resource = default_resource(telemetry, seed="1")
         assert resource["migration.id"] == telemetry.tracer.trace_id
 
-        spans = spans_from_otlp(to_otlp_traces(telemetry, resource=resource))
-        assert len(spans) == len(telemetry.tracer.spans)
-        assert {s["span_id"] for s in spans} == {
-            s.span_id for s in telemetry.tracer.spans
-        }
+        (resource_spans,) = to_otlp_traces(telemetry, resource=resource)["resourceSpans"]
+        spans = resource_spans["scopeSpans"][0]["spans"]
+        assert [s["spanId"] for s in spans] == [
+            otlp_span_id(s.span_id) for s in telemetry.tracer.spans
+        ]
 
-        metrics = metrics_from_otlp(to_otlp_metrics(telemetry, resource=resource))
+        # Both list series in canonical series-key order.
+        (resource_metrics,) = to_otlp_metrics(telemetry, resource=resource)["resourceMetrics"]
+        metrics = resource_metrics["scopeMetrics"][0]["metrics"]
         snapshot = telemetry.metrics.snapshot()
-        assert set(metrics) == set(snapshot)
-        for key, value in snapshot.items():
-            if isinstance(value, dict):
-                assert metrics[key]["count"] == value["count"]
+        assert [m["name"] for m in metrics] == [key.split("{")[0] for key in snapshot]
+        for metric, value in zip(metrics, snapshot.values()):
+            if "histogram" in metric:
+                (point,) = metric["histogram"]["dataPoints"]
+                assert point["count"] == str(value["count"])
+                continue
+            (point,) = (metric.get("sum") or metric["gauge"])["dataPoints"]
+            if "asInt" in point:
+                assert point["asInt"] == str(value)
             else:
-                assert metrics[key] == value
+                assert point["asDouble"] == value

@@ -59,6 +59,20 @@ class TestCli:
         assert "ABORTED" in out
         assert "'aborts': 1" in out
 
+    def test_faults_abort_prose_shows_the_sealed_store(self, capsys):
+        """The prose renders the same report as --json, storage included."""
+        argv = ["faults", "--storage", "--plan", "crash:target:restore"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert main([*argv, "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert set(report["storage"]) == {
+            "storage/source/cli-faults", "storage/target/cli-faults"
+        }
+        for ns, digest in report["storage"].items():
+            assert f"sealed store {ns}: blob sha256 {digest['sha256']} " in out
+        assert out.index("sealed store") < out.index("outcome: ABORTED")
+
     def test_faults_unchunked(self, capsys):
         assert main(["faults", "--chunk-bytes", "0"]) == 0
         assert "COMPLETED" in capsys.readouterr().out
@@ -171,16 +185,6 @@ class TestTelemetryCli:
         report = json.loads(capsys.readouterr().out)
         assert report["figures"]["downtime_ns"] > 0
         assert report["per_phase_ns"]["stop-and-copy"] > 0
-
-    def test_trace_jsonl_format(self, capsys):
-        assert main(["trace", "--format", "jsonl"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert all(json.loads(line) for line in lines)
-
-    def test_metrics_json_format(self, capsys):
-        assert main(["metrics", "--format", "json"]) == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["migration.completed_total"] == 1
 
     def test_metrics_require_present(self, capsys):
         assert main(["metrics", "--require", "migration.downtime_ns"]) == 0
@@ -396,13 +400,14 @@ class TestFleetCli:
             bench = json.load(fh)
         assert "n2_seeds1_inflight8" in bench
 
-    def test_fleet_failed_migrations_exit_nonzero(self, capsys):
-        assert main(
-            [
-                "fleet", "--n", "1", "--seeds", "9",
-                "--fault-every", "1", "--fault-plan", "drop:checkpoint:1",
-            ]
-        ) == 1
+    def test_fleet_failed_migrations_exit_nonzero(self, capsys, monkeypatch):
+        import functools
+
+        from repro import fleet
+
+        failing = functools.partial(fleet.FleetConfig, fault_spec="drop:checkpoint:1")
+        monkeypatch.setattr(fleet, "FleetConfig", failing)
+        assert main(["fleet", "--n", "1", "--seeds", "9", "--fault-every", "1"]) == 1
         assert "(1 failed" in capsys.readouterr().out
 
     def test_fleet_bad_config_rejected(self):
