@@ -33,7 +33,12 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import MessageFault, FaultPlan
-from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
+from repro.migration.orchestrator import (
+    FAULT_TOLERANT_RETRY,
+    MigrationOrchestrator,
+    MigrationRun,
+)
+from repro.migration.protocol import AGENT_STEPS, STEP_ESCROW_KEY
 from repro.migration.testbed import Testbed, build_testbed
 from repro.sdk import control
 from repro.sdk.host import HostApplication
@@ -327,50 +332,30 @@ def run_agent_crash_point(record: int, seed: int | str = 0) -> CrashPointResult:
     FaultInjector(plan).attach(tb)
 
     orch = MigrationOrchestrator(tb, retry=FAULT_TOLERANT_RETRY)
-    orch.checkpoint_enclave(app)
+    run = MigrationRun(app, agent=agent)
+    outcome = "completed"
     try:
-        agent.escrow_from(app)
+        orch.run_steps(run, AGENT_STEPS)
     except PartyCrash:
-        _crash_agent(agent)
         agent.recover()
-    target = orch.build_virgin_target(app)
-    outcome, live_app = "completed", target
-    try:
-        agent.release_to(target)
-    except PartyCrash:
-        _crash_agent(agent)
-        agent.recover()
+        # The agent commits before it answers, so the escrow survived
+        # even a crash inside its row; run on from the first unproven row.
+        run.proven.add(STEP_ESCROW_KEY)
         try:
-            agent.release_to(target)
+            orch.run_steps(run, tuple(s for s in AGENT_STEPS if s.name not in run.proven))
         except MigrationError:
-            # The journaled release survives the crash: refuse, abort.
-            target.destroy()
-            outcome, live_app = "aborted", None
-    if live_app is not None:
-        ckpt = app.library.last_checkpoint.envelope.to_bytes()
-        replay = orch.restore(target, ckpt)
-        target.respawn_after_restore(replay)
-        tb.target_os.end_migration()
-
-    counter_ok = True
-    if live_app is not None:
-        counter_ok = live_app.ecall_once(0, "read") == COUNTER_START
+            # The journaled release survived too: refuse, abort.
+            orch.rollback(run)
+            outcome = "aborted"
+    live_app = run.target if outcome == "completed" else None
     return CrashPointResult(
         party=wal.PARTY_AGENT,
         record=record,
         outcome=outcome,
         live_instances=0 if live_app is None else 1,
-        counter_ok=counter_ok,
+        counter_ok=live_app is None or _state_ok(live_app, storage=False),
         violations=_drain_monitor(tb),
     )
-
-
-def _crash_agent(agent) -> None:
-    """Model the agent process dying: its enclave's EPC state is gone."""
-    for thread in agent.app.process.threads:
-        thread.suspended = True
-    if agent.app.library.enclave_id is not None:
-        agent.app.library.destroy()
 
 
 # ---------------------------------------------------------------------------

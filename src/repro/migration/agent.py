@@ -214,8 +214,9 @@ class AgentService:
             wan=wan,
         )
 
-    def escrow_from(self, source_app: HostApplication) -> None:
-        """Pre-migration: source attests the agent and escrows K_migrate."""
+    def escrow_from(self, source_app: HostApplication) -> bytes:
+        """Pre-migration: source attests the agent and escrows K_migrate;
+        returns the sealed escrow (the source is SPENT from here on)."""
         tb = self.tb
         with tb.trace.tracer.span(
             "agent.escrow", party="agent", image=source_app.image.name
@@ -241,6 +242,7 @@ class AgentService:
                 unreleased=unreleased,
             )
         tb.trace.metrics.counter("agent.escrows_total").inc()
+        return sealed
 
     def release_to(self, target_app: HostApplication) -> None:
         """Post-resume: local attestation hands the key to the enclave."""

@@ -13,7 +13,7 @@ virgin target, attested channel, checkpoint transfer, the negotiated
 storage handoff, K_migrate last with source self-destroy, restore (the
 library replays CSSA, the control thread verifies and goes live) and
 resume.  :meth:`MigrationOrchestrator.run_steps` is the one runner of
-that table — forward runs and crash recovery alike — and
+that table — forward runs, whole-VM runs and crash recovery alike — and
 :meth:`MigrationOrchestrator.rollback` undoes a failed run from it.
 
 Degraded-mode operation (the failure-handling layer added around that
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.durability import wal
 from repro.durability.journal import Journal
@@ -64,9 +65,11 @@ from repro.migration.checkpoint import DEFAULT_CHUNK_BYTES, ChunkReassembler, ch
 from repro.migration.protocol import (
     STEP_BUILD_TARGET,
     STEP_CHECKPOINT,
+    STEP_ESCROW_KEY,
     STEP_ESTABLISH_CHANNEL,
     STEP_HANDOFF_KEY,
     STEP_HANDOFF_STORAGE,
+    STEP_RELEASE_KEY,
     STEP_RESTORE,
     STEP_RESUME,
     STEP_TRANSFER_CHECKPOINT,
@@ -80,6 +83,8 @@ from repro.sdk.host import HostApplication, WorkerSpec
 from repro.serde import SerdeError, pack, unpack
 from repro.sgx.structures import Quote
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.migration.agent import AgentService
 
 #: Degraded-mode delivery: a resent blob waits ``BASE_BACKOFF_NS`` on the
 #: virtual clock, doubling per round, for at most ``MAX_TRANSFER_ROUNDS``
@@ -200,13 +205,16 @@ class MigrationRun:
     #: The orchestrator WAL this run journals to; ``None`` journals nothing.
     wal: Journal | None = None
     checkpoint: control.CheckpointResult | None = None
-    #: The sealed checkpoint envelope as the target received it.
+    #: The sealed checkpoint envelope as the target received it; ``None``
+    #: on a whole-VM run, whose checkpoint rode in the pre-copied RAM.
     delivered: bytes | None = None
-    #: K_migrate sealed for the target, once the source released it.
+    #: K_migrate sealed for the target or its agent, once the source released it.
     sealed_key: bytes | None = None
     plan: dict[int, int] | None = None
     #: Names of the steps this run has completed.
     proven: set[str] = field(default_factory=set)
+    #: The target's agent enclave on the §VI-D path.
+    agent: AgentService | None = None
 
     @property
     def released(self) -> bool:
@@ -415,17 +423,6 @@ class MigrationOrchestrator:
             ),
         )
 
-    def handoff_key(self, app: HostApplication, target_app: HostApplication) -> None:
-        """K_migrate moves last; the source self-destroys (§V-B).
-
-        ``source_release_key`` fires exactly once per migration — the
-        point of no return.  Delivery of the resulting sealed blob is
-        retried (same ciphertext; a replayed copy is useless to anyone
-        without the session key) so a dropped or corrupted kmigrate
-        message does not strand an otherwise complete migration.
-        """
-        _handoff_key(self, MigrationRun(app, target_app))
-
     def restore(self, target_app: HostApplication, checkpoint_bytes: bytes) -> dict[int, int]:
         """Steps 3-4 on the target: restore, replay, verify, go live."""
         library = target_app.library
@@ -588,7 +585,7 @@ class MigrationOrchestrator:
             if not step.negotiated:
                 self._begin_step(run, step.name)
             proof = _ACTIONS[step.name][0](self, run)
-            if step.name != STEP_RESUME:
+            if step.proof is not None and step.name != STEP_RESUME:
                 self._wal_append(step.proof, proof)
         if step.name == STEP_RESUME:
             self._wal_append(step.proof)  # `done` closes the run, outside its span
@@ -637,19 +634,20 @@ class MigrationOrchestrator:
     def _crash_effects(self, run: MigrationRun):
         """Model the physical consequence of a party's process dying.
 
-        A source or target crash takes its enclave (EPC contents are
-        volatile) and freezes its host process; the party is the machine
-        its journal lives on.  An orchestrator crash kills only the
-        driver — both machines keep running, which is exactly why its
-        journal has to be enough to finish the job.
+        A source, target or agent crash takes its enclave (EPC contents
+        are volatile) and freezes its host process; the party is the one
+        whose journal committed the record.  An orchestrator crash kills
+        only the driver — both machines keep running, which is exactly why
+        its journal has to be enough to finish the job.
         """
         try:
             yield
         except PartyCrash as exc:
             self.stats.crashes_seen += 1
             self.tel.counter("migration.crashes_seen_total", side=exc.party).inc()
-            for app in (run.app, run.target):
-                if app is not None and app.machine.name == exc.party:
+            for app in (run.app, run.target, run.agent and run.agent.app):
+                journal = app and app.library.journal
+                if journal is not None and journal.party == exc.party:
                     for thread in app.process.threads:
                         thread.suspended = True
                     app.destroy()
@@ -694,9 +692,9 @@ class MigrationOrchestrator:
 
 
 # ---------------------------------------------------------------------------
-# The protocol table's actions: per row of repro.migration.protocol.STEPS,
-# a forward action (runs the step through the public step methods and
-# returns its proof record's payload) and a rollback, if it has one.
+# The protocol table's actions: per row of repro.migration.protocol's
+# tables, a forward action (runs the step through the public step methods
+# and returns its proof record's payload) and a rollback, if it has one.
 # ---------------------------------------------------------------------------
 
 
@@ -723,6 +721,7 @@ def _transfer_checkpoint(orch: MigrationOrchestrator, run: MigrationRun) -> dict
 
 
 def _handoff_key(orch: MigrationOrchestrator, run: MigrationRun) -> None:
+    """K_migrate moves last and the source self-destroys (§V-B)."""
     if run.sealed_key is None:  # recovery resumes with the journaled blob
         run.sealed_key = run.app.library.control_call(control.source_release_key)
         # The sealed blob is ciphertext under the session key; journaling
@@ -750,7 +749,8 @@ def _handoff_key(orch: MigrationOrchestrator, run: MigrationRun) -> None:
 
 
 def _restore(orch: MigrationOrchestrator, run: MigrationRun) -> dict:
-    run.plan = orch.restore(run.target, run.delivered)
+    # No row delivers a whole-VM run's checkpoint: it rode in the guest RAM.
+    run.plan = orch.restore(run.target, run.delivered or run.checkpoint.envelope.to_bytes())
     return {"plan": {str(k): v for k, v in run.plan.items()}}
 
 
@@ -762,6 +762,10 @@ def _resume(orch: MigrationOrchestrator, run: MigrationRun) -> None:
 def _cancel_source(orch: MigrationOrchestrator, run: MigrationRun) -> None:
     if not run.released and run.app.library.enclave_id is not None:
         orch.cancel(run.app)  # a live, unspent source goes back to service
+
+
+def _escrow_key(orch: MigrationOrchestrator, run: MigrationRun) -> None:
+    run.sealed_key = run.agent.escrow_from(run.app)
 
 
 #: Step name → (forward action, rollback or ``None``).
@@ -778,6 +782,8 @@ _ACTIONS = {
         None,
     ),
     STEP_HANDOFF_KEY: (_handoff_key, None),
+    STEP_ESCROW_KEY: (_escrow_key, None),
+    STEP_RELEASE_KEY: (lambda orch, run: run.agent.release_to(run.target), None),
     STEP_RESTORE: (_restore, None),
     STEP_RESUME: (_resume, None),
 }

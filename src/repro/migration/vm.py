@@ -8,9 +8,11 @@ Splices the enclave path into QEMU pre-copy exactly as Figure 8 shows:
 ⑥-⑦ the guest hypercalls ready and pre-copy proceeds, carrying the
      sealed checkpoints inside ordinary RAM.
 
-On the target the guest OS rebuilds every enclave from the driver's
-records; each control thread then authenticates (channel or agent path),
-receives K_migrate, restores, replays CSSA and verifies.
+Each enclave walks the protocol table's rows (``VM_STEPS``, or the agent
+path's ``AGENT_STEPS``) through the orchestrator's one runner: those
+before ``CUT_OVER`` while the VM prepares, the rest (rebuild, key and
+storage handoff, restore, CSSA replay, verify) once it resumes on the
+target.  The checkpoint rides in the RAM, so no row transfers it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 
 from repro.hypervisor.qemu import MigrationReport
 from repro.migration.agent import AgentService
-from repro.migration.orchestrator import EnclaveMigrationResult, MigrationOrchestrator
+from repro.migration.orchestrator import EnclaveMigrationResult, MigrationOrchestrator, MigrationRun
+from repro.migration.protocol import AGENT_STEPS, CUT_OVER, VM_STEPS, steps_before, steps_from
 from repro.migration.testbed import Testbed
 from repro.sdk.host import HostApplication
 from repro.sim.clock import NS_PER_MS
@@ -64,7 +67,9 @@ class VmMigrationManager:
 
     def migrate(self, agent: AgentService | None = None, **qemu_kwargs) -> VmMigrationResult:
         """Run the full live migration of the source VM."""
-        tb = self.tb
+        tb, orch = self.tb, self.orchestrator
+        steps = VM_STEPS if agent is None else AGENT_STEPS
+        runs = [MigrationRun(app, agent=agent) for app in self.apps]
         enclave_results: list[EnclaveMigrationResult] = []
 
         def prepare() -> int:
@@ -72,37 +77,26 @@ class VmMigrationManager:
             notify_start = tb.clock.now_ns
             tb.source.hypervisor.upcall_migration_notify(tb.source_vm)
             checkpoint_window_ns = tb.clock.now_ns - notify_start
-            if agent is not None:
-                # §VI-D: escrow every K_migrate ahead of the cut-over so
-                # no remote attestation sits on the resume path.  This
-                # overlaps the (long) pre-copy phase, so only the
-                # checkpointing window counts toward the downtime.
-                for app in self.apps:
-                    agent.escrow_from(app)
+            # Each enclave's rows before the cut-over.  On the §VI-D path
+            # they escrow every K_migrate, so no remote attestation sits on
+            # the resume path; that overlaps the (long) pre-copy phase, so
+            # only the checkpointing window counts toward the downtime.
+            for run in runs:
+                orch.run_steps(run, steps_before(CUT_OVER, steps))
             return checkpoint_window_ns
 
         def restore() -> None:
-            orch = self.orchestrator
-            for app in self.apps:
+            for run in runs:
                 bytes_before = tb.network.bytes_transferred
-                target_app = orch.build_virgin_target(app)
-                checkpoint_bytes = app.library.last_checkpoint.envelope.to_bytes()
-                if agent is not None:
-                    agent.release_to(target_app)
-                else:
-                    orch.establish_channel(app, target_app)
-                    orch.handoff_key(app, target_app)
-                plan = orch.restore(target_app, checkpoint_bytes)
-                target_app.respawn_after_restore(plan)
+                orch.run_steps(run, steps_from(CUT_OVER, steps))
                 enclave_results.append(
                     EnclaveMigrationResult(
-                        target_app=target_app,
-                        replay_plan=plan,
-                        checkpoint_bytes=app.library.last_checkpoint.envelope.size,
+                        target_app=run.target,
+                        replay_plan=run.plan,
+                        checkpoint_bytes=run.checkpoint.envelope.size,
                         transferred_bytes=tb.network.bytes_transferred - bytes_before,
                     )
                 )
-            tb.target_os.end_migration()
 
         report = tb.source.qemu.migrate(
             tb.source_vm,

@@ -56,27 +56,6 @@ class WireContext:
         }
 
 
-#: Which party sends and which receives under each protocol wire label.
-#: The network is point-to-point; the label fixes the route, so the DAG
-#: can attribute every transfer to its endpoints without guessing.
-LABEL_ROUTES: dict[str, tuple[str, str]] = {
-    "channel-request": ("target", "source"),
-    "ias-quote": ("source", "ias"),
-    "channel-answer": ("source", "target"),
-    "checkpoint": ("source", "target"),
-    "checkpoint-chunk": ("source", "target"),
-    "kmigrate": ("source", "target"),
-    "agent-escrow-request": ("source", "agent"),
-    "agent-escrow": ("agent", "target"),
-}
-
-
-def route_for(label: str) -> tuple[str, str]:
-    """(sender, receiver) for ``label``; unknown labels default to the
-    migration link's direction."""
-    return LABEL_ROUTES.get(label, ("source", "target"))
-
-
 @dataclass(frozen=True)
 class CausalEdge:
     """One directed edge of the migration DAG.

@@ -16,7 +16,8 @@ Phase mapping (span name → phase):
   ``migration.stop_and_copy`` window, whose duration *is* the
   ``migration.downtime_ns`` metric;
 * whole-VM migration (``QemuMonitor``): ``vm.prepare``, the
-  ``vm.precopy.round`` series, ``vm.stop_and_copy`` and ``vm.restore``.
+  ``vm.precopy.round`` series, ``vm.stop_and_copy`` and ``vm.restore``
+  (``vm-restore``: each enclave's step phases fall inside it).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ PHASE_SPANS = {
     "vm.prepare": "prepare",
     "vm.precopy.round": "pre-copy round",
     "vm.stop_and_copy": "stop-and-copy",
-    "vm.restore": "restore",
+    "vm.restore": "vm-restore",
     "migration.stop_and_copy": "stop-and-copy",
 }
 

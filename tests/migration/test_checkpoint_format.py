@@ -11,7 +11,8 @@ from repro.migration.checkpoint import (
     open_checkpoint,
     seal_checkpoint,
 )
-from repro.migration.orchestrator import MigrationOrchestrator
+from repro.migration.orchestrator import MigrationOrchestrator, MigrationRun
+from repro.migration.protocol import STEP_RESUME, steps_before
 from repro.sdk.host import WorkerSpec
 from repro.sdk.image import FLAG_FREE, FLAG_SPIN
 from repro.serde import SerdeError
@@ -141,12 +142,9 @@ class TestTwoPhaseGeneration:
         orch.checkpoint_enclave(app)
         # The long-running worker was parked via AEX + handler: its TCS
         # must appear in the replay plan with CSSA 1 after restore.
-        target = orch.build_virgin_target(app)
-        orch.establish_channel(app, target)
-        delivered = orch.transfer_checkpoint(app)
-        orch.handoff_key(app, target)
-        plan = orch.restore(target, delivered)
-        assert plan == {0: 1}
+        run = MigrationRun(app)
+        orch.run_steps(run, steps_before(STEP_RESUME))
+        assert run.plan == {0: 1}
 
     def test_sequence_increments_per_checkpoint(self, testbed):
         from repro.sdk import control

@@ -14,7 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import CssaMismatch
-from repro.migration.orchestrator import MigrationOrchestrator
+from repro.migration.orchestrator import MigrationOrchestrator, MigrationRun
+from repro.migration.protocol import STEP_RESTORE, steps_before
 from repro.sdk import control
 from repro.sdk.runtime import FLAG_SPIN
 from repro.sgx import instructions as isa
@@ -103,17 +104,15 @@ class TestReplayDepths:
 
 class TestReplayMismatch:
     def _restore_with_plan_mutation(self, testbed, mutate):
-        """Run the protocol manually, mutating the replay plan before the
-        library replays it; returns the final verify call."""
+        """Run the protocol table up to the restore step, then restore by
+        hand, mutating the replay plan before the library replays it;
+        returns the final verify call."""
         app = build_counter_app(testbed, tag="cssa-bad")
         _park_worker_at_depth(app, worker_pos=0, depth=1)
-        orch = MigrationOrchestrator(testbed)
-        orch.checkpoint_enclave(app)
-        target = orch.build_virgin_target(app)
-        orch.establish_channel(app, target)
-        blob = orch.transfer_checkpoint(app)
-        orch.handoff_key(app, target)
-        plan = target.library.control_call(control.target_restore_memory, blob)
+        run = MigrationRun(app)
+        MigrationOrchestrator(testbed).run_steps(run, steps_before(STEP_RESTORE))
+        target = run.target
+        plan = target.library.control_call(control.target_restore_memory, run.delivered)
         target.library.replay_cssa(mutate(dict(plan)))
         return lambda: target.library.control_call(control.target_verify_and_finish)
 

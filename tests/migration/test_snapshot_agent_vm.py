@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.durability import wal
+from repro.durability.sweep import COUNTER_START, STORAGE_NOTE, build_sweep_app
 from repro.errors import AttestationError, MigrationError, RestoreError
 from repro.migration.agent import AgentService, build_agent_image
 from repro.migration.snapshot import SnapshotManager
@@ -191,6 +193,31 @@ class TestVmMigration:
         apps = self.launch_apps(tb, 4)
         result = VmMigrationManager(tb, apps).migrate()
         assert result.report.downtime_ns > base.downtime_ns
+
+    @pytest.mark.parametrize("use_agent", (False, True), ids=("channel", "agent"))
+    def test_sealed_storage_follows_the_enclave(self, use_agent):
+        """Sealed data and counters follow the enclave on both VM paths,
+        and the source namespace is retired as after a single-enclave
+        migration.  The channel path used to release K_migrate without
+        ever handing the storage off, so the target refused to go live
+        (StorageRolledBack) and the source was already SPENT."""
+        tb = build_testbed(seed=315)
+        agent = None
+        if use_agent:
+            agent_built = build_agent_image(tb.builder)
+            tb.owner.set_agent_image(agent_built)
+        app = build_sweep_app(tb, storage=True)
+        if use_agent:
+            agent = AgentService(tb, agent_built)
+        result = VmMigrationManager(tb, [app]).migrate(agent=agent)
+        target = result.enclave_results[0].target_app
+        assert target.ecall_once(0, "read") == COUNTER_START
+        assert (
+            target.library.control_call(control.storage_get, STORAGE_NOTE[0])
+            == STORAGE_NOTE[1]
+        )
+        ns = wal.storage_namespace(tb.source.name, app.image.name)
+        assert tb.durable.counter(wal.storage_retired_counter(ns)) == 1
 
     def test_agent_cuts_restore_time(self):
         tb = build_testbed(seed=314)

@@ -9,7 +9,8 @@ restore path with hostile variants and check the in-enclave verification
 import pytest
 
 from repro.errors import CssaMismatch, IntegrityError, MigrationError, RestoreError
-from repro.migration.orchestrator import MigrationOrchestrator
+from repro.migration.orchestrator import MigrationOrchestrator, MigrationRun
+from repro.migration.protocol import STEP_RESTORE, steps_before
 from repro.sdk import control
 from repro.sdk.host import WorkerSpec
 from repro.sgx import instructions as isa
@@ -22,19 +23,22 @@ def orch(testbed):
     return MigrationOrchestrator(testbed)
 
 
+def run_until_restore(orch, app) -> MigrationRun:
+    """Run the protocol table up to (not including) the restore step."""
+    run = MigrationRun(app)
+    orch.run_steps(run, steps_before(STEP_RESTORE))
+    return run
+
+
 def migrate_until_restore(testbed, orch, tag):
-    """Run the protocol up to (not including) the restore step."""
+    """A parked worker's enclave, migrated up to the restore step."""
     app = build_counter_app(
         testbed, tag=tag, workers=[WorkerSpec("slow_incr", args=500, repeat=1)]
     )
     for _ in range(40):
         testbed.source_os.engine.step_round()
-    orch.checkpoint_enclave(app)
-    target = orch.build_virgin_target(app)
-    orch.establish_channel(app, target)
-    delivered = orch.transfer_checkpoint(app)
-    orch.handoff_key(app, target)
-    return app, target, delivered
+    run = run_until_restore(orch, app)
+    return app, run.target, run.delivered
 
 
 class TestLyingLibraryCssa:
@@ -74,10 +78,7 @@ class TestHostileRestoreInputs:
         app_a = build_counter_app(testbed, tag="img-a")
         app_b = build_counter_app(testbed, tag="img-b")
         orch.checkpoint_enclave(app_a)
-        orch.checkpoint_enclave(app_b)
-        target_b = orch.build_virgin_target(app_b)
-        orch.establish_channel(app_b, target_b)
-        orch.handoff_key(app_b, target_b)
+        target_b = run_until_restore(orch, app_b).target
         # Operator feeds B's enclave the checkpoint of A.
         ckpt_a = app_a.library.last_checkpoint.envelope.to_bytes()
         with pytest.raises((RestoreError, IntegrityError)):
@@ -100,10 +101,7 @@ class TestHostileRestoreInputs:
         orch.checkpoint_enclave(app)
         stale = app.library.last_checkpoint.envelope.to_bytes()
         orch.cancel(app)
-        orch.checkpoint_enclave(app)
-        target = orch.build_virgin_target(app)
-        orch.establish_channel(app, target)
-        orch.handoff_key(app, target)
+        target = run_until_restore(orch, app).target  # checkpoints again
         with pytest.raises((RestoreError, IntegrityError)):
             target.library.control_call(control.target_restore_memory, stale)
 
@@ -114,10 +112,7 @@ class TestHostileRestoreInputs:
         from repro.migration.checkpoint import open_checkpoint, seal_checkpoint
 
         app = build_counter_app(testbed, tag="immutable")
-        orch.checkpoint_enclave(app)
-        target = orch.build_virgin_target(app)
-        orch.establish_channel(app, target)
-        orch.handoff_key(app, target)
+        target = run_until_restore(orch, app).target
         # Rebuild the envelope with a mutated read-only key page, sealed
         # under the *correct* key (a malicious enclave-author scenario is
         # out of scope; this models checkpoint forgery with a stolen key).

@@ -6,7 +6,7 @@ from repro.errors import MigrationAborted
 from repro.faults import FaultInjector, FaultPlan, MessageFault
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
 from repro.migration.testbed import build_testbed
-from repro.telemetry.causal import LABEL_ROUTES, build_dag, route_for
+from repro.telemetry.causal import build_dag
 from repro.telemetry.runs import run_seeded_migration
 
 from tests.conftest import build_counter_app
@@ -72,12 +72,6 @@ class TestContextPropagation:
         assert dag.duplicate_edges() == []
         assert dag.reordered_transfers() == []
         assert dag.trace_ids() == [tb.telemetry.tracer.trace_id]
-
-    def test_routes_cover_the_protocol_labels(self, tb):
-        for record in tb.network.log:
-            sender, receiver = route_for(record.label)
-            assert record.label in LABEL_ROUTES
-            assert sender != receiver
 
 
 class TestFaultEdges:

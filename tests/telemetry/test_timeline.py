@@ -6,6 +6,7 @@ from repro.errors import MigrationAborted, PartyCrash
 from repro.faults import FaultInjector, FaultPlan, MessageFault
 from repro.faults.plan import PROTOCOL_STEPS, STEP_HANDOFF_STORAGE
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
+from repro.migration.protocol import CUT_OVER, VM_STEPS, steps_before, steps_from
 from repro.migration.testbed import build_testbed
 from repro.sdk import control
 from repro.telemetry.runs import run_seeded_migration
@@ -90,11 +91,31 @@ class TestStorageTimeline:
 
 class TestVmTimeline:
     def test_vm_phases(self):
+        """Each of the run's two enclaves walks the table's rows in order:
+        its checkpoint inside the VM's prepare, the rest from the cut-over
+        on inside the VM's restore (storage handoff negotiated away)."""
         tb = run_seeded_migration(seed=2, vm=True)
-        names = tb.telemetry.timeline().phase_names
+        phases = tb.telemetry.timeline().phases
+        names = [p.name for p in phases]
         assert names[0] == "prepare"
         assert any(n.startswith("pre-copy round") for n in names)
-        assert "stop-and-copy" in names and names[-1] == "restore"
+        assert "stop-and-copy" in names
+
+        def inside(window):
+            return [
+                p.name
+                for p in phases
+                if p is not window
+                and window.start_ns <= p.start_ns
+                and p.end_ns <= window.end_ns
+            ]
+
+        def rows(steps):
+            return [step.name for step in steps if not step.negotiated]
+
+        assert inside(phases[0]) == rows(steps_before(CUT_OVER, VM_STEPS)) * 2
+        vm_restore = phases[names.index("vm-restore")]
+        assert inside(vm_restore) == rows(steps_from(CUT_OVER, VM_STEPS)) * 2
 
 
 #: Seeded fault matrix for the nesting property: message faults on every
