@@ -19,6 +19,13 @@ attested channel (Diffie-Hellman steps, RSA signatures) goes through one
   wins by amortizing key schedules, batching XORs and signing with the
   CRT.
 
+The stream ciphers (``rc4``, ``des_ctr``, ``aes_ctr``) take an optional
+``out`` buffer of ``len(data)`` bytes and write their output into it
+instead of allocating a new ``bytes``: OpenSSL fills it in place
+(``update_into``), the other paths copy their result in.  A multi-MB
+checkpoint is then encrypted without the second buffer and the page
+faults that ``update()``'s allocating return costs.
+
 The backend changes *wall-clock* cost only.  Virtual (modelled) time is
 charged by :class:`repro.sim.costs.CostModel` per algorithm and is
 identical under both backends — as are all wire bytes, journal entries
@@ -34,7 +41,7 @@ from __future__ import annotations
 import os
 from collections.abc import Hashable, Iterator
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Union
 
 from repro.crypto.aes import Aes128
 from repro.crypto.des import Des
@@ -44,6 +51,9 @@ from repro.errors import CryptoError
 
 if TYPE_CHECKING:
     from repro.crypto.rsa import RsaPrivateKey
+
+#: A bytes-like cipher input or output (``bytes``, ``bytearray``, ``memoryview``).
+Buffer = Union[bytes, bytearray, memoryview]
 
 BACKEND_ENV = "REPRO_CRYPTO_BACKEND"
 BACKEND_NAMES = ("reference", "fast")
@@ -82,13 +92,21 @@ class CryptoBackend:
     name = "abstract"
 
     # RC4 has no nonce; callers bind context into the stream key themselves.
-    def rc4(self, stream_key: bytes, data: bytes) -> bytes:
+    # With ``out`` (a writable buffer of ``len(data)`` bytes) the three
+    # stream ciphers write their output there and return it.
+    def rc4(self, stream_key: bytes, data: bytes, out: Buffer | None = None) -> Buffer:
         raise NotImplementedError
 
-    def des_ctr(self, key8: bytes, nonce: bytes, data: bytes, first_counter: int = 0) -> bytes:
+    def des_ctr(
+        self, key8: bytes, nonce: bytes, data: bytes, first_counter: int = 0,
+        out: Buffer | None = None,
+    ) -> Buffer:
         raise NotImplementedError
 
-    def aes_ctr(self, key16: bytes, nonce: bytes, data: bytes, first_counter: int = 0) -> bytes:
+    def aes_ctr(
+        self, key16: bytes, nonce: bytes, data: bytes, first_counter: int = 0,
+        out: Buffer | None = None,
+    ) -> Buffer:
         raise NotImplementedError
 
     def aes_cbc_encrypt(self, key16: bytes, iv: bytes, data: bytes) -> bytes:
@@ -111,14 +129,20 @@ class ReferenceBackend(CryptoBackend):
 
     name = "reference"
 
-    def rc4(self, stream_key: bytes, data: bytes) -> bytes:
-        return Rc4(stream_key).process(data)
+    def rc4(self, stream_key: bytes, data: bytes, out: Buffer | None = None) -> Buffer:
+        return _into(out, Rc4(stream_key).process(data))
 
-    def des_ctr(self, key8: bytes, nonce: bytes, data: bytes, first_counter: int = 0) -> bytes:
-        return ctr_process(Des(key8), nonce, data, first_counter)
+    def des_ctr(
+        self, key8: bytes, nonce: bytes, data: bytes, first_counter: int = 0,
+        out: Buffer | None = None,
+    ) -> Buffer:
+        return _into(out, ctr_process(Des(key8), nonce, data, first_counter))
 
-    def aes_ctr(self, key16: bytes, nonce: bytes, data: bytes, first_counter: int = 0) -> bytes:
-        return ctr_process(Aes128(key16), nonce, data, first_counter)
+    def aes_ctr(
+        self, key16: bytes, nonce: bytes, data: bytes, first_counter: int = 0,
+        out: Buffer | None = None,
+    ) -> Buffer:
+        return _into(out, ctr_process(Aes128(key16), nonce, data, first_counter))
 
     def aes_cbc_encrypt(self, key16: bytes, iv: bytes, data: bytes) -> bytes:
         return cbc_encrypt(Aes128(key16), iv, data)
@@ -192,24 +216,30 @@ class FastBackend(CryptoBackend):
         self._rsa = _KeyedCache(_openssl_rsa_key)
 
     # ---------------------------------------------------------------- rc4
-    def rc4(self, stream_key: bytes, data: bytes) -> bytes:
+    def rc4(self, stream_key: bytes, data: bytes, out: Buffer | None = None) -> Buffer:
         if not self._arc4_broken and len(stream_key) * 8 in _CgArc4.key_sizes:
             try:
                 encryptor = Cipher(_CgArc4(stream_key), mode=None).encryptor()
-                return encryptor.update(data)
+                return _update(encryptor, data, out)
             except _CgUnsupported:
                 # Some OpenSSL builds compile RC4 out; remember and fall back.
                 self._arc4_broken = True
         stream = Rc4(stream_key).keystream(len(data))
-        return _xor(data, stream)
+        return _into(out, _xor(data, stream))
 
     # ---------------------------------------------------------------- des
-    def des_ctr(self, key8: bytes, nonce: bytes, data: bytes, first_counter: int = 0) -> bytes:
+    def des_ctr(
+        self, key8: bytes, nonce: bytes, data: bytes, first_counter: int = 0,
+        out: Buffer | None = None,
+    ) -> Buffer:
         # OpenSSL has no single-DES CTR; amortize the key schedule instead.
-        return ctr_process(self._des.get(key8), nonce, data, first_counter)
+        return _into(out, ctr_process(self._des.get(key8), nonce, data, first_counter))
 
     # ---------------------------------------------------------------- aes
-    def aes_ctr(self, key16: bytes, nonce: bytes, data: bytes, first_counter: int = 0) -> bytes:
+    def aes_ctr(
+        self, key16: bytes, nonce: bytes, data: bytes, first_counter: int = 0,
+        out: Buffer | None = None,
+    ) -> Buffer:
         n_blocks = (len(data) + 15) // 16
         if (
             _HAVE_CRYPTOGRAPHY
@@ -219,8 +249,8 @@ class FastBackend(CryptoBackend):
         ):
             initial = nonce + first_counter.to_bytes(8, "big")
             encryptor = Cipher(algorithms.AES(key16), _cg_modes.CTR(initial)).encryptor()
-            return encryptor.update(data)
-        return ctr_process(self._aes.get(key16), nonce, data, first_counter)
+            return _update(encryptor, data, out)
+        return _into(out, ctr_process(self._aes.get(key16), nonce, data, first_counter))
 
     def aes_cbc_encrypt(self, key16: bytes, iv: bytes, data: bytes) -> bytes:
         if _HAVE_CRYPTOGRAPHY:
@@ -298,6 +328,29 @@ def _padded(key: RsaPrivateKey, digest: bytes) -> int:
     from repro.crypto.rsa import _pad_digest  # rsa.py imports this module
 
     return _pad_digest(digest, key.modulus_bytes)
+
+
+def _update(encryptor, data: Buffer, out: Buffer | None) -> Buffer:
+    """One OpenSSL stream-cipher pass: into ``out`` when given.
+
+    Stream modes write exactly ``len(data)`` bytes, and ``update_into``
+    fills the caller's buffer without allocating a second one.
+    """
+    if out is None:
+        return encryptor.update(data)
+    try:
+        encryptor.update_into(data, out)
+    except ValueError:  # older releases want block-size slack in ``out``
+        out[:] = encryptor.update(data)
+    return out
+
+
+def _into(out: Buffer | None, result: bytes) -> Buffer:
+    """``result``, copied into ``out`` when the caller passed one."""
+    if out is None:
+        return result
+    out[:] = result
+    return out
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:

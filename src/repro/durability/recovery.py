@@ -196,7 +196,13 @@ class MigrationRecovery:
             # thing recovery must never do here is resurrect the source
             # (which refuses a cancel once SPENT anyway).
             self.driver.rollback(MigrationRun(self.app, self.target_app))
-            detail = "K_migrate was never exported; the SPENT source stays SPENT"
+            if wal_records:
+                detail = "K_migrate was never exported; the SPENT source stays SPENT"
+            else:  # a whole-VM run journals nothing on the orchestrator's side
+                detail = (
+                    "the source released K_migrate, but the run kept no orchestrator "
+                    "journal to redeliver it from; the SPENT source stays SPENT"
+                )
             return self._report("aborted", 0, None, detail, kinds)
         if not self._target_alive():
             # Target died after the release.  Its journal sealed the

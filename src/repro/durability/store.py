@@ -88,13 +88,19 @@ class DurableStore:
     def put_blob(self, data: bytes) -> str:
         """Store ``data`` once under its SHA-256 hex digest; returns it.
 
-        Putting the same bytes again is a no-op.  Callers put the blob
-        *before* appending the record that names it, so a crash between
-        the two leaves an orphan blob, never a dangling record.
+        Putting the same bytes again stores and copies nothing.  Callers
+        put the blob *before* appending the record that names it, so a
+        crash between the two leaves an orphan blob, never a dangling
+        record.
         """
         digest = hashlib.sha256(data).hexdigest()
-        self._blobs.setdefault(digest, bytes(data))
+        if digest not in self._blobs:
+            self._blobs[digest] = bytes(data)
         return digest
+
+    def __contains__(self, digest: str) -> bool:
+        """``digest in store``: is a blob stored under it (not re-hashed)?"""
+        return digest in self._blobs
 
     def blob(self, digest: str) -> bytes:
         """The blob stored under ``digest``, re-hashed on read.

@@ -132,23 +132,27 @@ class SgxDriver:
             except SgxEpcExhausted:
                 self._evict_one(skip)
 
-    def _with_physical_epc(self, fn, skip: tuple[int, int] | None = None):
+    def _with_physical_epc(self, fn, skip: tuple[int, int] | None = None, tried: int = 0):
         """Run an EPC-consuming instruction, resolving *physical* pressure.
 
         The vEPC quota is the driver's own business (``_alloc_gpa``);
         running out of physical EPC means the hypervisor overcommitted
         and must revoke a page from some VM (§VI-A) — possibly this one.
+        ``tried`` counts the attempts a caller already made and saw
+        exhaust the EPC: the loop reclaims first, then tries again.
         """
         from repro.errors import HypervisorError
 
-        for _attempt in range(256):
-            try:
-                return fn()
-            except SgxEpcExhausted:
+        for attempt in range(tried, 256):
+            if attempt:
                 try:
                     self.machine.hypervisor.reclaim_physical(self.vm.name)
                 except HypervisorError:
                     self._evict_one(skip)  # we are the only tenant: self-evict
+            try:
+                return fn()
+            except SgxEpcExhausted:
+                pass
         raise SgxEpcExhausted("physical EPC pressure could not be resolved")
 
     # ------------------------------------------------------------- ioctl API
@@ -176,9 +180,12 @@ class SgxDriver:
                 )
             else:
                 content = spec.content
-            self._with_physical_epc(
-                lambda c=content, s=spec: isa.eadd(self.cpu, hw, s.vaddr, c, s.sec_info)
-            )
+            try:
+                isa.eadd(self.cpu, hw, spec.vaddr, content, spec.sec_info)
+            except SgxEpcExhausted:  # the reclaim loop, only when it is needed
+                self._with_physical_epc(
+                    lambda: isa.eadd(self.cpu, hw, spec.vaddr, content, spec.sec_info), tried=1
+                )
             denc.gpa_map[spec.vaddr] = gpa
             if spec.measure:
                 isa.eextend(self.cpu, hw, spec.vaddr)

@@ -324,8 +324,9 @@ class MigrationOrchestrator:
         crosses as a resumable chunk stream (``"checkpoint-chunk"``):
         lost or corrupted chunks are retransmitted individually, and a
         partition pauses the stream — surviving chunks are never resent.
+        What ships is the wire form the source's seal built, as it is.
         """
-        blob = app.library.last_checkpoint.envelope.to_bytes()
+        blob = app.library.last_checkpoint.wire
         if self.retry.chunk_bytes is None:
             return self.tb.network.transfer("checkpoint", blob)
         return self._transfer_chunked(blob)
@@ -716,8 +717,13 @@ def _transfer_checkpoint(orch: MigrationOrchestrator, run: MigrationRun) -> dict
     run.delivered = orch.transfer_checkpoint(run.app)
     if run.wal is None:
         return None
-    # The blob first, then the record naming it.
-    return {"blob": run.wal.store.put_blob(run.delivered)}
+    # The blob first, then the record naming it.  Bytes equal to what the
+    # source's journal stored are named by its digest, not hashed again;
+    # anything else the wire delivered is stored under its own.
+    store, sent = run.wal.store, run.checkpoint
+    if sent.blob is not None and sent.blob in store and run.delivered == sent.wire:
+        return {"blob": sent.blob}
+    return {"blob": store.put_blob(run.delivered)}
 
 
 def _handoff_key(orch: MigrationOrchestrator, run: MigrationRun) -> None:
@@ -750,7 +756,7 @@ def _handoff_key(orch: MigrationOrchestrator, run: MigrationRun) -> None:
 
 def _restore(orch: MigrationOrchestrator, run: MigrationRun) -> dict:
     # No row delivers a whole-VM run's checkpoint: it rode in the guest RAM.
-    run.plan = orch.restore(run.target, run.delivered or run.checkpoint.envelope.to_bytes())
+    run.plan = orch.restore(run.target, run.delivered or run.checkpoint.wire)
     return {"plan": {str(k): v for k, v in run.plan.items()}}
 
 

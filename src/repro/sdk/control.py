@@ -20,6 +20,7 @@ verification (§IV-C / §III step-4), and finish.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Iterator
 
 from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
@@ -85,12 +86,21 @@ _KEY_RECORD_AAD = {
 
 @dataclass
 class CheckpointResult:
-    """What the control thread hands back to the (untrusted) library."""
+    """What the control thread hands back to the (untrusted) library.
+
+    ``wire`` is the envelope's wire form, built once by the seal (the
+    envelope's ciphertext is a view into it), and ``blob`` the digest the
+    source's journal stored those bytes under (``None`` when the enclave
+    journals nothing): the orchestrator ships ``wire`` as it is and can
+    name the bytes it delivered without hashing them again.
+    """
 
     envelope: Envelope
     memory_bytes: int
     skipped_pages: int
     sequence: int
+    wire: bytes
+    blob: str | None
 
 
 def _ensure_not_destroyed(rt: EnclaveRuntime) -> None:
@@ -117,10 +127,19 @@ def _bind_report_data(purpose: str, public: int) -> bytes:
     return sha256(purpose.encode() + public.to_bytes(256, "big")).ljust(64, b"\x00")
 
 
+#: Enclave-private state (``EnclaveSession.private``): the boot slot's DH
+#: private value with its public half, so that completing the channel
+#: does not redo the modexp.  Enclave memory does not change.
+_BOOT_DH = "boot-dh"
+
+
 def _fresh_dh_public(rt: EnclaveRuntime) -> int:
     """Draw a DH private value into the boot slot; return its public half."""
     rt.fresh_dh_private_store(OBJ_BOOT)
-    return dh_public(rt.load_obj(OBJ_BOOT)["dh_private"])
+    private = rt.load_obj(OBJ_BOOT)["dh_private"]
+    public = dh_public(private)
+    rt.session.private[_BOOT_DH] = (private, public)
+    return public
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +196,7 @@ def generate_checkpoint(
     readable = image.readable_reg_vaddrs()
     for start in range(0, len(readable), pages_per_step):
         batch = readable[start : start + pages_per_step]
-        for vaddr in batch:
-            pages[vaddr] = rt.read(vaddr, PAGE_SIZE)
+        pages.update(zip(batch, rt.read_pages(batch)))
         yield costs.memcpy_ns(len(batch) * PAGE_SIZE)
     if sgx_v2:
         # §IV-B: "this problem can be fixed in SGX v2 which supports
@@ -237,9 +255,11 @@ def generate_checkpoint(
     # The fsync blocks this control thread, not the machine: defer the
     # commit cost into a yield so concurrent checkpointers overlap their
     # journal waits instead of serializing on a stop-the-world charge.
+    wire = envelope.to_bytes()
+    blob = rt.journal_blob(wire)
     commit_wait_ns = rt.journal_record(
         "checkpoint",
-        {"sequence": sequence, "envelope": rt.journal_blob(envelope.to_bytes())},
+        {"sequence": sequence, "envelope": blob},
         secret={"kmigrate": kmigrate.material, "sequence": sequence},
         defer_charge=True,
         aad=_KEY_RECORD_AAD[GO_LIVE_SOURCE],
@@ -251,6 +271,8 @@ def generate_checkpoint(
         memory_bytes=body_len,
         skipped_pages=len(skipped),
         sequence=sequence,
+        wire=wire,
+        blob=blob,
     )
 
 
@@ -386,11 +408,14 @@ def target_complete_channel(
     boot = rt.load_obj(OBJ_BOOT)
     if boot is None:
         raise ChannelError("no channel request in progress")
+    private = boot["dh_private"]
+    drawn, target_dh_public = rt.session.private.get(_BOOT_DH, (None, None))
+    if drawn != private:
+        raise ChannelError("this enclave holds no public half for its channel request")
     key_page = unpack(rt.read(rt.layout.key_page_vaddr, rt.layout.key_page_len))
     image_public = RsaPublicKey(key_page["pub_n"], key_page["pub_e"])
-    private = boot["dh_private"]
     transcript = pack(
-        {"source_pub": source_dh_public, "target_pub": dh_public(private), "purpose": "migrate"}
+        {"source_pub": source_dh_public, "target_pub": target_dh_public, "purpose": "migrate"}
     )
     image_public.verify(transcript, signature)  # raises SignatureError
     session_key = dh_session_key(source_dh_public, private)
@@ -399,6 +424,7 @@ def target_complete_channel(
     rt.store_obj(OBJ_CHANNEL, channel)
     rt.set_channel_state(CHANNEL_OPEN)
     rt.delete_obj(OBJ_BOOT)
+    del rt.session.private[_BOOT_DH]
     rt.journal_record("channel")
 
 
@@ -825,21 +851,26 @@ def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[
         for p in rt.image.pages
         if Permissions.W in p.sec_info.permissions
     }
-    for vaddr, data in checkpoint.pages.items():
-        if vaddr in writable:
-            rt.write(vaddr, data)
-        elif rt.read(vaddr, len(data)) != data:
-            # Read-only pages (code, embedded keys) are measured into the
-            # image; the virgin enclave must already hold identical bytes.
-            raise RestoreError(f"immutable page 0x{vaddr:x} differs from the image")
+    # In checkpoint order: each run of writable pages is written in one
+    # page-run call; read-only pages (code, embedded keys) are measured
+    # into the image, so the virgin enclave must already hold them.
+    for writes, run in groupby(checkpoint.pages.items(), lambda item: item[0] in writable):
+        if writes:
+            rt.write_pages(*zip(*run))
+            continue
+        for vaddr, data in run:
+            if rt.read(vaddr, len(data)) != data:
+                raise RestoreError(f"immutable page 0x{vaddr:x} differs from the image")
     # The page writes restored the source's control block; keep ours.
     rt.set_go_live_token(go_live)
     # Enter restore mode: replayed EENTERs are counted, not executed.
     rt.set_restore_mode(1)
     for template in rt.image.tcs_templates:
         rt.set_replay_count(template.index, 0)
+    # The record keeps its SSA pages as bytes: the rest of the checkpoint
+    # is views into the decrypted buffer, which this call then frees.
     ssa_pages = {
-        vaddr: checkpoint.pages[vaddr]
+        vaddr: bytes(checkpoint.pages[vaddr])
         for template in rt.image.tcs_templates
         for vaddr in range(template.ossa, template.ossa + template.nssa * PAGE_SIZE, PAGE_SIZE)
         if vaddr in checkpoint.pages

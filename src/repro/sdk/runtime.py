@@ -16,7 +16,7 @@ trusts).  It provides:
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
 from repro.crypto.dh import dh_private
@@ -81,6 +81,32 @@ class EnclaveRuntime:
                 return
             except EnclavePageFault as fault:
                 self._fault_handler(fault.vaddr)
+
+    def read_pages(self, vaddrs: Sequence[int]) -> list[bytes]:
+        """Read whole pages, one per page address, in one page run.
+
+        An evicted page is resolved where the run meets it, and the run
+        resumes there: the same faults, in the same order, as one
+        :meth:`read` per page.
+        """
+        out: list[bytes] = []
+        while True:
+            try:
+                return self.session.read_pages(vaddrs, out)
+            except EnclavePageFault as fault:
+                self._fault_handler(fault.vaddr)
+
+    def write_pages(self, vaddrs: Sequence[int], pages: Sequence[bytes]) -> None:
+        """Write whole pages (``pages[i]`` at ``vaddrs[i]``) in one page run,
+        resolving evicted pages as :meth:`read_pages` does."""
+        start = 0
+        while True:
+            try:
+                self.session.write_pages(vaddrs, pages, start)
+                return
+            except EnclavePageFault as fault:
+                self._fault_handler(fault.vaddr)
+                start = vaddrs.index(fault.vaddr, start)
 
     def load_u64(self, vaddr: int) -> int:
         return struct.unpack("<Q", self.read(vaddr, 8))[0]

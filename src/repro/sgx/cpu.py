@@ -14,13 +14,13 @@ from __future__ import annotations
 import itertools
 import struct
 from contextlib import contextmanager
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.crypto.hashes import hmac_sha256
 from repro.crypto.keys import SymmetricKey
 from repro.errors import SgxAccessFault, SgxInstructionFault
 from repro.sgx.enclave import EnclaveHw
-from repro.sgx.epc import Epc
+from repro.sgx.epc import Epc, EpcPage
 from repro.sgx.mee import MemoryEncryptionEngine
 from repro.sgx.structures import PAGE_SIZE, Permissions, Tcs
 from repro.sim.clock import VirtualClock
@@ -192,18 +192,19 @@ class EnclaveSession:
     # address outside the range, then per touched page, lowest first, a
     # dead enclave, an unmapped page, an evicted page (EnclavePageFault),
     # a missing permission.  An access inside one page is checked once
-    # and served from the page it looked up.
-    def _page_data(self, page: int, needed: Permissions) -> bytearray:
+    # and served from the page it looked up; a page run checks each of
+    # its pages so, in run order.
+    def _page(self, page: int, needed: Permissions) -> EpcPage:
         perms, epc_page = self.enclave.page_slot(page)
         if needed not in perms:
             raise SgxAccessFault(f"page 0x{page:x} lacks {needed} permission (has {perms})")
-        return epc_page.data
+        return epc_page
 
     def _check_pages(self, vaddr: int, n: int, needed: Permissions) -> None:
         first = vaddr - (vaddr % PAGE_SIZE)
         last = (vaddr + max(n, 1) - 1) - ((vaddr + max(n, 1) - 1) % PAGE_SIZE)
         for page in range(first, last + 1, PAGE_SIZE):
-            self._page_data(page, needed)
+            self._page(page, needed)
 
     def _check_range(self, vaddr: int) -> int:
         """Refuse a closed session or a foreign address; the page offset."""
@@ -216,7 +217,7 @@ class EnclaveSession:
         """Read enclave memory (requires R permission on touched pages)."""
         offset = self._check_range(vaddr)
         if offset + n <= PAGE_SIZE:
-            return bytes(self._page_data(vaddr - offset, Permissions.R)[offset : offset + n])
+            return bytes(self._page(vaddr - offset, Permissions.R).peek()[offset : offset + n])
         self._check_pages(vaddr, n, Permissions.R)
         return self.enclave.hw_read(vaddr, n)
 
@@ -225,10 +226,37 @@ class EnclaveSession:
         offset = self._check_range(vaddr)
         n = len(data)
         if offset + n <= PAGE_SIZE:
-            self._page_data(vaddr - offset, Permissions.W)[offset : offset + n] = data
+            self._page(vaddr - offset, Permissions.W).data[offset : offset + n] = data
             return
         self._check_pages(vaddr, n, Permissions.W)
         self.enclave.hw_write(vaddr, data)
+
+    def read_pages(self, vaddrs: Sequence[int], out: list[bytes]) -> list[bytes]:
+        """Read whole pages: append the page at each of ``vaddrs[len(out):]``.
+
+        Each page address is checked as a one-page :meth:`read` checks
+        it, in order, so a run faults where and as its first faulting
+        page would alone; ``out`` then holds the pages before that one,
+        and calling again with it resumes there.  Returns ``out``.
+        """
+        self._require_open()
+        contains = self.enclave.contains
+        for vaddr in vaddrs[len(out) :]:
+            if not contains(vaddr):
+                raise SgxAccessFault(f"0x{vaddr:x} is outside the enclave range")
+            out.append(bytes(self._page(vaddr, Permissions.R).peek()))
+        return out
+
+    def write_pages(self, vaddrs: Sequence[int], pages: Sequence[bytes], start: int = 0) -> None:
+        """Write whole pages, ``pages[i]`` (at most 4 KB) at ``vaddrs[i]``,
+        from ``start`` on, checked and faulting as :meth:`read_pages`."""
+        self._require_open()
+        contains = self.enclave.contains
+        for i in range(start, len(vaddrs)):
+            vaddr = vaddrs[i]
+            if not contains(vaddr):
+                raise SgxAccessFault(f"0x{vaddr:x} is outside the enclave range")
+            self._page(vaddr, Permissions.W).store(pages[i])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "open" if self._open else "closed"

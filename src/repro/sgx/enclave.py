@@ -131,7 +131,7 @@ class EnclaveHw:
             index = self._page_index(page_base)
             offset = cursor - page_base
             take = min(remaining, PAGE_SIZE - offset)
-            out.extend(self._epc.page(index).data[offset : offset + take])
+            out.extend(self._epc.page(index).peek()[offset : offset + take])
             cursor += take
             remaining -= take
         return bytes(out)

@@ -30,15 +30,20 @@ class EpcmEntry:
     permissions: Permissions = Permissions.NONE
 
 
+#: The content of every page nothing has written yet.
+ZERO_PAGE = bytes(PAGE_SIZE)
+
+
 class EpcPage:
     """One 4 KB EPC page.
 
     ``data`` holds the byte content of REG pages.  SECS/TCS/VA pages carry
     a hardware object in ``hw_object`` instead (their content is never
     software-visible, so bytes would buy nothing but overhead).  The
-    backing bytearray is allocated on first touch: a large EPC is mostly
+    backing bytearray is allocated on first write: a large EPC is mostly
     never-used zero pages, and allocating them eagerly costs seconds of
-    real time per testbed.
+    real time per testbed.  :meth:`peek` reads a page without allocating
+    it, and :meth:`store` fills one without zeroing it first.
     """
 
     __slots__ = ("index", "_data", "hw_object")
@@ -57,6 +62,19 @@ class EpcPage:
     @data.setter
     def data(self, value: bytearray) -> None:
         self._data = value
+
+    def peek(self) -> bytes | bytearray:
+        """The page's bytes, to read: :data:`ZERO_PAGE` until first written."""
+        return ZERO_PAGE if self._data is None else self._data
+
+    def store(self, content: bytes) -> None:
+        """Overwrite the page from its start with ``content`` (at most 4 KB)."""
+        if len(content) > PAGE_SIZE:
+            raise SgxInstructionFault("page content exceeds 4KB")
+        if self._data is None and len(content) == PAGE_SIZE:
+            self._data = bytearray(content)
+        else:
+            self.data[: len(content)] = content
 
     def wipe(self) -> None:
         self._data = None

@@ -76,23 +76,25 @@ def eadd(
             raise SgxInstructionFault("REG page content must be bytes")
         if len(content) > PAGE_SIZE:
             raise SgxInstructionFault("page content exceeds 4KB")
-        page.data[: len(content)] = content
+        if content:  # empty content leaves the page lazily zero
+            page.store(content)
         enclave._map_page(vaddr, page.index)
     else:
         raise SgxInstructionFault(f"EADD cannot add {sec_info.page_type} pages")
     enclave.measurement.eadd(vaddr, sec_info)
 
 
-def _page_measure_bytes(cpu: SgxCpu, enclave: EnclaveHw, vaddr: int) -> bytes:
+def _page_measure_bytes(cpu: SgxCpu, enclave: EnclaveHw, vaddr: int) -> bytes | bytearray:
+    """The page's content as EEXTEND measures it, read in place."""
     index = enclave._page_index(vaddr)
     page = cpu.epc.page(index)
     if cpu.epc.entry(index).page_type is PageType.TCS:
         return page.hw_object.to_bytes().ljust(PAGE_SIZE, b"\x00")
-    return bytes(page.data)
+    return page.peek()
 
 
 def eextend(cpu: SgxCpu, enclave: EnclaveHw, vaddr: int) -> None:
-    """Measure one previously added page into MRENCLAVE."""
+    """Measure one previously added page into MRENCLAVE (no copy of it)."""
     cpu.charge(cpu.costs.eextend_page_ns)
     if enclave.secs.initialized:
         raise SgxInstructionFault("EEXTEND after EINIT is not allowed")
@@ -245,7 +247,7 @@ def ewb(cpu: SgxCpu, enclave: EnclaveHw, vaddr: int, va_index: int, slot: int) -
             }
         ).ljust(PAGE_SIZE, b"\x00")
     else:
-        plaintext = bytes(cpu.epc.page(index).data)
+        plaintext = bytes(cpu.epc.page(index).peek())
     version = cpu.next_version()
     sealed = cpu.mee.seal_page(
         plaintext, enclave.eid, vaddr, entry.page_type, entry.permissions, version
@@ -279,7 +281,7 @@ def eldb(cpu: SgxCpu, enclave: EnclaveHw, evicted: EvictedPage, va_index: int, s
         page.hw_object = tcs
         enclave._tcs[evicted.vaddr] = tcs
     else:
-        page.data[:] = plaintext
+        page.store(plaintext)
     slots[slot] = 0
     enclave._reload_page(evicted.vaddr, page.index)
     cpu.trace.count("eldb")

@@ -12,14 +12,28 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 from repro.errors import SgxInstructionFault
 from repro.sgx.structures import PAGE_SIZE, SecInfo
 
 _EXTEND_CHUNK = 256
-_EXTEND_OFFSETS = tuple(
-    (offset, offset.to_bytes(4, "little")) for offset in range(0, PAGE_SIZE, _EXTEND_CHUNK)
-)
 _EEXTEND_TAG = len(b"EEXTEND").to_bytes(1, "big") + b"EEXTEND"
+#: One page's 16 EEXTEND records, one per row: ``tag || vaddr (8, LE) ||
+#: offset (4, LE) || 256 content bytes``.  The tag and offsets are the
+#: same for every page; EEXTEND writes the vaddr and the content.
+_VADDR_AT = len(_EEXTEND_TAG)
+_OFFSET_AT = _VADDR_AT + 8
+_CONTENT_AT = _OFFSET_AT + 4
+_EXTEND_TEMPLATE = np.array(
+    [
+        np.frombuffer(
+            _EEXTEND_TAG + bytes(8) + offset.to_bytes(4, "little") + bytes(_EXTEND_CHUNK),
+            dtype=np.uint8,
+        )
+        for offset in range(0, PAGE_SIZE, _EXTEND_CHUNK)
+    ]
+)
 
 
 class MeasurementLog:
@@ -28,6 +42,11 @@ class MeasurementLog:
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
         self._finalized: bytes | None = None
+        self._records = _EXTEND_TEMPLATE.copy()
+        # Views of the rows' vaddr field (one little-endian u64 each) and
+        # of their 256 content bytes, written in place by eextend.
+        self._vaddrs = self._records[:, _VADDR_AT:_OFFSET_AT].view("<u8")
+        self._chunks = self._records[:, _CONTENT_AT:]
 
     def _check_open(self) -> None:
         if self._finalized is not None:
@@ -46,18 +65,17 @@ class MeasurementLog:
     def eextend(self, vaddr: int, page_content: bytes) -> None:
         """Measure one page's content in 256-byte chunks, as hardware does.
 
-        Each chunk is one EEXTEND record; the page's 16 records go into
-        the running hash in one update, which digests the same bytes.
+        Each chunk is one EEXTEND record.  The page's 16 records are
+        filled in place in this log's record buffer (the vaddr into every
+        row, the content in one vectorized copy) and go into the running
+        hash in one update, which digests the same bytes.
         """
         if len(page_content) != PAGE_SIZE:
             raise SgxInstructionFault("EEXTEND measures whole pages")
         self._check_open()
-        head = _EEXTEND_TAG + vaddr.to_bytes(8, "little")
-        content = memoryview(page_content)
-        records = []
-        for offset, offset_bytes in _EXTEND_OFFSETS:
-            records += (head, offset_bytes, content[offset : offset + _EXTEND_CHUNK])
-        self._hash.update(b"".join(records))
+        self._vaddrs[:] = vaddr
+        self._chunks[:] = np.frombuffer(page_content, dtype=np.uint8).reshape(-1, _EXTEND_CHUNK)
+        self._hash.update(self._records)
 
     def finalize(self) -> bytes:
         """Freeze and return MRENCLAVE (called by EINIT)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.errors import SgxAccessFault
@@ -53,8 +54,13 @@ class SecInfo:
     page_type: PageType
     permissions: Permissions
 
-    def to_bytes(self) -> bytes:
+    @cached_property
+    def _encoded(self) -> bytes:
         return f"{self.page_type.value}:{self.permissions.value}".encode().ljust(64, b"\x00")
+
+    def to_bytes(self) -> bytes:
+        """The 64 bytes EADD measures; encoded once per SecInfo."""
+        return self._encoded
 
 
 @dataclass

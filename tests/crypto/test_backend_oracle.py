@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import backend as backend_module
-from repro.crypto.authenc import CIPHER_NAMES, open_envelope, seal_envelope
+from repro.crypto.authenc import CIPHER_NAMES, open_envelope, seal_envelope, seal_parts
 from repro.crypto.backend import (
     BACKEND_NAMES,
     FastBackend,
@@ -29,7 +29,7 @@ from repro.crypto.backend import (
     use_backend,
 )
 from repro.crypto.dh import MODP_2048_P, dh_private, dh_public, dh_session_key
-from repro.crypto.hashes import sha256
+from repro.crypto.hashes import hmac_sha256, sha256
 from repro.crypto.keys import SymmetricKey
 from repro.crypto.rsa import _CRT_PARAMS, RsaPrivateKey, generate_rsa_keypair
 from repro.errors import CryptoError, IntegrityError
@@ -108,6 +108,28 @@ class TestPrimitiveParity:
         for k in (1, 3, 9):
             tail = FAST.aes_ctr(key16, nonce, b"\x00" * (160 - 16 * k), first_counter=k)
             assert tail == whole[16 * k :]
+
+    @pytest.mark.parametrize("cryptography", (True, False), ids=("openssl", "fallback"))
+    def test_stream_ciphers_fill_an_out_buffer(self, monkeypatch, cryptography):
+        """With ``out`` the stream ciphers write into the caller's buffer
+        the bytes they would have returned, and return that buffer."""
+        if not cryptography:
+            monkeypatch.setattr(backend_module, "_HAVE_CRYPTOGRAPHY", False)
+        data = bytes(range(256)) * 9 + b"tail"
+        for backend in (REF, FastBackend()):
+            calls = [
+                lambda **out: backend.rc4(b"k" * 32, data, **out),
+                lambda **out: backend.des_ctr(b"d" * 8, b"nonc", data, 3, **out),
+                lambda **out: backend.aes_ctr(b"a" * 16, b"n" * 8, data, 5, **out),
+            ]
+            for call in calls:
+                out = bytearray(len(data))
+                assert call(out=out) is out
+                assert bytes(out) == call()
+                window = bytearray(len(data) + 8)
+                call(out=memoryview(window)[4 : 4 + len(data)])
+                assert window[:4] == window[-4:] == bytes(4)
+                assert bytes(window[4:-4]) == call()
 
     def test_empty_payloads(self):
         assert FAST.rc4(b"k", b"") == b""
@@ -263,6 +285,24 @@ class TestEnvelopeParity:
         with use_backend(REF):
             assert open_envelope(k, env_fast, aad=aad) == plaintext
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        backend_name=st.sampled_from(BACKEND_NAMES),
+        algorithm=st.sampled_from(CIPHER_NAMES),
+        parts=st.lists(st.binary(max_size=300), max_size=5),
+        nonce=st.binary(min_size=8, max_size=16),
+        aad=st.binary(max_size=16),
+    )
+    def test_sealing_parts_equals_sealing_their_join(
+        self, backend_name, algorithm, parts, nonce, aad
+    ):
+        k = SymmetricKey(b"p" * 32, "parts")
+        plaintext = b"".join(parts)
+        with use_backend(backend_name):
+            sealed = seal_parts(k, parts, nonce, algorithm, aad=aad).to_bytes()
+            assert sealed == seal_envelope(k, plaintext, nonce, algorithm, aad=aad).to_bytes()
+            assert sealed == _wire_field_by_field(k, plaintext, nonce, algorithm, aad)
+
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     @pytest.mark.parametrize("algorithm", CIPHER_NAMES)
     def test_tamper_rejection(self, backend_name, algorithm):
@@ -277,6 +317,37 @@ class TestEnvelopeParity:
                 open_envelope(k, Envelope.from_bytes(bytes(mangled)), aad=b"a")
             with pytest.raises(IntegrityError):
                 open_envelope(k, env, aad=b"wrong-aad")
+
+
+def _wire_field_by_field(key, plaintext, nonce, algorithm, aad) -> bytes:
+    """An envelope's wire form spelled out: ``sha256(pt) || pt`` through
+    the active backend's allocating cipher call, the MAC over one
+    concatenation, and every header field in order."""
+    b = get_backend()
+    enc, mac_key = key.derive("enc").material, key.derive("mac").material
+    inner = sha256(plaintext) + plaintext
+    if algorithm == "rc4":
+        ciphertext = b.rc4(sha256(enc + nonce), inner)
+    elif algorithm == "des":
+        ciphertext = b.des_ctr(sha256(enc)[:8], nonce[:4], inner)
+    elif algorithm in ("aes", "aes-ni"):
+        ciphertext = b.aes_ctr(sha256(enc)[:16], nonce[:8], inner)
+    else:
+        ciphertext = b.aes_cbc_encrypt(sha256(enc)[:16], sha256(nonce)[:16], inner)
+    algo = algorithm.encode()
+    mac = hmac_sha256(mac_key, algo + nonce + aad + ciphertext)
+    return b"".join(
+        [
+            b"SGXMIGv1",
+            bytes([len(algo)]),
+            algo,
+            bytes([len(nonce)]),
+            nonce,
+            len(ciphertext).to_bytes(8, "big"),
+            ciphertext,
+            mac,
+        ]
+    )
 
 
 class TestRegistry:

@@ -1,5 +1,7 @@
 """Diffie-Hellman, RSA signatures, typed keys, and the AE envelope."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -147,7 +149,7 @@ class TestEnvelope:
     def test_ciphertext_hides_plaintext(self, key):
         secret = b"VERY-IDENTIFIABLE-SECRET-BYTES"
         env = seal_envelope(key, secret * 4, b"n" * 16, "aes")
-        assert secret not in env.ciphertext
+        assert secret not in bytes(env.ciphertext)
         assert secret not in env.to_bytes()
 
     def test_wrong_key_rejected(self, key):
@@ -192,6 +194,32 @@ class TestEnvelope:
         env = seal_envelope(key, b"data" * 100, b"n" * 16)
         with pytest.raises(CryptoError):
             Envelope.from_bytes(env.to_bytes()[: len(env.to_bytes()) // 2])
+
+    def test_trailing_bytes_rejected(self, key):
+        """One envelope has one wire form: bytes past the MAC are refused,
+        not ignored (they used to open to the same plaintext)."""
+        wire = seal_envelope(key, b"data" * 100, b"n" * 16).to_bytes()
+        with pytest.raises(CryptoError):
+            Envelope.from_bytes(wire + b"TRAILING-GARBAGE")
+        with pytest.raises(CryptoError):
+            Envelope.from_bytes(wire + b"\x00")
+        assert open_envelope(key, Envelope.from_bytes(wire)) == b"data" * 100
+
+    def test_parsed_envelope_keeps_its_wire_form(self, key):
+        wire = seal_envelope(key, b"data" * 100, b"n" * 16).to_bytes()
+        env = Envelope.from_bytes(wire)
+        assert env.to_bytes() is wire
+        assert env.size == len(wire)
+        # The ciphertext is a read-only view of the wire bytes, not a copy.
+        assert isinstance(env.ciphertext, memoryview) and env.ciphertext.readonly
+        # A mutable buffer is copied first: the envelope never sees it change.
+        buffer = bytearray(wire)
+        parsed = Envelope.from_bytes(buffer)
+        buffer[-40] ^= 0xFF
+        assert parsed.to_bytes() == wire
+        assert open_envelope(key, parsed) == b"data" * 100
+        # A field-by-field copy has no wire form and rebuilds the same bytes.
+        assert dataclasses.replace(env).to_bytes() == wire
 
     @given(st.binary(max_size=300), st.sampled_from(CIPHER_NAMES))
     @settings(max_examples=30)

@@ -35,6 +35,7 @@ from repro.errors import (
 from repro.faults import FaultInjector, FaultPlan
 from repro.migration.testbed import build_testbed
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
+from repro.migration.vm import VmMigrationManager
 
 SEED = int(os.environ.get("FAULT_SEED", "5"))
 
@@ -293,6 +294,26 @@ class TestPartitionPlusCrash:
         assert report.outcome == "source-restored"
         assert report.live_instances == 1
         tb.monitor.assert_clean()
+
+
+class TestWholeVmRecovery:
+    def test_says_why_a_released_key_cannot_be_redelivered(self):
+        """A whole-VM run keeps no orchestrator journal.  The target dies
+        right after going live, so the key is lost with it: recovery ends
+        aborted with zero live, and says that the source did release
+        K_migrate (it used to say the key was never exported)."""
+        tb = build_testbed(seed=5)
+        app = build_sweep_app(tb)
+        FaultInjector(FaultPlan(seed=5).crash_at_record(wal.PARTY_TARGET, 3)).attach(tb)
+        manager = VmMigrationManager(tb, [app])
+        with pytest.raises(PartyCrash):
+            manager.migrate()
+        report = MigrationRecovery(tb, app, orchestrator=manager.orchestrator).recover()
+        assert (report.outcome, report.live_instances) == ("aborted", 0)
+        assert "released K_migrate" in report.detail
+        assert "no orchestrator journal" in report.detail
+        assert "never exported" not in report.detail
+        assert report.journal_kinds[f"enclave/source/{app.image.name}"][-1] == "released"
 
 
 class TestAgentExactlyOnce:

@@ -10,6 +10,7 @@ owner-provisioned instances hold.
 import pytest
 
 from repro.crypto.authenc import seal_envelope
+from repro.crypto.backend import get_backend
 from repro.crypto.dh import dh_public
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
@@ -128,6 +129,44 @@ class TestTargetSideAuthentication:
         target = orch.build_virgin_target(app)
         with pytest.raises(ChannelError):
             target.library.control_call(control.target_complete_channel, 5, b"sig")
+
+
+    def test_complete_channel_refuses_without_the_requests_public_half(self, testbed, orch):
+        """The target completes with the public half its request drew,
+        kept in enclave-private state; without it, completion is refused."""
+        app = build_counter_app(testbed, tag="chansec-nopub")
+        orch.checkpoint_enclave(app)
+        target = orch.build_virgin_target(app)
+        quote, target_dh = target.library.control_call(
+            control.target_channel_request, testbed.target.quoting_enclave
+        )
+        source_dh, signature = app.library.control_call(
+            control.source_open_channel, testbed.ias.verify_quote(quote), target_dh
+        )
+        # The boot slot still holds the request's DH private value.
+        target.library.control_call(lambda rt: rt.session.private.clear())
+        with pytest.raises(ChannelError):
+            target.library.control_call(control.target_complete_channel, source_dh, signature)
+
+
+class TestDhWork:
+    def test_a_channel_takes_four_dh_exponentiations(self, testbed, orch, monkeypatch):
+        """The target's request draws its public half (1), the source its
+        own and the shared secret (2, 3), and the target's completion only
+        the shared secret (4): it reuses its request's public half."""
+        app = build_counter_app(testbed, tag="chansec-dh")
+        orch.checkpoint_enclave(app)
+        target = orch.build_virgin_target(app)
+        backend = get_backend()
+        modexp, calls = backend.dh_modexp, []
+
+        def counted(*args):
+            calls.append(args)
+            return modexp(*args)
+
+        monkeypatch.setattr(backend, "dh_modexp", counted)
+        orch.establish_channel(app, target)
+        assert len(calls) == 4
 
 
 class TestSessionKeyProperties:

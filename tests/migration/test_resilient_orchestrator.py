@@ -10,8 +10,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ChunkError, MigrationAborted, SelfDestroyed, StepTimeout
-from repro.faults import FaultInjector, FaultPlan
+from repro.durability import wal
+from repro.durability.journal import Journal
+from repro.durability.recovery import MigrationRecovery
+from repro.errors import (
+    ChunkError,
+    IntegrityError,
+    MigrationAborted,
+    PartyCrash,
+    SelfDestroyed,
+    StepTimeout,
+)
+from repro.faults import FaultInjector, FaultPlan, parse_fault_spec
 from repro.migration.agent import AgentService, build_agent_image
 from repro.migration.checkpoint import ChunkReassembler, chunk_blob
 from repro.migration.orchestrator import (
@@ -213,3 +223,73 @@ class TestAgentRetries:
         MigrationOrchestrator(tb).checkpoint_enclave(app)
         with pytest.raises(LinkTimeout):
             agent.escrow_from(app)
+
+
+def _journal_payload(tb, name: str, party: str, kind: str) -> dict:
+    records = Journal(tb.durable, name, party).records()
+    return next(r.payload for r in records if r.kind == kind)
+
+
+def _wal_transferred(tb, app) -> str:
+    name = wal.orchestrator_journal_name(app.image.name, getattr(tb, "wal_epoch", 0))
+    return _journal_payload(tb, name, wal.PARTY_ORCHESTRATOR, wal.WAL_TRANSFERRED)["blob"]
+
+
+def _source_checkpoint_blob(tb, app) -> str:
+    epoch = getattr(tb.source, "journal_epoch", 0)
+    name = wal.enclave_journal_name(tb.source.name, app.image.name, epoch)
+    return _journal_payload(tb, name, wal.PARTY_SOURCE, wal.REC_CHECKPOINT)["envelope"]
+
+
+class TestCheckpointBlobOnce:
+    """The sealed checkpoint is stored once: the orchestrator names the
+    source's blob for the bytes it delivered unchanged, and stores only
+    bytes the wire changed, under their own digest."""
+
+    def test_clean_chunked_run_puts_no_second_blob(self, monkeypatch):
+        tb = build_testbed(seed=3)
+        app = build_counter_app(tb)
+        puts = []
+        put_blob = tb.durable.put_blob
+
+        def counted_put(data):
+            puts.append(put_blob(data))
+            return puts[-1]
+
+        monkeypatch.setattr(tb.durable, "put_blob", counted_put)
+        MigrationOrchestrator(tb, retry=FAULT_TOLERANT_RETRY).migrate_enclave(app)
+        source_blob = _source_checkpoint_blob(tb, app)
+        assert puts == [source_blob]  # the source's put, and no other
+        assert _wal_transferred(tb, app) == source_blob
+
+    def test_corrupted_delivery_is_stored_under_its_own_digest(self):
+        tb = build_testbed(seed=3)
+        app = build_counter_app(tb)
+        orch = MigrationOrchestrator(tb, faults=FaultInjector(parse_fault_spec("corrupt:checkpoint")))
+        with pytest.raises(MigrationAborted) as aborted:
+            orch.migrate_enclave(app)
+        assert isinstance(aborted.value.__cause__, IntegrityError)  # the target refused it
+        transferred, source_blob = _wal_transferred(tb, app), _source_checkpoint_blob(tb, app)
+        assert transferred != source_blob
+        delivered = tb.durable.blob(transferred)  # re-hashed on read
+        assert delivered == orch.run.delivered != tb.durable.blob(source_blob)
+
+    def test_recovery_redelivers_from_the_named_blob(self, monkeypatch):
+        tb = build_testbed(seed=3)
+        app = build_counter_app(tb)
+        # Record 6 of the orchestrator's WAL is `release`, past `transferred`.
+        plan = FaultPlan(seed=3).crash_at_record(wal.PARTY_ORCHESTRATOR, 6)
+        orch = MigrationOrchestrator(tb, retry=FAULT_TOLERANT_RETRY, faults=FaultInjector(plan))
+        with pytest.raises(PartyCrash):
+            orch.migrate_enclave(app)
+        read = []
+        blob = tb.durable.blob
+
+        def counted_read(digest):
+            read.append(digest)
+            return blob(digest)
+
+        monkeypatch.setattr(tb.durable, "blob", counted_read)
+        report = MigrationRecovery(tb, app, orchestrator=orch).recover()
+        assert report.outcome == "completed" and report.live_instances == 1
+        assert read == [_wal_transferred(tb, app)] == [_source_checkpoint_blob(tb, app)]

@@ -114,6 +114,99 @@ class TestOneFaultOrder:
         assert type(single.value) is type(crossing.value) is _FAULTS[fault]
 
 
+class TestPageRuns:
+    """A page run checks each page as a one-page access does, in run order:
+    it faults where and as its first faulting page would, after serving
+    the pages before it, and a retry resumes at that page."""
+
+    @staticmethod
+    def _run_with(cpu, vendor, fault):
+        """An open session and a three-page run whose middle page faults."""
+        enclave, tcs = build_raw_enclave(cpu, vendor, n_data_pages=3)
+        first, middle, last = BASE, BASE + PAGE_SIZE, BASE + 2 * PAGE_SIZE
+        if fault == "outside the range":
+            middle = BASE - PAGE_SIZE
+        elif fault == "missing permission":
+            middle = tcs  # TCS pages carry no R/W permission
+        elif fault == "evicted page":
+            isa.ewb(cpu, enclave, middle, isa.alloc_va_page(cpu), 0)
+        session = isa.eenter(cpu, enclave, tcs)
+        session.write(first, b"F" * PAGE_SIZE)
+        session.write(last, b"L" * PAGE_SIZE)
+        if fault == "dead enclave":
+            enclave.dead = True
+        return session, (first, middle, last)
+
+    @pytest.mark.parametrize("fault", ["evicted page", "missing permission", "outside the range"])
+    def test_read_run_faults_mid_run_like_a_single_read(self, cpu, vendor, fault):
+        session, run = self._run_with(cpu, vendor, fault)
+        with pytest.raises(_FAULTS[fault]) as single:
+            session.read(run[1], PAGE_SIZE)
+        out: list[bytes] = []
+        with pytest.raises(_FAULTS[fault]) as in_run:
+            session.read_pages(run, out)
+        assert type(in_run.value) is type(single.value)
+        assert out == [b"F" * PAGE_SIZE]  # the page before the fault was read
+
+    @pytest.mark.parametrize("fault", ["evicted page", "missing permission", "outside the range"])
+    def test_write_run_faults_mid_run_like_a_single_write(self, cpu, vendor, fault):
+        session, run = self._run_with(cpu, vendor, fault)
+        with pytest.raises(_FAULTS[fault]) as single:
+            session.write(run[1], b"x" * PAGE_SIZE)
+        with pytest.raises(_FAULTS[fault]) as in_run:
+            session.write_pages(run, [b"1" * PAGE_SIZE, b"2" * PAGE_SIZE, b"3" * PAGE_SIZE])
+        assert type(in_run.value) is type(single.value)
+        assert session.read(run[0], 4) == b"1111"  # written before the fault
+        assert session.read(run[2], 4) == b"LLLL"  # never reached
+
+    def test_dead_enclave_faults_on_the_first_page(self, cpu, vendor):
+        session, run = self._run_with(cpu, vendor, "dead enclave")
+        out: list[bytes] = []
+        with pytest.raises(SgxInstructionFault):
+            session.read_pages(run, out)
+        with pytest.raises(SgxInstructionFault):
+            session.write_pages(run, [b"1" * PAGE_SIZE] * 3)
+        assert out == []
+
+    def test_closed_session_refuses_a_run(self, cpu, vendor):
+        session, run = self._run_with(cpu, vendor, "evicted page")
+        isa.eexit(session)
+        with pytest.raises(SgxAccessFault):
+            session.read_pages(run, [])
+        with pytest.raises(SgxAccessFault):
+            session.write_pages(run, [b"1" * PAGE_SIZE] * 3)
+
+    def test_runtime_resolves_an_evicted_page_mid_run(self, cpu, vendor):
+        """The SDK runtime reloads an evicted page where the run meets it
+        and resumes there: one fault per eviction, every page served."""
+        from types import SimpleNamespace
+
+        from repro.sdk.runtime import EnclaveRuntime
+
+        enclave, tcs = build_raw_enclave(cpu, vendor, n_data_pages=3)
+        run = (BASE, BASE + PAGE_SIZE, BASE + 2 * PAGE_SIZE)
+        pages = [b"1" * PAGE_SIZE, b"2" * PAGE_SIZE, b"3" * PAGE_SIZE]
+        evicted, faults = {}, []
+
+        def evict(vaddr):
+            va = isa.alloc_va_page(cpu)
+            evicted[vaddr] = (isa.ewb(cpu, enclave, vaddr, va, 0), va)
+
+        def reload(vaddr):
+            faults.append(vaddr)
+            blob, va = evicted.pop(vaddr)
+            isa.eldb(cpu, enclave, blob, va, 0)
+
+        session = isa.eenter(cpu, enclave, tcs)
+        rt = EnclaveRuntime(session, SimpleNamespace(layout=None), reload, rdrand=None)
+        evict(run[1])
+        rt.write_pages(run, pages)
+        evict(run[1])
+        assert rt.read_pages(run) == pages
+        assert faults == [run[1], run[1]]
+        isa.eexit(session)
+
+
 class TestIsolation:
     def test_two_enclaves_cannot_alias_pages(self, cpu, vendor):
         enclave_a, tcs_a = build_raw_enclave(cpu, vendor, data=b"AAAA")

@@ -1,8 +1,12 @@
 """EPC allocation/EPCM bookkeeping and MRENCLAVE computation."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SgxEpcExhausted, SgxInstructionFault
+from repro.sgx import instructions as isa
 from repro.sgx.epc import Epc
 from repro.sgx.measurement import MeasurementLog
 from repro.sgx.structures import PAGE_SIZE, PageType, Permissions, SecInfo
@@ -123,3 +127,73 @@ class TestMeasurement:
         log = MeasurementLog()
         log.ecreate(0, 0x1000)
         assert log.finalize() == log.finalize() == log.value
+
+
+def _eextend_records_oracle(running, vaddr: int, content: bytes) -> None:
+    """EEXTEND as the hardware logs it: 16 records of 256 content bytes,
+    each ``len(tag) || tag || vaddr || offset || chunk``, one update each."""
+    for offset in range(0, PAGE_SIZE, 256):
+        running.update(
+            bytes([len(b"EEXTEND")])
+            + b"EEXTEND"
+            + vaddr.to_bytes(8, "little")
+            + offset.to_bytes(4, "little")
+            + content[offset : offset + 256]
+        )
+
+
+class TestVectorizedEextend:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pages=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**48).map(lambda v: v * PAGE_SIZE),
+                # A page's worth of content, expanded from a short seed.
+                st.binary(max_size=32).map(lambda seed: hashlib.shake_256(seed).digest(PAGE_SIZE)),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_equals_the_per_record_oracle(self, pages):
+        log, running = MeasurementLog(), hashlib.sha256()
+        for vaddr, content in pages:
+            # bytes, a bytearray (an EPC page) and a view all measure alike.
+            for buffer in (content, bytearray(content), memoryview(content)):
+                log.eextend(vaddr, buffer)
+                _eextend_records_oracle(running, vaddr, content)
+        assert log.value == running.digest()
+
+    def test_logs_do_not_share_their_record_buffer(self):
+        a, b = MeasurementLog(), MeasurementLog()
+        a.eextend(0x1000, b"A" * PAGE_SIZE)
+        b.eextend(0x2000, b"B" * PAGE_SIZE)
+        a.eextend(0x3000, b"C" * PAGE_SIZE)
+        running = hashlib.sha256()
+        _eextend_records_oracle(running, 0x1000, b"A" * PAGE_SIZE)
+        _eextend_records_oracle(running, 0x3000, b"C" * PAGE_SIZE)
+        assert a.value == running.digest()
+
+    def test_empty_eadd_measures_as_an_explicit_zero_page(self, cpu):
+        """EADD of no content leaves the page lazily zero; EEXTEND then
+        measures it exactly as a page EADDed with 4 KB of zeros."""
+        digests = []
+        for content in (b"", bytes(PAGE_SIZE)):
+            enclave = isa.ecreate(cpu, 0x4000_0000, 2 * PAGE_SIZE)
+            vaddr = enclave.secs.base
+            isa.eadd(cpu, enclave, vaddr, content, SecInfo(PageType.REG, Permissions.RW))
+            page = cpu.epc.page(enclave._page_index(vaddr))
+            assert (page._data is None) == (content == b"")
+            assert page.peek() == bytes(PAGE_SIZE)
+            isa.eextend(cpu, enclave, vaddr)
+            assert (page._data is None) == (content == b"")  # EEXTEND read it in place
+            digests.append(enclave.measurement.value)
+        assert digests[0] == digests[1]
+
+
+class TestSecInfoBytes:
+    def test_encoded_once_per_value(self):
+        info = SecInfo(PageType.REG, Permissions.RX)
+        assert info.to_bytes() is info.to_bytes()
+        assert info.to_bytes() == f"reg:{Permissions.RX.value}".encode().ljust(64, b"\x00")
+        assert SecInfo(PageType.REG, Permissions.RX) == info  # caching adds no field

@@ -37,6 +37,13 @@ CHECKPOINT_PINS = {
     "aes-ni": "c47701234eb01483065805a3bf6731daa8971f625bff030f86965de49bdf08bd",
 }
 
+#: A checkpoint of 272 pages (1.06 MB): the seal's multi-MB path, where the
+#: cipher fills one preallocated buffer and the wire form is built once.
+BULK_CHECKPOINT_PINS = {
+    "rc4": "7f68a1651ef9490f9fee55c54d24967b4ff80fa798c64f0210fa9eab4d6ddb37",
+    "aes-ni": "a982c5f6771389623f7fc8db7ed170facedc081d954330541074a9e3aab45c86",
+}
+
 MRENCLAVE_PIN = "2d4384ab708db051a729cd177c3d1eb0434fcf52ca8732d4e707ea44190bfe6e"
 
 
@@ -70,6 +77,26 @@ def test_seal_checkpoint_bytes(algorithm):
     )
     envelope = seal_checkpoint(checkpoint, KEY, b"pin-nonce-000002", algorithm)
     assert _digest(envelope) == CHECKPOINT_PINS[algorithm]
+
+
+@pytest.mark.parametrize("algorithm", sorted(BULK_CHECKPOINT_PINS))
+def test_seal_bulk_checkpoint_bytes(algorithm):
+    checkpoint = EnclaveCheckpoint(
+        image_name="pin-bulk",
+        code_id="pin-v1",
+        mrenclave=bytes(range(32)),
+        sequence=7,
+        pages={
+            0x10000 + 0x1000 * i: bytes([(i * 37 + 11) % 256]) * 2048 + bytes(range(256)) * 8
+            for i in range(272)
+        },
+        tcs_states=[TcsState(0, 0, FLAG_FREE), TcsState(1, 1, FLAG_SPIN)],
+        skipped_pages=[0x9000],
+        storage_version=2,
+    )
+    envelope = seal_checkpoint(checkpoint, KEY, b"pin-nonce-000003", algorithm)
+    assert envelope.size == len(envelope.to_bytes()) > 1 << 20
+    assert _digest(envelope) == BULK_CHECKPOINT_PINS[algorithm]
 
 
 def test_mrenclave_of_a_small_image():
