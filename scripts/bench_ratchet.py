@@ -36,6 +36,11 @@ _NON_METRIC_KEYS = {"unit", "series"}
 #: Finding statuses that fail the ratchet.
 FAILING = ("changed", "missing")
 
+#: Top-level series that only the committed baseline holds: before/after
+#: records that no bench regenerates.  Every other baseline series must
+#: be in the fresh run.
+FROZEN_SERIES = frozenset({"fig9c_before_hot_path_fix"})
+
 
 def iter_numeric_leaves(tree, prefix=()):
     """Yield (path, value) for every numeric leaf of a nested dict."""
@@ -54,13 +59,12 @@ def compare_series(baseline: dict, fresh: dict) -> list[dict]:
     """Compare two figure trees; one finding per baseline leaf.
 
     A leaf whose fresh value differs from the baseline at all is
-    ``changed``.  A leaf missing from a series the fresh run *did*
-    regenerate is ``missing`` — a vanishing data point must not read as
-    green.  A whole top-level series absent from the fresh run is merely
-    ``not-regenerated``: ``write_bench_json`` merges per-series, so
-    partial refreshes (and frozen before/after records like
-    ``fig9c_before_hot_path_fix``) are expected.  Leaves that only exist
-    in the fresh run are ``new`` and informational.
+    ``changed``.  A leaf absent from the fresh run is ``missing`` — a
+    vanishing data point or a whole series a bench stopped writing must
+    not read as green — unless its top-level series is one of
+    :data:`FROZEN_SERIES`, which no bench regenerates: those read
+    ``not-regenerated``.  Leaves that only exist in the fresh run are
+    ``new`` and informational.
     """
     base_leaves = dict(iter_numeric_leaves(baseline))
     fresh_leaves = dict(iter_numeric_leaves(fresh))
@@ -70,10 +74,10 @@ def compare_series(baseline: dict, fresh: dict) -> list[dict]:
         if path in fresh_leaves:
             finding["fresh"] = fresh_leaves[path]
             finding["status"] = "ok" if finding["fresh"] == base else "changed"
-        elif path[0] in fresh:
-            finding["status"] = "missing"
-        else:
+        elif path[0] in FROZEN_SERIES and path[0] not in fresh:
             finding["status"] = "not-regenerated"
+        else:
+            finding["status"] = "missing"
         findings.append(finding)
     for path in sorted(fresh_leaves.keys() - base_leaves.keys()):
         findings.append(

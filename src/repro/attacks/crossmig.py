@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.attacks.wiretap import Wiretap
 from repro.durability import wal
 from repro.durability.journal import Journal
 from repro.durability.sweep import COUNTER_START, build_sweep_app
@@ -244,9 +245,13 @@ class _ReplayingOrchestrator(MigrationOrchestrator):
 
     replay_refusal: Exception | None = None
 
+    def __init__(self, tb) -> None:
+        super().__init__(tb)
+        self.wiretap = Wiretap.install(tb.network)
+
     def handoff_storage(self, app, target_app):
         version = super().handoff_storage(app, target_app)
-        sealed = self.tb.network.captured("storage-handoff")[-1]
+        sealed = self.wiretap.captured("storage-handoff")[-1]
         try:
             target_app.library.control_call(control.target_import_storage, sealed)
         except HandoffReplayed as exc:
@@ -282,7 +287,7 @@ def run_handoff_replay_attack(seed: int | str = 44) -> CrossMigrationOutcome:
 
     try:
         target.library.control_call(
-            control.target_import_storage, tb.network.captured("storage-handoff")[-1]
+            control.target_import_storage, orch.wiretap.captured("storage-handoff")[-1]
         )
         return CrossMigrationOutcome(
             attack="handoff-replay",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.attacks.wiretap import Wiretap
 from repro.errors import (
     ChannelError,
     IntegrityError,
@@ -51,12 +52,13 @@ def run_replay_scenario(seed: int = 41) -> ReplayOutcome:
     ).launch()
     app.ecall_once(0, "create_mail", {"recipients": ["alice"], "content": "secret"})
 
+    wiretap = Wiretap.install(tb.network)
     orch = MigrationOrchestrator(tb)
     orch.migrate_enclave(app)
 
-    captured_key = tb.network.captured("kmigrate")[0]
-    captured_answer = tb.network.captured("channel-answer")[0]
-    captured_checkpoint = tb.network.captured("checkpoint")[0]
+    captured_key = wiretap.captured("kmigrate")[0]
+    captured_answer = wiretap.captured("channel-answer")[0]
+    captured_checkpoint = wiretap.captured("checkpoint")[0]
     outcome = ReplayOutcome()
 
     # A second virgin target, as the replaying operator would build it.

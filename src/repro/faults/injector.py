@@ -35,22 +35,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.migration.testbed import Testbed
     from repro.net.network import Network
 
+#: Wait-for-an-ack-that-never-comes charge on a dropped message.
+DROP_TIMEOUT_NS = 10_000_000
+#: A reorder on a lockstep (request/response) label cannot change what
+#: arrives, only when: it degrades to one extra round trip.
+REORDER_DELAY_NS = 1_000_000
+
 
 class FaultInjector:
     """Binds one :class:`FaultPlan` to one testbed's network and clock."""
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        drop_timeout_ns: int = 10_000_000,
-        reorder_delay_ns: int = 1_000_000,
-    ) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        #: Wait-for-an-ack-that-never-comes charge on a dropped message.
-        self.drop_timeout_ns = drop_timeout_ns
-        #: A reorder on a lockstep (request/response) label cannot change
-        #: what arrives, only when: it degrades to one extra round trip.
-        self.reorder_delay_ns = reorder_delay_ns
         self._rng = DeterministicRng(plan.seed).fork("fault-injector")
         self._delivery_seq: dict[str, int] = {}
         self._attempt_seq: dict[str, int] = {}
@@ -113,26 +109,26 @@ class FaultInjector:
         # The wire record under delivery is the last one logged; its
         # global sequence number ties each fault event to the exact wire
         # node the causal DAG builds from the record.
-        wire_seq = network.log[-1].seq if network.log else None
+        record = network.log[-1]
         delivered = payload
         for fault in self._matching(label, seq):
             fault.spent = True
             if fault.kind == KIND_DROP:
-                self._trace.emit("fault", "drop", label=label, nth=seq, wire_seq=wire_seq)
-                self._clock.advance(self.drop_timeout_ns)
+                self._trace.emit("fault", "drop", label=label, nth=seq, wire_seq=record.seq)
+                self._clock.advance(DROP_TIMEOUT_NS)
                 raise LinkTimeout(f"message {label!r} #{seq} was dropped on the wire")
             if fault.kind == KIND_DUPLICATE:
                 # The wire carried the bytes twice; the receiver sees two
                 # identical deliveries (the resumable transfer must treat
                 # the second as a no-op).
-                network.record_duplicate(label, delivered)
+                network.record_duplicate(record, len(delivered))
                 self._trace.emit(
-                    "fault", "duplicate", label=label, nth=seq, wire_seq=wire_seq
+                    "fault", "duplicate", label=label, nth=seq, wire_seq=record.seq
                 )
             elif fault.kind == KIND_CORRUPT:
                 delivered = self._corrupt(delivered)
                 self._trace.emit(
-                    "fault", "corrupt", label=label, nth=seq, wire_seq=wire_seq
+                    "fault", "corrupt", label=label, nth=seq, wire_seq=record.seq
                 )
             elif fault.kind == KIND_DELAY:
                 self._clock.advance(fault.delay_ns)
@@ -142,14 +138,14 @@ class FaultInjector:
                     label=label,
                     nth=seq,
                     delay_ns=fault.delay_ns,
-                    wire_seq=wire_seq,
+                    wire_seq=record.seq,
                 )
             elif fault.kind == KIND_REORDER:
                 # Stream reorders are applied by chunk_send_order(); one
                 # that survives to delivery is on a lockstep label.
-                self._clock.advance(self.reorder_delay_ns)
+                self._clock.advance(REORDER_DELAY_NS)
                 self._trace.emit(
-                    "fault", "reorder_as_delay", label=label, nth=seq, wire_seq=wire_seq
+                    "fault", "reorder_as_delay", label=label, nth=seq, wire_seq=record.seq
                 )
         return delivered
 

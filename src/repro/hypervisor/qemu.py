@@ -29,6 +29,10 @@ from repro.sim.clock import NS_PER_MS
 
 #: CPU/device state shipped during stop-and-copy.
 _VCPU_STATE_BYTES = 64 * 1024
+#: Pre-copy stops once the pending delta wire bytes fit this budget...
+DOWNTIME_TARGET_BYTES = 256 * 1024
+#: ...or after this many rounds.
+MAX_PRECOPY_ROUNDS = 16
 
 
 @dataclass(frozen=True)
@@ -86,16 +90,11 @@ class QemuMonitor:
         vm: Vm,
         prepare_hook: Callable[[], int | None] | None = None,
         restore_hook: Callable[[], None] | None = None,
-        downtime_target_bytes: int = 256 * 1024,
-        max_rounds: int = 16,
-        delta_encoding: bool = True,
     ) -> MigrationReport:
         """Live-migrate ``vm`` to the target host (shared storage model).
 
-        ``delta_encoding`` sends re-dirtied pages (rounds >= 2 and the
-        stop-and-copy residual) as deltas against the target's base copy
-        instead of full pages; disable it to reproduce the classic
-        full-page pre-copy loop.
+        Re-dirtied pages (rounds >= 2 and the stop-and-copy residual)
+        ship as deltas against the target's base copy, not full pages.
         """
         if vm.paused:
             raise HypervisorError("cannot migrate a paused VM")
@@ -132,29 +131,18 @@ class QemuMonitor:
                 dt = self._transfer(to_send_bytes)
             transferred += to_send_bytes
             vm.memory.advance(dt)  # guest keeps dirtying during the copy
-            pending_pages = vm.memory.dirty_pages
-            if delta_encoding:
-                # Re-dirtied pages would ship as deltas, so the stop
-                # criterion compares their *wire* cost to the target.
-                pending = self._delta_wire_bytes(pending_pages)
-            else:
-                pending = pending_pages * PAGE_SIZE
-            if pending <= downtime_target_bytes or rounds >= max_rounds:
+            # Re-dirtied pages ship as deltas, so the stop criterion
+            # compares their *wire* cost to the target.
+            pending = self._delta_wire_bytes(vm.memory.dirty_pages)
+            if pending <= DOWNTIME_TARGET_BYTES or rounds >= MAX_PRECOPY_ROUNDS:
                 break
-            dirty = vm.memory.take_dirty()
-            to_send_bytes = self._delta_wire_bytes(dirty) if delta_encoding else dirty * PAGE_SIZE
+            to_send_bytes = self._delta_wire_bytes(vm.memory.take_dirty())
 
         # Stop-and-copy: pause, ship the residual dirty set + CPU state.
         vm.pause()
         stop_start = self.clock.now_ns
         with self.trace.tracer.span("vm.stop_and_copy", party="source", vm=vm.name):
-            residual_pages = vm.memory.take_dirty()
-            residual_page_bytes = (
-                self._delta_wire_bytes(residual_pages)
-                if delta_encoding
-                else residual_pages * PAGE_SIZE
-            )
-            residual = residual_page_bytes + _VCPU_STATE_BYTES
+            residual = self._delta_wire_bytes(vm.memory.take_dirty()) + _VCPU_STATE_BYTES
             self._transfer(residual)
             transferred += residual
         stop_ns = self.clock.now_ns - stop_start

@@ -55,6 +55,11 @@ _CHANNEL_SPENT = 2  # mirrors repro.sdk.control.CHANNEL_SPENT
 #: asserts every one of them is clean at teardown.
 _ACTIVE: list["InvariantMonitor"] = []
 
+#: Engine rounds between full sweeps; per-round checks would quadruple
+#: sim time for no extra coverage (state transitions of interest span
+#: many rounds).
+CHECK_INTERVAL = 32
+
 
 def active_monitors() -> list["InvariantMonitor"]:
     return list(_ACTIVE)
@@ -67,12 +72,8 @@ def reset_active() -> None:
 class InvariantMonitor:
     """Continuously asserts migration safety invariants on one testbed."""
 
-    def __init__(self, testbed: "Testbed", check_interval: int = 32) -> None:
+    def __init__(self, testbed: "Testbed") -> None:
         self.tb = testbed
-        #: Engine rounds between full sweeps; per-round checks would
-        #: quadruple sim time for no extra coverage (state transitions
-        #: of interest span many rounds).
-        self.check_interval = check_interval
         self.enabled = True
         self.violations: list[str] = []
         self._tick = 0
@@ -134,7 +135,7 @@ class InvariantMonitor:
         if not self.enabled or not self._lineages:
             return
         self._tick += 1
-        if self._tick % self.check_interval == 0:
+        if self._tick % CHECK_INTERVAL == 0:
             self.check_now()
 
     def _on_event(self, event) -> None:

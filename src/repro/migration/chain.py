@@ -38,6 +38,9 @@ from repro.migration.orchestrator import (
 from repro.migration.testbed import Testbed
 from repro.sdk.host import HostApplication
 
+#: Re-drives a hop may take after crashes before the chain gives up.
+MAX_REDRIVES_PER_HOP = 4
+
 
 @dataclass
 class HopReport:
@@ -111,7 +114,6 @@ def run_chain(
     hops: int,
     plans=None,
     retry: RetryPolicy | None = None,
-    max_redrives_per_hop: int = 4,
 ) -> ChainReport:
     """Migrate ``app`` back and forth for ``hops`` hops.
 
@@ -129,9 +131,7 @@ def run_chain(
     for hop in range(1, hops + 1):
         view = hop_view(tb, hop)
         plan = plans(hop) if callable(plans) else (plans or {}).get(hop)
-        current, hop_report = _drive_hop(
-            view, current, hop, plan, retry, max_redrives_per_hop
-        )
+        current, hop_report = _drive_hop(view, current, hop, plan, retry)
         report.hops.append(hop_report)
     return report
 
@@ -142,7 +142,6 @@ def _drive_hop(
     hop: int,
     plan,
     retry: RetryPolicy,
-    max_redrives: int,
 ) -> tuple[HostApplication, HopReport]:
     """One hop, driven to completion through crashes and recoveries."""
     from repro.durability.recovery import recover_until_rest
@@ -202,7 +201,7 @@ def _drive_hop(
                     ) from exc
                 outcome = rec.outcome
             redrives += 1
-            if redrives > max_redrives:
+            if redrives > MAX_REDRIVES_PER_HOP:
                 raise MigrationAborted(
                     f"chain hop {hop}: gave up after {redrives} re-drives "
                     f"(last recovery outcome: {outcome})"

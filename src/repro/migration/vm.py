@@ -65,7 +65,7 @@ class VmMigrationManager:
         self.apps = apps
         self.orchestrator = MigrationOrchestrator(testbed)
 
-    def migrate(self, agent: AgentService | None = None, **qemu_kwargs) -> VmMigrationResult:
+    def migrate(self, agent: AgentService | None = None) -> VmMigrationResult:
         """Run the full live migration of the source VM."""
         tb, orch = self.tb, self.orchestrator
         steps = VM_STEPS if agent is None else AGENT_STEPS
@@ -102,7 +102,6 @@ class VmMigrationManager:
             tb.source_vm,
             prepare_hook=prepare if self.apps else None,
             restore_hook=restore if self.apps else None,
-            **qemu_kwargs,
         )
         return VmMigrationResult(
             report=report,
@@ -111,6 +110,6 @@ class VmMigrationManager:
         )
 
 
-def migrate_plain_vm(testbed: Testbed, **qemu_kwargs) -> MigrationReport:
+def migrate_plain_vm(testbed: Testbed) -> MigrationReport:
     """Baseline: migrate the source VM with no enclave involvement."""
-    return testbed.source.qemu.migrate(testbed.source_vm, **qemu_kwargs)
+    return testbed.source.qemu.migrate(testbed.source_vm)

@@ -146,13 +146,17 @@ def _fresh_dh_public(rt: EnclaveRuntime) -> int:
 # Two-phase checkpoint generation (§IV-B)
 # ---------------------------------------------------------------------------
 
+#: Cost of one poll of the workers' flags while waiting for quiescence.
+QUIESCE_POLL_NS = 600
+#: Pages dumped (and charged) per engine step of phase two.
+DUMP_PAGES_PER_STEP = 16
+
+
 def generate_checkpoint(
     rt: EnclaveRuntime,
     costs: CostModel,
     algorithm: str = "rc4",
     use_installed_key: bool = False,
-    poll_cost_ns: int = 600,
-    pages_per_step: int = 16,
     sgx_v2: bool = False,
 ) -> Iterator[int]:
     """Two-phase checkpointing, as a cost-yielding generator.
@@ -176,7 +180,7 @@ def generate_checkpoint(
     rt.set_global_flag(1)
     yield 500
     while not rt.quiescent(worker_indices):
-        yield poll_cost_ns
+        yield QUIESCE_POLL_NS
 
     # Phase two: the enclave is quiescent; dump from inside.
     if use_installed_key:
@@ -194,8 +198,8 @@ def generate_checkpoint(
 
     pages: dict[int, bytes] = {}
     readable = image.readable_reg_vaddrs()
-    for start in range(0, len(readable), pages_per_step):
-        batch = readable[start : start + pages_per_step]
+    for start in range(0, len(readable), DUMP_PAGES_PER_STEP):
+        batch = readable[start : start + DUMP_PAGES_PER_STEP]
         pages.update(zip(batch, rt.read_pages(batch)))
         yield costs.memcpy_ns(len(batch) * PAGE_SIZE)
     if sgx_v2:

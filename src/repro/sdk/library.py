@@ -28,6 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
     from repro.sdk.owner import EnclaveOwner
 
+#: Interpreter steps between injected timer interrupts (AEX).
+INTERRUPT_EVERY = 6
+
 
 class SgxLibrary:
     """Per-application untrusted runtime support."""
@@ -38,7 +41,6 @@ class SgxLibrary:
         guest_os: "GuestOs",
         process: GuestProcess,
         image: EnclaveImage,
-        interrupt_every: int = 6,
     ) -> None:
         self.machine = machine
         self.guest_os = guest_os
@@ -47,8 +49,6 @@ class SgxLibrary:
         self.program: EnclaveProgram = lookup_program(image.code_id)
         self.enclave_id: int | None = None
         self.rdrand = machine.rng.fork(f"rdrand/{image.name}/{process.pid}")
-        #: Interpreter steps between injected timer interrupts (AEX).
-        self.interrupt_every = interrupt_every
         #: Figure 9(b) ablation: SDK built without migration support
         #: (no stubs, no flags, no CSSA bookkeeping, no control thread).
         self.migration_support = True
@@ -95,6 +95,14 @@ class SgxLibrary:
 
     def _fault(self, vaddr: int) -> None:
         self.driver.handle_page_fault(self.enclave_id, vaddr)
+
+    def _charged(self, op: Callable, *args, extra_ns: Callable[[], int] | None = None, **kwargs):
+        """Engine step: run ``op(*args, **kwargs)``, yield the ISA time it charged
+        plus ``extra_ns()`` (read after ``op`` runs), and return its result."""
+        with self.cpu.collect_charges() as charged:
+            result = op(*args, **kwargs)
+        yield (extra_ns() if extra_ns is not None else 0) + charged[0]
+        return result
 
     def _runtime(self, session) -> EnclaveRuntime:
         rt = EnclaveRuntime(session, self.image, self._fault, self.rdrand)
@@ -154,9 +162,9 @@ class SgxLibrary:
             image=self.image.name,
         ):
             start_ns = self.machine.clock.now_ns
-            with cpu.collect_charges() as charged:
-                session = isa.eenter(cpu, self.hw(), template.vaddr, aep=self)
-            yield charged[0]
+            session = yield from self._charged(
+                isa.eenter, cpu, self.hw(), template.vaddr, aep=self
+            )
             rt = self._runtime(session)
             rt.control_entry_stub(template.index)
             try:
@@ -173,9 +181,7 @@ class SgxLibrary:
                 isa.eexit(session)
                 raise
             rt.exit_stub(template.index)
-            with cpu.collect_charges() as charged:
-                isa.eexit(session)
-            yield charged[0]
+            yield from self._charged(isa.eexit, session)
             # Hand the sealed checkpoint to the host: it lands in normal RAM
             # (where pre-copy will pick it up) and the OS learns we are ready.
             self.last_checkpoint = result
@@ -211,10 +217,9 @@ class SgxLibrary:
     ) -> Iterator[int]:
         """Engine body: one ecall on a worker TCS, with SDK stubs."""
         template = self.image.worker_tcs(worker_index)
-        cpu = self.cpu
-        with cpu.collect_charges() as charged:
-            session = isa.eenter(cpu, self.hw(), template.vaddr, aep=self)
-        yield charged[0]
+        session = yield from self._charged(
+            isa.eenter, self.cpu, self.hw(), template.vaddr, aep=self
+        )
         rt = self._runtime(session)
         verdict = rt.entry_stub(template.index) if self.migration_support else "proceed"
         yield 300
@@ -230,9 +235,7 @@ class SgxLibrary:
         rt, result = yield from self._run_entry(rt, template, entry_name, args, regs=None)
         if self.migration_support:
             rt.exit_stub(template.index)
-        with cpu.collect_charges() as charged:
-            isa.eexit(rt.session)
-        yield charged[0]
+        yield from self._charged(isa.eexit, rt.session)
         self.process.shared_memory[f"result/{entry_name}/{worker_index}"] = result
         monitor = getattr(self.machine, "monitor", None)
         if monitor is not None:
@@ -248,10 +251,9 @@ class SgxLibrary:
     ) -> Iterator[int]:
         """Engine body for the target: ERESUME a migrated worker thread."""
         template = self.image.worker_tcs(worker_index)
-        cpu = self.cpu
-        with cpu.collect_charges() as charged:
-            session, ctx = isa.eresume(cpu, self.hw(), template.vaddr, aep=self)
-        yield charged[0]
+        session, ctx = yield from self._charged(
+            isa.eresume, self.cpu, self.hw(), template.vaddr, aep=self
+        )
         if ctx.get("kind") != "work":
             raise MigrationError(f"unexpected SSA context kind {ctx.get('kind')!r}")
         rt = self._runtime(session)
@@ -259,9 +261,7 @@ class SgxLibrary:
             rt, template, ctx["entry"], None, regs=ctx["regs"]
         )
         rt.exit_stub(template.index)
-        with cpu.collect_charges() as charged:
-            isa.eexit(rt.session)
-        yield charged[0]
+        yield from self._charged(isa.eexit, rt.session)
         self.process.shared_memory[f"result/{ctx['entry']}/{worker_index}"] = result
         if continue_with is not None:
             yield from continue_with()
@@ -269,29 +269,32 @@ class SgxLibrary:
 
     def _run_entry(self, rt, template, entry_name, args, regs):
         """Interpreter for enclave entries, with timer-interrupt injection."""
-        cpu = self.cpu
         entry = self.program.entry(entry_name)
         if isinstance(entry, AtomicEntry):
-            with cpu.collect_charges() as charged:
-                result = entry.fn(rt, args)
-            yield entry.cost_for(args) + charged[0]
+            result = yield from self._charged(
+                entry.fn, rt, args, extra_ns=lambda: entry.cost_for(args)
+            )
             return rt, result
         if not isinstance(entry, ResumableEntry):  # pragma: no cover - guard
             raise MigrationError(f"unknown entry type for {entry_name!r}")
+
+        def prepare() -> dict:
+            prepared = dict(entry.prepare(rt, args))
+            prepared.setdefault("__pc", 0)
+            return prepared
+
+        def step() -> None:
+            entry.steps[regs["__pc"]](rt, regs)
+            regs["__pc"] += 1
+
         if regs is None:
-            with cpu.collect_charges() as charged:
-                regs = dict(entry.prepare(rt, args))
-                regs.setdefault("__pc", 0)
-            yield entry.step_cost_ns + charged[0]
+            regs = yield from self._charged(prepare, extra_ns=lambda: entry.step_cost_ns)
         steps_since_interrupt = 0
         while regs["__pc"] < len(entry.steps):
-            if steps_since_interrupt >= self.interrupt_every:
+            if steps_since_interrupt >= INTERRUPT_EVERY:
                 steps_since_interrupt = 0
                 rt, regs = yield from self._interrupt_cycle(rt, template, entry_name, regs)
-            with cpu.collect_charges() as charged:
-                entry.steps[regs["__pc"]](rt, regs)
-                regs["__pc"] += 1
-            yield entry.step_cost_ns + charged[0]
+            yield from self._charged(step, extra_ns=lambda: entry.step_cost_ns)
             steps_since_interrupt += 1
         return rt, regs.get("result")
 
@@ -304,19 +307,18 @@ class SgxLibrary:
         execution" (§VI-C).  The SDK handler is where a long-running
         worker notices the global flag (§IV-B).
         """
-        cpu = self.cpu
-        with cpu.collect_charges() as charged:
-            isa.aex(rt.session, {"kind": "work", "entry": entry_name, "regs": regs})
-        yield charged[0]
+        yield from self._charged(
+            isa.aex, rt.session, {"kind": "work", "entry": entry_name, "regs": regs}
+        )
         if not self.migration_support:
             # No SDK handler: plain ERESUME, as a stock runtime would do.
-            with cpu.collect_charges() as charged:
-                session, ctx = isa.eresume(cpu, self.hw(), template.vaddr, aep=self)
-            yield charged[0]
+            session, ctx = yield from self._charged(
+                isa.eresume, self.cpu, self.hw(), template.vaddr, aep=self
+            )
             return self._runtime(session), ctx["regs"]
-        with cpu.collect_charges() as charged:
-            handler_session = isa.eenter(cpu, self.hw(), template.vaddr, aep=self)
-        yield charged[0]
+        handler_session = yield from self._charged(
+            isa.eenter, self.cpu, self.hw(), template.vaddr, aep=self
+        )
         handler_rt = self._runtime(handler_session)
         verdict = handler_rt.entry_stub(template.index)
         if verdict not in ("handler", "spin"):  # pragma: no cover - guard
@@ -328,12 +330,10 @@ class SgxLibrary:
                 yield 500
             # Migration was cancelled: the worker may continue.
             handler_rt.set_local_flag(template.index, FLAG_BUSY)
-        with cpu.collect_charges() as charged:
-            isa.eexit(handler_session)
-        yield charged[0]
-        with cpu.collect_charges() as charged:
-            session, ctx = isa.eresume(cpu, self.hw(), template.vaddr, aep=self)
-        yield charged[0]
+        yield from self._charged(isa.eexit, handler_session)
+        session, ctx = yield from self._charged(
+            isa.eresume, self.cpu, self.hw(), template.vaddr, aep=self
+        )
         return self._runtime(session), ctx["regs"]
 
     # ------------------------------------------------------------- target side

@@ -19,6 +19,9 @@ from typing import Callable, Generator
 from repro.errors import ReproError
 from repro.sim.clock import VirtualClock
 
+#: Clock advance per fully idle round (every thread blocked).
+IDLE_TICK_NS = 10_000
+
 
 class EngineStall(ReproError):
     """The engine made no progress: every live thread is blocked."""
@@ -105,8 +108,6 @@ class Engine:
         self._threads: list[SimThread] = []
         self._cursor = 0
         self.rounds_run = 0
-        #: Clock advance per fully idle round (every thread blocked).
-        self.idle_tick_ns = 10_000
         self._consecutive_idle = 0
         #: Idle rounds tolerated before declaring a stall.
         self.max_idle_rounds = 10_000
@@ -163,7 +164,7 @@ class Engine:
                     raise EngineStall(
                         "no runnable thread; blocked: " + ", ".join(t.name for t in blocked)
                     )
-                self.clock.advance(self.idle_tick_ns)
+                self.clock.advance(IDLE_TICK_NS)
                 self.rounds_run += 1
                 return True
             # Only suspended (or no) threads remain: quiescent, not stuck.

@@ -1,12 +1,12 @@
-"""Cross-party causal tracing: wire contexts and the migration DAG.
+"""Cross-party causal tracing: the migration DAG.
 
-The span layer (PR 3) records *per-party* time; this module stitches the
+The span layer records *per-party* time; this module stitches the
 parties together.  Every :meth:`repro.net.network.Network.transfer`
-stamps a :class:`WireContext` — ``(trace_id, parent_span_id, seq)`` —
-onto its wire record at send time, and the span observing the delivery
-adopts the sequence number into its attributes.  Spans (with their
-parent links) plus the resulting send→recv edges form one causal DAG
-spanning source, target, orchestrator, and the migration agent.
+stamps its wire record at send time with the run's ``trace_id`` and the
+sending span (``parent_span_id``), and at delivery with the span that
+observed it (``recv_span_id``).  Spans (with their parent links) plus
+the resulting send→recv edges form one causal DAG spanning source,
+target, orchestrator, and the migration agent.
 
 Fault injection stays *visible* in the graph instead of leaving silent
 gaps:
@@ -17,43 +17,26 @@ gaps:
 * a **duplicated** transfer is a second wire node linked to the
   original by a *duplicate* edge (same context, same label, two
   deliveries);
-* a **reordered** chunk stream marks the two swapped wire records, so
-  the out-of-order sends are flagged rather than inferred.
+* a **reordered** chunk stream flags the two swapped wire records
+  (:func:`reordered_seqs`), so the out-of-order sends are named rather
+  than inferred.
 
 :func:`build_dag` is a pure function of the telemetry + network state;
-it never advances the clock, so building the DAG mid-run is safe.
+it never advances the clock or writes to either, so building the DAG
+mid-run is safe and every export reads the same flags with or without
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network, TransferRecord
+    from repro.sim.trace import Event
     from repro.telemetry import Telemetry
     from repro.telemetry.spans import Span
-
-
-@dataclass(frozen=True)
-class WireContext:
-    """Trace context stamped onto one wire record at send time."""
-
-    #: The migration run's trace id (``mig-<run span id>``), or None when
-    #: the transfer happened outside any instrumented run.
-    trace_id: str | None
-    #: The span that was active (innermost open) when the bytes entered
-    #: the wire — the transfer's causal parent.
-    parent_span_id: int | None
-    #: Global wire sequence number; unique per network, never reused.
-    seq: int
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "parent_span_id": self.parent_span_id,
-            "seq": self.seq,
-        }
 
 
 @dataclass(frozen=True)
@@ -80,6 +63,8 @@ class CausalDag:
     spans: list["Span"] = field(default_factory=list)
     transfers: list["TransferRecord"] = field(default_factory=list)
     edges: list[CausalEdge] = field(default_factory=list)
+    #: Wire seqs a stream reorder swapped (see :func:`reordered_seqs`).
+    reordered: frozenset[int] = frozenset()
 
     # ------------------------------------------------------------- queries
     def span_by_id(self, span_id: int) -> "Span | None":
@@ -104,13 +89,13 @@ class CausalDag:
 
     def reordered_transfers(self) -> list["TransferRecord"]:
         """Wire records that crossed out of their stream order."""
-        return [t for t in self.transfers if t.reordered]
+        return [t for t in self.transfers if t.seq in self.reordered]
 
     def trace_ids(self) -> list[str]:
         """Every distinct trace id seen on the wire, in first-seen order."""
         seen: list[str] = []
         for record in self.transfers:
-            tid = record.ctx.trace_id
+            tid = record.trace_id
             if tid is not None and tid not in seen:
                 seen.append(tid)
         return seen
@@ -225,11 +210,9 @@ def build_dag(telemetry: "Telemetry", network: "Network") -> CausalDag:
                 CausalEdge("parent", f"span:{span.parent_id}", f"span:{span.span_id}")
             )
 
-    _mark_reordered(telemetry, transfers)
-
     for record in transfers:
         node = f"wire:{record.seq}"
-        parent = record.ctx.parent_span_id
+        parent = record.parent_span_id
         edges.append(
             CausalEdge(
                 "send",
@@ -238,7 +221,7 @@ def build_dag(telemetry: "Telemetry", network: "Network") -> CausalDag:
                 label=record.label,
             )
         )
-        if record.duplicate and record.duplicate_of is not None:
+        if record.duplicate_of is not None:
             edges.append(
                 CausalEdge(
                     "duplicate", f"wire:{record.duplicate_of}", node, label=record.label
@@ -253,26 +236,31 @@ def build_dag(telemetry: "Telemetry", network: "Network") -> CausalDag:
                 else None
             )
             edges.append(CausalEdge("recv", node, dst, label=record.label))
-    return CausalDag(spans=spans, transfers=transfers, edges=edges)
+    return CausalDag(
+        spans=spans,
+        transfers=transfers,
+        edges=edges,
+        reordered=reordered_seqs(telemetry.trace.events, transfers),
+    )
 
 
-def _mark_reordered(telemetry: "Telemetry", transfers: list["TransferRecord"]) -> None:
-    """Flag the wire records a stream reorder actually swapped.
+def reordered_seqs(
+    events: Iterable["Event"], transfers: list["TransferRecord"]
+) -> frozenset[int]:
+    """The wire seqs a stream reorder actually swapped.
 
     ``chunk_send_order`` emits ``("fault", "reorder", label=L, nth=N)``
     when it swaps the N-th and (N+1)-th frames of stream ``L``; the
     corresponding *sent* records (duplicates excluded) are the swapped
     positions in send order.
     """
-    for event in telemetry.trace.events:
+    swapped: set[int] = set()
+    for event in events:
         if event.category != "fault" or event.name != "reorder":
             continue
-        label = event.payload.get("label")
-        nth = event.payload.get("nth")
-        if label is None or nth is None:
-            continue
+        label = event.payload["label"]
         stream = [t for t in transfers if t.label == label and not t.duplicate]
-        i = int(nth) - 1
+        i = event.payload["nth"] - 1
         if 0 <= i and i + 1 < len(stream):
-            stream[i].reordered = True
-            stream[i + 1].reordered = True
+            swapped.update((stream[i].seq, stream[i + 1].seq))
+    return frozenset(swapped)

@@ -287,7 +287,7 @@ def profile_stacks(
     # The run's id is past every span's, so it loses every blame tie and
     # takes only the time nothing else covers.
     run = Span(max(by_id, default=0) + 1, IDLE_FRAME, "", "", 0, telemetry.clock.now_ns)
-    senders = {record.seq: record.ctx.parent_span_id for record in network.log}
+    senders = {record.seq: record.parent_span_id for record in network.log}
     stacks: dict[tuple[str, ...], int] = {}
     for segment in attribute_interval(run, [run, *spans], network.log).segments:
         if segment.kind == "transfer":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.telemetry.causal import reordered_seqs
 from repro.telemetry.metrics import (
     CounterMetric,
     GaugeMetric,
@@ -147,6 +148,7 @@ def to_chrome_trace(
         span_by_id = {s.span_id: s for s in telemetry.tracer.spans}
         wire_pid = pid_for("wire")
         wire_tid = tid_for("wire", "")
+        reordered = reordered_seqs(telemetry.trace.events, network.log)
         for record in network.log:
             end_ns = record.t_done_ns
             if end_ns is None:
@@ -165,7 +167,7 @@ def to_chrome_trace(
                         "bytes": record.n_bytes,
                         "status": record.status,
                         "duplicate": record.duplicate,
-                        "reordered": record.reordered,
+                        "reordered": record.seq in reordered,
                     },
                 }
             )

@@ -8,6 +8,7 @@ None of it may contain enclave plaintext — and what it does contain
 
 import pytest
 
+from repro.attacks.wiretap import Wiretap
 from repro.migration.orchestrator import MigrationOrchestrator
 from repro.migration.testbed import build_testbed
 from repro.sdk.host import HostApplication, WorkerSpec
@@ -21,6 +22,7 @@ SECRET_RECIPIENT = "ceo@example.com"
 @pytest.fixture
 def scenario():
     tb = build_testbed(seed=777)
+    wiretap = Wiretap.install(tb.network)
     built = build_mailserver_image(tb.builder, flavor="eavesdrop")
     tb.owner.register_image(built)
     app = HostApplication(
@@ -30,30 +32,31 @@ def scenario():
     app.ecall_once(
         0, "create_mail", {"recipients": [SECRET_RECIPIENT], "content": SECRET_CONTENT}
     )
-    return tb, app
+    return tb, app, wiretap
 
 
-def _all_wire_bytes(tb) -> bytes:
-    return b"".join(record.payload for record in tb.network.log)
+def _all_wire_bytes(wiretap) -> bytes:
+    return b"".join(payload for _, payload in wiretap.sends)
 
 
 class TestEavesdropping:
     def test_secrets_never_on_the_wire(self, scenario):
-        tb, app = scenario
+        tb, app, wiretap = scenario
         MigrationOrchestrator(tb).migrate_enclave(app)
-        wire = _all_wire_bytes(tb)
+        wire = _all_wire_bytes(wiretap)
+        assert wire
         assert SECRET_CONTENT.encode() not in wire
         assert SECRET_RECIPIENT.encode() not in wire
 
     def test_secrets_not_in_host_shared_memory(self, scenario):
-        tb, app = scenario
+        tb, app, _ = scenario
         MigrationOrchestrator(tb).migrate_enclave(app)
         for value in app.process.shared_memory.values():
             blob = value.to_bytes() if hasattr(value, "to_bytes") else str(value).encode()
             assert SECRET_CONTENT.encode() not in blob
 
     def test_secrets_not_in_evicted_pages(self, scenario):
-        tb, app = scenario
+        tb, app, _ = scenario
         driver = tb.source_os.driver
         denc = driver._entry(app.library.enclave_id)
         # Evict every evictable page and inspect the sealed images.
@@ -71,11 +74,11 @@ class TestEavesdropping:
     def test_checkpoint_size_is_the_acknowledged_leak(self, scenario):
         """§VII-A: "the attacker may get the size of stack and heap of an
         enclave" — the size is visible, the structure is not."""
-        tb, app = scenario
+        tb, app, wiretap = scenario
         MigrationOrchestrator(tb).migrate_enclave(app)
-        sizes = [len(p) for p in tb.network.captured("checkpoint")]
+        sizes = [len(p) for p in wiretap.captured("checkpoint")]
         assert sizes and all(s > 0 for s in sizes)  # size leaks...
-        wire = b"".join(tb.network.captured("checkpoint"))
+        wire = b"".join(wiretap.captured("checkpoint"))
         assert b"recipients" not in wire  # ...structure does not
 
     def test_whole_memory_padding_mitigation(self):

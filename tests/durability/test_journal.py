@@ -8,6 +8,7 @@ import zlib
 
 import pytest
 
+from repro.attacks.wiretap import Wiretap
 from repro.durability import DurableStore, Journal
 from repro.errors import JournalCorrupt, JournalRolledBack
 from repro.migration.testbed import build_testbed
@@ -342,6 +343,7 @@ class TestBlobStore:
 
         tb = build_testbed(seed=66)
         app = build_counter_app(tb, tag="one-blob")
+        wiretap = Wiretap.install(tb.network)
         MigrationOrchestrator(tb).migrate_enclave(app)
         image = app.image.name
         store = tb.durable
@@ -351,7 +353,7 @@ class TestBlobStore:
         src_journal = Journal(
             store, wal.enclave_journal_name("source", image), wal.PARTY_SOURCE
         )
-        (wire_envelope,) = tb.network.captured("checkpoint")
+        (wire_envelope,) = wiretap.captured("checkpoint")
         checkpoint = src_journal.last(wal.REC_CHECKPOINT).payload
         digest = checkpoint["envelope"]
         assert orch_journal.last(wal.WAL_TRANSFERRED).payload == {"blob": digest}

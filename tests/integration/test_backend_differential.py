@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.attacks.wiretap import Wiretap
 from repro.crypto.backend import BACKEND_NAMES, use_backend
 from repro.crypto.hashes import sha256
 from repro.migration.orchestrator import MigrationOrchestrator
@@ -33,6 +34,7 @@ def _run_seeded_migration(backend_name: str) -> dict:
     with use_backend(backend_name):
         _reset_global_counters()
         tb = build_testbed(seed=9431)
+        wiretap = Wiretap.install(tb.network)
         app = build_counter_app(tb, tag="differential")
         app.ecall_once(0, "incr", 41)
         result = MigrationOrchestrator(tb).migrate_enclave(app)
@@ -52,7 +54,7 @@ def _run_seeded_migration(backend_name: str) -> dict:
             )
         )
         return {
-            "wire": [(r.label, r.payload) for r in tb.network.log],
+            "wire": wiretap.sends,
             "journals": {
                 name: bytes(tb.durable.log(name)) for name in tb.durable.names()
             },
@@ -67,6 +69,7 @@ def test_seeded_migration_is_backend_invariant():
     reference, fast = runs["reference"], runs["fast"]
 
     # Same wire traffic: labels in the same order, payloads byte-identical.
+    assert reference["wire"]
     assert [l for l, _ in reference["wire"]] == [l for l, _ in fast["wire"]]
     for (label, ref_bytes), (_, fast_bytes) in zip(reference["wire"], fast["wire"]):
         assert ref_bytes == fast_bytes, f"wire divergence on {label!r}"

@@ -21,6 +21,7 @@ import os
 
 import pytest
 
+from repro.attacks.wiretap import Wiretap
 from repro.errors import MigrationAborted, SelfDestroyed
 from repro.faults import (
     MESSAGE_FAULT_KINDS,
@@ -69,7 +70,7 @@ def _run(plan):
 
 
 def _key_released(tb) -> bool:
-    return bool(tb.network.captured("kmigrate"))
+    return any(record.label == "kmigrate" for record in tb.network.log)
 
 
 def _source_gone(app) -> bool:
@@ -175,12 +176,14 @@ class TestNoFaultRegression:
         path — the chunk stream framing is the only difference."""
         self._reset_global_counters()
         tb_seed = build_testbed(seed=4242)
+        tap_seed = Wiretap.install(tb_seed.network)
         app_seed = build_counter_app(tb_seed, tag="regress")
         app_seed.ecall_once(0, "incr", 3)
         MigrationOrchestrator(tb_seed).migrate_enclave(app_seed)
 
         self._reset_global_counters()
         tb_res = build_testbed(seed=4242)
+        tap_res = Wiretap.install(tb_res.network)
         app_res = build_counter_app(tb_res, tag="regress")
         app_res.ecall_once(0, "incr", 3)
         result = MigrationOrchestrator(
@@ -190,17 +193,17 @@ class TestNoFaultRegression:
 
         # Lockstep messages are byte-identical.
         for label in ("channel-request", "ias-quote", "channel-answer", "kmigrate"):
-            assert tb_seed.network.captured(label) == tb_res.network.captured(label)
+            assert tap_seed.captured(label) == tap_res.captured(label)
 
         # The chunk stream carries exactly the seed checkpoint envelope.
         from repro.migration.checkpoint import ChunkReassembler
 
-        frames = tb_res.network.captured("checkpoint-chunk")
+        frames = tap_res.captured("checkpoint-chunk")
         assert len(frames) > 1  # it actually chunked
         reassembler = ChunkReassembler()
         for frame in frames:
             reassembler.accept(frame)
-        (seed_blob,) = tb_seed.network.captured("checkpoint")
+        (seed_blob,) = tap_seed.captured("checkpoint")
         assert reassembler.assemble() == seed_blob
 
     def test_no_fault_run_reports_clean_stats(self):

@@ -9,6 +9,7 @@ owner-provisioned instances hold.
 
 import pytest
 
+from repro.attacks.wiretap import Wiretap
 from repro.crypto.authenc import seal_envelope
 from repro.crypto.backend import get_backend
 from repro.crypto.dh import dh_public
@@ -174,9 +175,10 @@ class TestSessionKeyProperties:
         """Two migrations of two apps produce unrelated key envelopes."""
         app_a = build_counter_app(testbed, tag="fresh-a")
         app_b = build_counter_app(testbed, tag="fresh-b")
+        wiretap = Wiretap.install(testbed.network)
         orch.migrate_enclave(app_a)
         orch.migrate_enclave(app_b)
-        envelopes = testbed.network.captured("kmigrate")
+        envelopes = wiretap.captured("kmigrate")
         assert len(envelopes) == 2
         assert envelopes[0] != envelopes[1]
 
@@ -185,8 +187,9 @@ class TestSessionKeyProperties:
         from repro.crypto.keys import SymmetricKey
 
         app = build_counter_app(testbed, tag="opaque")
+        wiretap = Wiretap.install(testbed.network)
         orch.migrate_enclave(app)
-        sealed = testbed.network.captured("kmigrate")[0]
+        sealed = wiretap.captured("kmigrate")[0]
         guess = SymmetricKey(b"\x00" * 32, "guess")
         with pytest.raises(IntegrityError):
             open_envelope(guess, Envelope.from_bytes(sealed), aad=b"kmigrate")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attacks.wiretap import Wiretap
 from repro.errors import ChannelError, MigrationError, SelfDestroyed
 from repro.migration.orchestrator import MigrationOrchestrator
 from repro.sdk import control
@@ -60,8 +61,10 @@ class TestHappyPath:
         app = build_counter_app(testbed, tag="wire")
         app.ecall_once(0, "incr", 0xDEAD)
         secret = (0xDEAD).to_bytes(8, "little")
+        wiretap = Wiretap.install(testbed.network)
         orch.migrate_enclave(app)
-        for payload in testbed.network.captured("checkpoint"):
+        assert wiretap.captured("checkpoint")
+        for payload in wiretap.captured("checkpoint"):
             assert secret not in payload
 
     def test_no_owner_involvement_during_migration(self, testbed, orch):

@@ -8,6 +8,7 @@ restore path with hostile variants and check the in-enclave verification
 
 import pytest
 
+from repro.attacks.wiretap import Wiretap
 from repro.errors import CssaMismatch, IntegrityError, MigrationError, RestoreError
 from repro.migration.orchestrator import MigrationOrchestrator, MigrationRun
 from repro.migration.protocol import STEP_RESTORE, steps_before
@@ -133,6 +134,7 @@ class TestHostileRestoreInputs:
 class TestConfidentialityOnHost:
     def test_no_plaintext_key_in_untrusted_memory(self, testbed, orch):
         app = build_counter_app(testbed, tag="leak")
+        wiretap = Wiretap.install(testbed.network)
         result = orch.migrate_enclave(app)
         # Scrape everything the untrusted side ever saw.
         session = isa.eenter(
@@ -144,9 +146,10 @@ class TestConfidentialityOnHost:
         isa.eexit(session)
         # Wire payloads are serde-packed, which writes bytes as hex: a key
         # sent in the clear would show up in either form.
-        for record in testbed.network.log:
-            assert kmigrate not in record.payload
-            assert kmigrate.hex().encode() not in record.payload
+        assert wiretap.sends
+        for _, payload in wiretap.sends:
+            assert kmigrate not in payload
+            assert kmigrate.hex().encode() not in payload
         for value in app.process.shared_memory.values():
             blob = value.to_bytes() if hasattr(value, "to_bytes") else b""
             assert kmigrate not in blob

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.durability.sweep import build_sweep_app
 from repro.errors import MigrationAborted
-from repro.faults import FaultInjector, FaultPlan, MessageFault
+from repro.faults import FaultInjector, FaultPlan, MessageFault, parse_fault_spec
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
 from repro.migration.testbed import build_testbed
 from repro.telemetry.causal import build_dag
+from repro.telemetry.exporters import to_chrome_trace
 from repro.telemetry.runs import run_seeded_migration
 
 from tests.conftest import build_counter_app
@@ -41,9 +43,13 @@ class TestContextPropagation:
 
     def test_every_transfer_is_stamped(self, tb):
         for record in tb.network.log:
-            assert record.ctx is not None
-            assert record.ctx.seq == record.seq
-            assert record.ctx.trace_id == tb.telemetry.tracer.trace_id
+            assert record.trace_id == tb.telemetry.tracer.trace_id
+            assert record.parent_span_id is not None
+
+    def test_receiving_spans_carry_no_wire_attributes(self, tb):
+        # The record names its receiving span; the span does not repeat it.
+        for span in tb.telemetry.tracer.spans:
+            assert "adopted_wire_seqs" not in span.attrs
 
     def test_sequence_numbers_are_unique_and_monotone(self, tb):
         seqs = [r.seq for r in tb.network.log]
@@ -102,7 +108,11 @@ class TestFaultEdges:
         extra = dag.transfer_by_seq(int(edge.dst.split(":")[1]))
         original = dag.transfer_by_seq(int(edge.src.split(":")[1]))
         assert extra.duplicate and not original.duplicate
-        assert extra.ctx == original.ctx  # same stamped context, two deliveries
+        # Same stamped context, two deliveries.
+        assert (extra.trace_id, extra.parent_span_id) == (
+            original.trace_id,
+            original.parent_span_id,
+        )
 
     def test_reordered_chunks_are_flagged(self):
         plan = FaultPlan(seed=3)
@@ -123,3 +133,28 @@ class TestFaultEdges:
         assert health["transfers"] == len(dag.transfers)
         assert len(health["broken_edges"]) == len(dag.broken_edges())
         assert dag.as_dict()["health"] == health
+
+
+class TestReorderFlag:
+    """One function of the fault events and the log names a reorder."""
+
+    @staticmethod
+    def _flagged_in_chrome_export(tb):
+        events = to_chrome_trace(tb.telemetry, tb.network)["traceEvents"]
+        wire = [e["args"] for e in events if e.get("cat") == "wire"]
+        return [args["seq"] for args in wire if args["reordered"]]
+
+    def test_export_flags_the_swapped_pair_with_or_without_a_dag(self):
+        tb = build_testbed(seed=7)
+        app = build_sweep_app(tb)
+        MigrationOrchestrator(
+            tb,
+            retry=FAULT_TOLERANT_RETRY,
+            faults=FaultInjector(parse_fault_spec("reorder:checkpoint-chunk:1")),
+        ).migrate_enclave(app)
+        before = self._flagged_in_chrome_export(tb)
+        dag = build_dag(tb.telemetry, tb.network)
+        after = self._flagged_in_chrome_export(tb)
+        assert before == after == [t.seq for t in dag.reordered_transfers()]
+        assert len(before) == 2
+        assert {r.label for r in tb.network.log if r.seq in before} == {"checkpoint-chunk"}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.attacks.wiretap import Wiretap
 from repro.errors import MachineCrash, MigrationAborted, PartyCrash
 from repro.faults import FaultInjector, FaultPlan
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
@@ -14,8 +15,10 @@ from repro.telemetry.runs import run_seeded_migration
 from tests.conftest import build_counter_app
 
 
-def _crashed_run(plan, **testbed_kwargs):
+def _crashed_run(plan, wiretap=None, **testbed_kwargs):
     tb = build_testbed(seed=4000 + plan.seed, **testbed_kwargs)
+    if wiretap is not None:
+        tb.network.add_tap(wiretap)
     app = build_counter_app(tb, tag="flight")
     app.ecall_once(0, "incr", 5)
     orch = MigrationOrchestrator(
@@ -86,7 +89,8 @@ class TestRedaction:
         assert cleaned["n"] == 3
 
     def test_no_payload_bytes_survive_into_a_dump(self):
-        tb = _crashed_run(FaultPlan(seed=3).crash("target", "restore"))
+        wiretap = Wiretap()
+        tb = _crashed_run(FaultPlan(seed=3).crash("target", "restore"), wiretap=wiretap)
         # An event that *does* carry raw bytes must enter the ring redacted.
         tb.trace.emit("test", "leaky", party="source", sealed=b"\x13" * 32)
         dump = tb.telemetry.flightrecorder.dump(trigger="manual")
@@ -95,10 +99,11 @@ class TestRedaction:
         # run; none of those bytes may appear in the dump, only sizes.
         assert "b'\\x" not in text  # no repr()d raw byte strings
         assert "<redacted: 32 bytes>" in text
-        for record in tb.network.log:
-            if len(record.payload) >= 16:
-                assert record.payload.hex() not in text
-                assert repr(record.payload)[2:-1] not in text
+        assert wiretap.sends
+        for _, payload in wiretap.sends:
+            if len(payload) >= 16:
+                assert payload.hex() not in text
+                assert repr(payload)[2:-1] not in text
 
     def test_dump_file_written_when_dir_configured(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))

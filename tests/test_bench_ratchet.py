@@ -12,6 +12,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "scripts"))
 
 from bench_ratchet import (  # noqa: E402
     FAILING,
+    FROZEN_SERIES,
     attribute_regression,
     compare_series,
     describe,
@@ -87,11 +88,11 @@ class TestComparator:
         assert statuses["fig9c/avg_checkpoint_us/8"] == "missing"
 
     def test_frozen_series_not_regenerated_is_not_a_failure(self):
-        """Frozen records (e.g. fig9c_before_hot_path_fix) live only in
-        the committed baseline; a fresh bench run never rewrites them.
-        An entire series absent from the fresh tree is informational,
-        while a data point vanishing *inside* a regenerated series still
-        fails (covered by test_missing_metric_fails)."""
+        """The named frozen records live only in the committed baseline;
+        a fresh bench run never rewrites them, so their absence is
+        informational.  Any other absent series fails
+        (test_absent_series_fails)."""
+        assert FROZEN_SERIES == {"fig9c_before_hot_path_fix"}
         baseline = BASELINE | {
             "fig9c_before_hot_path_fix": {"avg_checkpoint_us": {"8": 3003.0}}
         }
@@ -103,6 +104,21 @@ class TestComparator:
         )
         bad = [f for f in findings if f["status"] in FAILING]
         assert not bad
+
+    def test_absent_series_fails(self):
+        """A bench that stopped writing fig10a must not read green."""
+        baseline = {
+            "fig10a": {"per_enclave_us": {"1": 544.0}},
+            "fig10bcd": {"enclaves": {"64": {"downtime_ns": 32}}},
+        }
+        fresh = {"fig10bcd": {"enclaves": {"64": {"downtime_ns": 32}}}}
+        findings = compare_series(baseline, fresh)
+        statuses = {f["metric"]: f["status"] for f in findings}
+        assert statuses["fig10a/per_enclave_us/1"] == "missing"
+        assert statuses["fig10bcd/enclaves/64/downtime_ns"] == "ok"
+        assert [f["metric"] for f in findings if f["status"] in FAILING] == [
+            "fig10a/per_enclave_us/1"
+        ]
 
     def test_new_metric_is_informational(self):
         findings = compare_series(BASELINE, _fresh(500.0, 1200.0) | {"extra": 1.0})

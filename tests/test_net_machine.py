@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.attacks.wiretap import Wiretap
 from repro.machine import Machine
 from repro.net.network import Network
 from repro.sim.clock import VirtualClock
@@ -36,10 +37,12 @@ class TestNetwork:
         assert network.bytes_transferred == 150
 
     def test_captured_by_label(self, network):
+        tap = Wiretap.install(network)
         network.transfer("secret", b"one")
         network.transfer("other", b"two")
         network.transfer("secret", b"three")
-        assert network.captured("secret") == [b"one", b"three"]
+        assert tap.captured("secret") == [b"one", b"three"]
+        assert [r.label for r in network.log] == ["secret", "other", "secret"]
 
     def test_tap_observes(self, network):
         seen = []
@@ -62,11 +65,13 @@ class TestNetwork:
         network.clear_taps()
         assert network.transfer("x", b"data") == b"data"
 
-    def test_log_keeps_original_payload(self, network):
-        # The log records what was *sent*; taps change what *arrives*.
+    def test_wiretap_installed_first_keeps_original_payload(self, network):
+        # A wiretap ahead of a tampering tap records what was *sent*;
+        # the tampering tap changes what *arrives*.
+        tap = Wiretap.install(network)
         network.add_tap(lambda label, payload: b"EVIL")
-        network.transfer("x", b"original")
-        assert network.captured("x") == [b"original"]
+        assert network.transfer("x", b"original") == b"EVIL"
+        assert tap.captured("x") == [b"original"]
 
 
 class TestMachine:
