@@ -6,7 +6,8 @@ the same access-control semantics:
 
 * :mod:`repro.sgx.structures`   — SECS, TCS (hardware-only CSSA), SSA,
   page types/permissions, SIGSTRUCT, REPORT, QUOTE.
-* :mod:`repro.sgx.epc`          — the Enclave Page Cache and EPCM.
+* :mod:`repro.sgx.epc`          — the Enclave Page Cache (one content
+  arena) and the EPCM (parallel columns).
 * :mod:`repro.sgx.mee`          — memory encryption engine: pages evicted
   with EWB are sealed under a key that never leaves the CPU.
 * :mod:`repro.sgx.measurement`  — MRENCLAVE digest computation.
@@ -22,7 +23,7 @@ the same access-control semantics:
 
 from repro.sgx.cpu import EnclaveSession, SgxCpu
 from repro.sgx.enclave import EnclaveHw
-from repro.sgx.epc import Epc, EpcPage
+from repro.sgx.epc import Epc
 from repro.sgx.structures import (
     PAGE_SIZE,
     PageType,
@@ -37,7 +38,6 @@ from repro.sgx.structures import (
 
 __all__ = [
     "Epc",
-    "EpcPage",
     "EnclaveHw",
     "EnclaveSession",
     "PAGE_SIZE",

@@ -189,9 +189,8 @@ def eswpout(cpu: SgxCpu, enclave: EnclaveHw, vaddr: int) -> MigratablePage:
     cpu.charge(cpu.costs.ewb_page_ns)
     state = _require_migrating(enclave)
     index = enclave._page_index(vaddr)
-    entry = cpu.epc.entry(index)
-    if entry.page_type is PageType.TCS:
-        tcs = cpu.epc.page(index).hw_object
+    if cpu.epc.page_type(index) is PageType.TCS:
+        tcs = cpu.epc.hw[index]
         payload = pack(
             {
                 "vaddr": tcs.vaddr,
@@ -204,7 +203,10 @@ def eswpout(cpu: SgxCpu, enclave: EnclaveHw, vaddr: int) -> MigratablePage:
         kind = "tcs"
     else:
         payload = pack(
-            {"perms": entry.permissions.value, "data": bytes(cpu.epc.page(index).data)}
+            {
+                "perms": cpu.epc.permissions(index).value,
+                "data": cpu.epc.read(index, 0, PAGE_SIZE),
+            }
         )
         kind = "reg"
     blob = _seal(state, kind, vaddr, payload)
@@ -224,7 +226,7 @@ def echangeout(cpu: SgxCpu, enclave: EnclaveHw, evicted: EvictedPage, va_index: 
     state = _require_migrating(enclave)
     from repro.sgx.instructions import _va_slots
 
-    slots = _va_slots(cpu, va_index)
+    slots = _va_slots(cpu, va_index, slot)
     plaintext = cpu.mee.unseal_page(evicted, slots[slot])
     slots[slot] = 0
     enclave._drop_page(evicted.vaddr)
@@ -290,8 +292,8 @@ def eswpin_secs(cpu: SgxCpu, page: MigratablePage) -> EnclaveHw:
     keys = _migration_keys(cpu)
     fields = unpack(_unseal(keys, page))
     eid = cpu.new_eid()
-    secs_page = cpu.epc.alloc(eid, vaddr=0, page_type=PageType.SECS, permissions=Permissions.NONE)
-    enclave = EnclaveHw(eid, fields["base"], fields["size"], cpu.epc, secs_page.index)
+    secs_index = cpu.epc.alloc(eid, vaddr=0, page_type=PageType.SECS, permissions=Permissions.NONE)
+    enclave = EnclaveHw(eid, fields["base"], fields["size"], cpu.epc, secs_index)
     enclave.secs.mrenclave = fields["mrenclave"]
     enclave.secs.mrsigner = fields["mrsigner"]
     enclave.secs.attributes = fields["attributes"]
@@ -300,7 +302,7 @@ def eswpin_secs(cpu: SgxCpu, page: MigratablePage) -> EnclaveHw:
     enclave.frozen = True  # stays frozen until EMIGRATEDONE
     enclave._migration_state = _MigrationState(keys)
     enclave._migration_state.stream_hash.update(page.mac)
-    secs_page.hw_object = enclave.secs
+    cpu.epc.hw[secs_index] = enclave.secs
     cpu.enclaves[eid] = enclave
     return enclave
 
@@ -315,14 +317,13 @@ def eswpin(cpu: SgxCpu, enclave: EnclaveHw, page: MigratablePage) -> None:
     if page.kind == "tcs":
         tcs = Tcs(fields["vaddr"], fields["oentry"], fields["ossa"], fields["nssa"])
         tcs._cssa = fields["cssa"]
-        epc_page = cpu.epc.alloc(enclave.eid, page.vaddr, PageType.TCS, Permissions.NONE)
-        epc_page.hw_object = tcs
-        enclave._map_page(page.vaddr, epc_page.index, tcs=tcs)
+        index = cpu.epc.alloc(enclave.eid, page.vaddr, PageType.TCS, Permissions.NONE, tcs)
+        enclave._map_page(page.vaddr, index, tcs=tcs)
     elif page.kind == "reg":
         perms = Permissions(fields["perms"])
-        epc_page = cpu.epc.alloc(enclave.eid, page.vaddr, PageType.REG, perms)
-        epc_page.data[: len(fields["data"])] = fields["data"]
-        enclave._map_page(page.vaddr, epc_page.index)
+        index = cpu.epc.alloc(enclave.eid, page.vaddr, PageType.REG, perms)
+        cpu.epc.write(index, 0, fields["data"])
+        enclave._map_page(page.vaddr, index)
     else:
         raise SgxInstructionFault(f"ESWPIN cannot install kind {page.kind!r}")
 

@@ -58,8 +58,8 @@ def eaug(cpu: SgxCpu, enclave: EnclaveHw, vaddr: int) -> None:
         raise SgxInstructionFault("EAUG only applies to initialized enclaves")
     if not enclave.contains(vaddr):
         raise SgxInstructionFault(f"0x{vaddr:x} is outside the enclave range")
-    page = cpu.epc.alloc(enclave.eid, vaddr, PageType.REG, Permissions.NONE)
-    enclave._map_page(vaddr, page.index)
+    index = cpu.epc.alloc(enclave.eid, vaddr, PageType.REG, Permissions.NONE)
+    enclave._map_page(vaddr, index)
     _edmm(enclave).pending_pages[vaddr] = "aug"
 
 
@@ -73,11 +73,11 @@ def eaccept(session: EnclaveSession, vaddr: int) -> None:
     if vaddr in state.pending_pages:
         del state.pending_pages[vaddr]
         index = enclave._page_index(vaddr)
-        cpu.epc.entry(index).permissions = Permissions.RW
+        cpu.epc.set_permissions(index, Permissions.RW)
         return
     if vaddr in state.pending_restrict:
         index = enclave._page_index(vaddr)
-        cpu.epc.entry(index).permissions = state.pending_restrict.pop(vaddr)
+        cpu.epc.set_permissions(index, state.pending_restrict.pop(vaddr))
         return
     raise SgxInstructionFault(f"nothing pending at 0x{vaddr:x}")
 
@@ -86,7 +86,7 @@ def emodpr(cpu: SgxCpu, enclave: EnclaveHw, vaddr: int, permissions: Permissions
     """OS side: restrict a page's permissions (effective after EACCEPT)."""
     cpu.charge(cpu.costs.eextend_page_ns)
     index = enclave._page_index(vaddr)
-    current = cpu.epc.entry(index).permissions
+    current = cpu.epc.permissions(index)
     if permissions | current != current:
         raise SgxInstructionFault("EMODPR can only restrict, never extend")
     _edmm(enclave).pending_restrict[vaddr] = permissions
@@ -105,8 +105,7 @@ def emodpe(session: EnclaveSession, vaddr: int, permissions: Permissions) -> Non
     if session.enclave.page_type(vaddr) is not PageType.REG:
         raise SgxInstructionFault("EMODPE only applies to REG pages")
     index = session.enclave._page_index(vaddr)
-    entry = cpu.epc.entry(index)
-    entry.permissions = entry.permissions | permissions
+    cpu.epc.set_permissions(index, cpu.epc.permissions(index) | permissions)
 
 
 def dump_unreadable_page_v2(session: EnclaveSession, vaddr: int) -> bytes:

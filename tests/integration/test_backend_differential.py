@@ -18,6 +18,7 @@ from repro.crypto.hashes import sha256
 from repro.migration.orchestrator import MigrationOrchestrator
 from repro.migration.testbed import build_testbed
 from repro.sgx.cpu import SgxCpu
+from repro.sgx.structures import PAGE_SIZE, PageType
 
 from tests.conftest import build_counter_app
 
@@ -42,16 +43,14 @@ def _run_seeded_migration(backend_name: str) -> dict:
 
         # Final enclave state: every valid EPC page the migrated enclave
         # owns on the target CPU, in vaddr order.
-        cpu = tb.target.cpu
-        eid = result.target_app.library.enclave_id
+        epc = tb.target.cpu.epc
+        eid = result.target_app.library.hw().eid
+        pages = sorted(
+            (epc.vaddr(i), i) for i in epc.pages_of(eid) if epc.page_type(i) is PageType.REG
+        )
+        assert pages
         state = sha256(
-            b"".join(
-                cpu.epc.entry(i).vaddr.to_bytes(8, "big") + bytes(cpu.epc.page(i).data)
-                for i in sorted(
-                    cpu.epc.pages_of(eid), key=lambda i: cpu.epc.entry(i).vaddr
-                )
-                if cpu.epc.entry(i).page_type.value == "REG"
-            )
+            b"".join(vaddr.to_bytes(8, "big") + epc.read(i, 0, PAGE_SIZE) for vaddr, i in pages)
         )
         return {
             "wire": wiretap.sends,

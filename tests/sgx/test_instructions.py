@@ -241,7 +241,7 @@ class TestPaging:
         va = isa.alloc_va_page(cpu)
         blob = isa.ewb(cpu, enclave, BASE, va, 0)
         va_b = isa.alloc_va_page(second_cpu)
-        isa._va_slots(second_cpu, va_b)[1] = blob.version
+        isa._va_slots(second_cpu, va_b, 1)[1] = blob.version
         with pytest.raises(SgxMacMismatch):
             isa.eldb(second_cpu, enclave_b, blob, va_b, 1)
 
