@@ -35,6 +35,11 @@ class PageType(enum.Enum):
     VA = "va"
 
 
+#: EPCM type column codes, by PageType, and back.
+PAGE_TYPES = (PageType.REG, PageType.SECS, PageType.TCS, PageType.VA)
+TYPE_CODE = {page_type: code for code, page_type in enumerate(PAGE_TYPES)}
+
+
 class Permissions(enum.Flag):
     """EPC page access permissions."""
 
@@ -61,6 +66,11 @@ class SecInfo:
     def to_bytes(self) -> bytes:
         """The 64 bytes EADD measures; encoded once per SecInfo."""
         return self._encoded
+
+    @cached_property
+    def epcm_codes(self) -> tuple[int, int]:
+        """The EPCM type code and permission bits EADD gives the page."""
+        return TYPE_CODE[self.page_type], self.permissions.value
 
 
 @dataclass

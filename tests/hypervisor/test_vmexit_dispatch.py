@@ -52,7 +52,7 @@ class TestVmexitDispatch:
         # The EPT-violation handler is the one path that *uses* the bit
         # (to route to the vEPC mapper) before clearing it.
         gpa = vm.vepc.base_gpa
-        machine.hypervisor.handle_ept_violation(vm.name, gpa)
+        machine.hypervisor.handle_ept_violations(vm.name, [gpa])
         assert vm.vmcs[0].exit_reason is ExitReason.EPT_VIOLATION
         assert not vm.vmcs[0].enclave_interruption  # cleared after mapping
         assert vm.vepc.ept.is_mapped(gpa)
