@@ -26,6 +26,7 @@ from repro.crypto.backend import get_backend
 from repro.crypto.hashes import constant_time_equal, sha256
 from repro.crypto.keys import SymmetricKey
 from repro.errors import CryptoError, IntegrityError
+from repro.serde import pack, unpack
 
 CIPHER_NAMES = ("rc4", "des", "aes", "aes-ni", "aes-cbc")
 
@@ -235,3 +236,24 @@ def open_view(key: SymmetricKey, envelope: Envelope, aad: bytes = b"") -> memory
 def open_envelope(key: SymmetricKey, envelope: Envelope, aad: bytes = b"") -> bytes:
     """Open an envelope into bytes (see :func:`open_view`)."""
     return bytes(open_view(key, envelope, aad))
+
+
+def seal_value(key: SymmetricKey, value, nonce: bytes, aad: bytes) -> bytes:
+    """Seal one :mod:`repro.serde` value into an AES envelope's wire form.
+
+    This is the SDK's one sealed-message format: every message an enclave
+    (or its owner) seals for a peer or for its own disk is ``pack(value)``
+    under ``key``, bound to the ``aad`` that names what it is for
+    (docs/PROTOCOL.md lists each one).
+    """
+    return seal_envelope(key, pack(value), nonce, "aes", aad=aad).to_bytes()
+
+
+def open_value(key: SymmetricKey, blob: bytes, aad: bytes):
+    """Open a :func:`seal_value` blob back into its value.
+
+    Raises :class:`IntegrityError` when the MAC, the inner digest or the
+    ``aad`` does not match, and :class:`CryptoError` when ``blob`` is not
+    one envelope.
+    """
+    return unpack(open_envelope(key, Envelope.from_bytes(blob), aad=aad))

@@ -84,8 +84,8 @@ class Journal:
         it fires *after* the commit — "crash at record boundary" always
         means the record itself survived.
 
-        Commits on a telemetry-wired store charge the modelled fsync cost
-        to the virtual clock and report ``journal.commit_latency_ns`` /
+        Every commit charges the store's modelled fsync cost to the
+        virtual clock and reports ``journal.commit_latency_ns`` /
         ``journal.appends_total`` per party — journal commits sit on the
         migration hot path, so their cost must show up in the figures.
 
@@ -95,11 +95,12 @@ class Journal:
         the scheduler instead, letting other VCPUs keep running through
         the I/O wait rather than modelling it as a stop-the-world stall.
         """
-        start_ns = self.store.clock.now_ns if self.store.clock is not None else None
-        counter = self.store.counter(self.name) + 1
+        store = self.store
+        start_ns = store.clock.now_ns
+        counter = store.counter(self.name) + 1
         body = serde.pack({"c": counter, "k": kind, "p": payload})
-        log = self.store.log(self.name)
-        if self.store.journal_ends.get(self.name) == (counter - 1, len(log)):
+        log = store.log(self.name)
+        if store.journal_ends.get(self.name) == (counter - 1, len(log)):
             end = len(log)
         else:
             end = self._committed_end(log, counter - 1)
@@ -111,8 +112,8 @@ class Journal:
         # can be large, and ``header + body`` would copy it.
         log.extend(_FRAME_HEADER.pack(len(body), zlib.crc32(body)))
         log.extend(body)
-        trace = self.store.trace
-        if not defer_charge and self.store.clock is not None and self.store.commit_cost_ns:
+        trace = store.trace
+        if not defer_charge and store.commit_cost_ns:
             # The synchronous fsync stall gets its own span so the
             # critical-path engine (and `repro diff`) can blame journal
             # commits directly instead of smearing them over the
@@ -124,34 +125,29 @@ class Journal:
                 journal=self.name,
                 record_kind=kind,
             ):
-                self.store.clock.advance(self.store.commit_cost_ns)
-        self.store.counter_bump(self.name)
-        self.store.journal_ends[self.name] = (counter, len(log))
-        if trace is not None:
-            # Payload-free by construction: journal payloads may hold
-            # sealed blobs, and nothing sealed ever enters the trace.
-            trace.emit(
-                "journal",
-                "append",
-                journal=self.name,
-                party=self.party,
-                kind=kind,
-                counter=counter,
-                n_bytes=_FRAME_HEADER.size + len(body),
-            )
-        if self.store.metrics is not None:
-            self.store.metrics.counter("journal.appends_total", party=self.party).inc()
-            if start_ns is not None:
-                elapsed = self.store.clock.now_ns - start_ns
-                if defer_charge:
-                    # The caller yields the commit cost to the scheduler;
-                    # record the modelled latency it will experience.
-                    elapsed += self.store.commit_cost_ns
-                self.store.metrics.histogram(
-                    "journal.commit_latency_ns", party=self.party
-                ).observe(elapsed)
-        if self.store.injector is not None:
-            self.store.injector.record_appended(self.party, self.name, counter)
+                store.clock.advance(store.commit_cost_ns)
+        store.counter_bump(self.name)
+        store.journal_ends[self.name] = (counter, len(log))
+        # Payload-free by construction: journal payloads may hold sealed
+        # blobs, and nothing sealed ever enters the trace.
+        trace.emit(
+            "journal",
+            "append",
+            journal=self.name,
+            party=self.party,
+            kind=kind,
+            counter=counter,
+            n_bytes=_FRAME_HEADER.size + len(body),
+        )
+        trace.metrics.counter("journal.appends_total", party=self.party).inc()
+        elapsed = store.clock.now_ns - start_ns
+        if defer_charge:
+            # The caller yields the commit cost to the scheduler; record
+            # the modelled latency it will experience.
+            elapsed += store.commit_cost_ns
+        trace.metrics.histogram("journal.commit_latency_ns", party=self.party).observe(elapsed)
+        if store.injector is not None:
+            store.injector.record_appended(self.party, self.name, counter)
         return counter
 
     @staticmethod

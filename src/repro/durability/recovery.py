@@ -100,15 +100,13 @@ class MigrationRecovery:
         # source, and each hop's journals carry the hop's epoch stamp.
         self.wal = Journal(
             store,
-            wal.orchestrator_journal_name(image, getattr(testbed, "wal_epoch", 0)),
+            wal.orchestrator_journal_name(image, testbed.wal_epoch),
             wal.PARTY_ORCHESTRATOR,
         )
         self.source_journal, self.target_journal = (
             Journal(
                 store,
-                wal.enclave_journal_name(
-                    machine.name, image, getattr(machine, "journal_epoch", 0)
-                ),
+                wal.enclave_journal_name(machine.name, image, machine.journal_epoch),
                 party,
             )
             for machine, party in (
@@ -325,9 +323,7 @@ class MigrationRecovery:
         )
 
     def _join_lineage(self, app: HostApplication) -> None:
-        monitor = getattr(self.tb, "monitor", None)
-        if monitor is None:
-            return
+        monitor = self.tb.monitor
         lineage = monitor.lineage_of(self.app)
         if lineage is None:
             lineage = monitor.register_lineage(self.app)

@@ -33,13 +33,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.sim.clock import VirtualClock
     from repro.sim.trace import EventTrace
-    from repro.telemetry.metrics import MetricsRegistry
 
 
 class DurableStore:
-    """Per-testbed persistent storage: named byte logs, blobs, counters."""
+    """Per-machine persistent storage: named byte logs, blobs, counters.
 
-    def __init__(self) -> None:
+    A testbed's machines share one store.  Journal commits charge
+    ``commit_cost_ns`` of modelled fsync time to ``clock``, report
+    per-party commit latency and count to ``trace.metrics``, and emit
+    payload-free ``("journal", "append")`` events on ``trace``, so the
+    flight recorder's per-party rings see durable state transitions.
+    """
+
+    def __init__(self, clock: "VirtualClock", trace: "EventTrace", commit_cost_ns: int) -> None:
+        self.clock = clock
+        self.trace = trace
+        self.commit_cost_ns = commit_cost_ns
         self._logs: dict[str, bytearray] = {}
         self._blobs: dict[str, bytes] = {}
         self._counters: dict[str, int] = {}
@@ -51,17 +60,6 @@ class DurableStore:
         #: boundaries to it so crash plans can fire at record
         #: granularity (see :meth:`FaultInjector.record_appended`).
         self.injector: "FaultInjector | None" = None
-        #: Telemetry wiring (set by ``build_testbed``): journal commits
-        #: charge ``commit_cost_ns`` of modelled fsync time to ``clock``
-        #: and report per-party commit latency/count to ``metrics``.  A
-        #: bare store (unit tests) leaves all three unset and stays free.
-        self.clock: "VirtualClock | None" = None
-        self.metrics: "MetricsRegistry | None" = None
-        self.commit_cost_ns: int = 0
-        #: Optional event trace: journal commits emit payload-free
-        #: ``("journal", "append")`` events through it so the flight
-        #: recorder's per-party rings see durable state transitions.
-        self.trace: "EventTrace | None" = None
 
     # ------------------------------------------------------------- byte logs
     def log(self, name: str) -> bytearray:

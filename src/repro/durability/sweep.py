@@ -288,22 +288,18 @@ def _run_plan(
 
 
 def _drain_monitor(tb: Testbed) -> list[str]:
-    monitor = getattr(tb, "monitor", None)
-    if monitor is None:
-        return []
     try:
-        monitor.check_now()
+        tb.monitor.check_now()
     except InvariantViolation:
         pass
-    return list(monitor.violations)
+    return list(tb.monitor.violations)
 
 
 def _live_count(
     tb: Testbed, app: HostApplication, live_app: HostApplication | None
 ) -> int:
-    monitor = getattr(tb, "monitor", None)
-    if monitor is not None and monitor.lineage_of(app) is not None:
-        return monitor.lineage_live_count(app)
+    if tb.monitor.lineage_of(app) is not None:
+        return tb.monitor.lineage_live_count(app)
     return 0 if live_app is None else 1
 
 

@@ -57,17 +57,14 @@ class FaultInjector:
         """Install this injector on the testbed's network and journals."""
         self._tb = testbed
         testbed.network.injector = self
-        durable = getattr(testbed, "durable", None)
-        if durable is not None:
-            durable.injector = self
+        testbed.durable.injector = self
         return self
 
     def detach(self) -> None:
         if self._tb is not None:
             self._tb.network.injector = None
-            durable = getattr(self._tb, "durable", None)
-            if durable is not None and durable.injector is self:
-                durable.injector = None
+            if self._tb.durable.injector is self:
+                self._tb.durable.injector = None
             self._tb = None
 
     @property

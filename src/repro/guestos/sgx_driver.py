@@ -73,8 +73,8 @@ class SgxDriver:
         self._enclaves: dict[int, _DriverEnclave] = {}
         self._next_id = 1
         self.records: list[EnclaveRecord] = []
-        self._lru_clock = 0
-        self._lru: dict[tuple[int, int], int] = {}  # (id, vaddr) -> last touch
+        #: Resident REG pages, ``(id, vaddr)``, least recently touched first.
+        self._lru: dict[tuple[int, int], None] = {}
         self._va_pages: list[tuple[int, list[int]]] = []  # (epc index, free slots)
         self.page_fault_count = 0
         self.refuse_new_enclaves = False
@@ -86,13 +86,14 @@ class SgxDriver:
 
     # ------------------------------------------------------------- helpers
     def _touch(self, enclave_id: int, vaddr: int) -> None:
-        self._touch_run(enclave_id, [vaddr])
+        """Move one page to the most recently used end of the LRU."""
+        key = (enclave_id, vaddr)
+        self._lru.pop(key, None)
+        self._lru[key] = None
 
     def _touch_run(self, enclave_id: int, vaddrs: list[int]) -> None:
-        """Touch pages in order, as one :meth:`_touch` per page would."""
-        first = self._lru_clock + 1
-        self._lru.update(zip([(enclave_id, v) for v in vaddrs], range(first, first + len(vaddrs))))
-        self._lru_clock += len(vaddrs)
+        """Append a fresh enclave's pages, in order, as most recently used."""
+        self._lru.update(dict.fromkeys((enclave_id, v) for v in vaddrs))
 
     def _va_slot(self) -> tuple[int, int]:
         for index, free in self._va_pages:
@@ -111,21 +112,16 @@ class SgxDriver:
 
     def _pick_victim(self, skip: tuple[int, int] | None = None) -> tuple[int, int]:
         """Least-recently-used resident REG page across all enclaves."""
-        best: tuple[int, int] | None = None
-        best_touch = None
-        for (enclave_id, vaddr), touch in self._lru.items():
-            if (enclave_id, vaddr) == skip:
+        for key in self._lru:
+            if key == skip:
                 continue
+            enclave_id, vaddr = key
             denc = self._enclaves.get(enclave_id)
             if denc is None or not denc.hw.page_present(vaddr):
                 continue
-            if denc.hw.page_type(vaddr) is not PageType.REG:
-                continue
-            if best_touch is None or touch < best_touch:
-                best, best_touch = (enclave_id, vaddr), touch
-        if best is None:
-            raise SgxEpcExhausted("vEPC exhausted and no evictable page found")
-        return best
+            if denc.hw.page_type(vaddr) is PageType.REG:
+                return key
+        raise SgxEpcExhausted("vEPC exhausted and no evictable page found")
 
     def _evict_one(self, skip: tuple[int, int] | None = None) -> None:
         enclave_id, vaddr = self._pick_victim(skip)

@@ -8,6 +8,7 @@ attestation service and wire them over :mod:`repro.net`.
 
 from __future__ import annotations
 
+from repro.durability.store import DurableStore
 from repro.hypervisor.kvm import Hypervisor
 from repro.hypervisor.qemu import QemuMonitor
 from repro.sgx.attestation import AttestationService, QuotingEnclave, provision_platform
@@ -29,6 +30,7 @@ class Machine:
         rng: DeterministicRng,
         costs: CostModel = DEFAULT_COSTS,
         epc_pages: int = 8192,
+        durable: DurableStore | None = None,
     ) -> None:
         self.name = name
         self.clock = clock
@@ -39,10 +41,16 @@ class Machine:
         self.hypervisor = Hypervisor(clock, costs, trace, self.cpu)
         self.qemu = QemuMonitor(self.hypervisor)
         self.quoting_enclave: QuotingEnclave | None = None
-        #: Stable storage shared by the testbed (set by ``build_testbed``);
-        #: when present, enclave libraries on this machine keep write-ahead
-        #: journals on it.  None for machines built outside a testbed.
-        self.durable = None
+        #: Stable storage: every enclave library on this machine keeps its
+        #: write-ahead journal, sealed storage and one-use key tokens on
+        #: it.  A testbed passes its shared store; a machine built on its
+        #: own gets one of its own.
+        if durable is None:
+            durable = DurableStore(clock, trace, costs.journal_commit_ns)
+        self.durable = durable
+        #: Epoch stamped into the names of enclave journals opened on this
+        #: machine (an N-hop chain stamps the hop number on its target).
+        self.journal_epoch = 0
         #: The testbed's invariant monitor, if one is attached.
         self.monitor = None
 

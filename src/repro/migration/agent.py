@@ -15,7 +15,7 @@ enclave with that measurement (preserving P-5, single instance).
 
 from __future__ import annotations
 
-from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
+from repro.crypto.authenc import seal_value
 from repro.crypto.dh import dh_check_peer, dh_private, dh_public, dh_session_key
 from repro.crypto.keys import SymmetricKey
 from repro.durability.wal import PARTY_AGENT
@@ -23,12 +23,12 @@ from repro.errors import AttestationError, ChannelError, MigrationError
 from repro.migration.orchestrator import RetryPolicy
 from repro.sdk import control
 from repro.sdk.builder import BuiltImage, SdkBuilder
-from repro.sdk.control import _bind_report_data
+from repro.sdk.control import _bind_report_data, open_from_boot
 from repro.sdk.host import HostApplication
 from repro.sdk.image import OBJ_BOOT
 from repro.sdk.program import EnclaveProgram
 from repro.sdk.runtime import EnclaveRuntime
-from repro.serde import pack, unpack
+from repro.serde import pack
 from repro.sgx.instructions import verify_report
 from repro.sgx.structures import Report
 
@@ -67,13 +67,12 @@ def agent_store_escrow(
     wrapper can report table growth to the invariant monitor — the table
     must never hold more entries than distinct measurements escrowed.
     """
-    boot = rt.load_obj(OBJ_BOOT)
-    if boot is None:
-        raise ChannelError("no escrow exchange in progress")
-    shared_key = dh_session_key(source_dh_public, boot["dh_private"])
-    session_key = SymmetricKey(shared_key, "agent-escrow")
-    payload = unpack(
-        open_envelope(session_key, Envelope.from_bytes(sealed), aad=b"agent-escrow")
+    payload = open_from_boot(
+        rt,
+        source_dh_public,
+        sealed,
+        b"agent-escrow",
+        ChannelError("no escrow exchange in progress"),
     )
     table = rt.load_obj(OBJ_ESCROW, default={}) or {}
     key_id = payload["target_mr"].hex()
@@ -159,20 +158,17 @@ def agent_release_key(
     private = dh_private(rt.rdrand)
     agent_dh_public = dh_public(private)
     session_key = SymmetricKey(dh_session_key(requester_dh_public, private), "agent-release")
-    sealed = seal_envelope(
+    sealed = seal_value(
         session_key,
-        pack(
-            {
-                "kmigrate": record["kmigrate"],
-                "sequence": record["sequence"],
-                "storage": record.get("storage"),
-            }
-        ),
+        {
+            "kmigrate": record["kmigrate"],
+            "sequence": record["sequence"],
+            "storage": record.get("storage"),
+        },
         rt.random_bytes(16),
-        "aes",
-        aad=b"agent-release",
+        b"agent-release",
     )
-    return agent_dh_public, sealed.to_bytes()
+    return agent_dh_public, sealed
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +191,7 @@ class AgentService:
         )
         # The agent is its own protocol party: record-granularity crash
         # faults address it as "agent", not as the target machine.
-        if self.app.library.journal is not None:
-            self.app.library.journal.party = PARTY_AGENT
+        self.app.library.journal.party = PARTY_AGENT
         self.app.library.launch(owner=None)
 
     @property
@@ -272,10 +267,7 @@ class AgentService:
         records, so an already-released key stays released.
         """
         library = self.app.library
-        journal = library.journal
-        if journal is None:
-            raise MigrationError("agent has no journal to recover from")
-        records = journal.records()  # raises on corruption / rollback
+        records = library.journal.records()  # raises on corruption / rollback
         if library.enclave_id is None:
             library.launch(owner=None)
         released: set[str] = set()

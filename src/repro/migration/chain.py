@@ -25,7 +25,7 @@ to think about:
 
 from __future__ import annotations
 
-import dataclasses
+import copy
 from dataclasses import dataclass, field
 
 from repro.errors import MachineCrash, MigrationAborted, PartyCrash
@@ -91,18 +91,11 @@ def hop_view(tb: Testbed, hop: int) -> Testbed:
     target's SGX library is constructed, so it must be stamped before
     the virgin target is built — i.e. here).
     """
-    if hop % 2 == 1:
-        view = dataclasses.replace(tb)
-    else:
-        view = dataclasses.replace(
-            tb,
-            source=tb.target,
-            target=tb.source,
-            source_vm=tb.target_vm,
-            target_vm=tb.source_vm,
-            source_os=tb.target_os,
-            target_os=tb.source_os,
-        )
+    view = copy.copy(tb)
+    if hop % 2 == 0:
+        view.source, view.target = tb.target, tb.source
+        view.source_vm, view.target_vm = tb.target_vm, tb.source_vm
+        view.source_os, view.target_os = tb.target_os, tb.source_os
     view.wal_epoch = hop
     view.target.journal_epoch = hop
     return view

@@ -86,12 +86,19 @@ from repro.sgx.structures import Quote
 if TYPE_CHECKING:  # pragma: no cover
     from repro.migration.agent import AgentService
 
-#: Degraded-mode delivery: a resent blob waits ``BASE_BACKOFF_NS`` on the
-#: virtual clock, doubling per round, for at most ``MAX_TRANSFER_ROUNDS``
+#: Degraded-mode delivery: a resent blob waits :func:`backoff_ns` on the
+#: virtual clock before each resend, for at most ``MAX_TRANSFER_ROUNDS``
 #: rounds (the chunk stream, the sealed storage table, the sealed key).
 BASE_BACKOFF_NS = 8_000_000
 BACKOFF_MULTIPLIER = 2
 MAX_TRANSFER_ROUNDS = 5
+
+
+def backoff_ns(k: int) -> int:
+    """The virtual wait before the ``k``-th resend or retry (``k >= 1``):
+    ``BASE_BACKOFF_NS``, doubling with each one (8, 16, 32, 64 ms)."""
+    return BASE_BACKOFF_NS * BACKOFF_MULTIPLIER ** (k - 1)
+
 
 #: What a resend can heal: the wire lost or mangled the blob.
 _DELIVERY_FAULTS = (NetworkFault, IntegrityError, CryptoError, SerdeError)
@@ -136,12 +143,10 @@ class RetryPolicy:
         re-raises the first fault; otherwise the last one is re-raised
         after the last round — or :class:`MigrationAborted` (``abort``).
         """
-        backoff = BASE_BACKOFF_NS
         for round_no in range(MAX_TRANSFER_ROUNDS):
             if round_no:
                 resent(round_no)
-                testbed.clock.advance(backoff)
-                backoff *= BACKOFF_MULTIPLIER
+                testbed.clock.advance(backoff_ns(round_no))
             try:
                 delivered = testbed.network.transfer(label, payload, wan=wan)
                 return delivered if install is None else install(delivered)
@@ -340,7 +345,6 @@ class MigrationOrchestrator:
         else:
             order = list(range(len(frames)))
         pending = order
-        backoff = BASE_BACKOFF_NS
         for round_no in range(MAX_TRANSFER_ROUNDS):
             failed: list[int] = []
             for seq in pending:
@@ -372,8 +376,7 @@ class MigrationOrchestrator:
                 self.tb.trace.emit(
                     "migration", "chunk_resend", n=len(pending), round=round_no + 1
                 )
-                self.tb.clock.advance(backoff)
-                backoff *= BACKOFF_MULTIPLIER
+                self.tb.clock.advance(backoff_ns(round_no + 1))
         raise LinkTimeout(
             f"checkpoint transfer incomplete after "
             f"{MAX_TRANSFER_ROUNDS} rounds: missing {reassembler.missing()}"
@@ -390,11 +393,8 @@ class MigrationOrchestrator:
         protocol (journal record counts included) is byte-identical to
         the pre-storage one.
         """
-        durable = getattr(self.tb, "durable", None)
-        if durable is None:
-            return False
         ns = wal.storage_namespace(self.tb.source.name, app.image.name)
-        return durable.counter(ns) > 0
+        return self.tb.durable.counter(ns) > 0
 
     def handoff_storage(self, app: HostApplication, target_app: HostApplication) -> int:
         """The negotiated `handoff-storage` step: move the namespace.
@@ -457,17 +457,17 @@ class MigrationOrchestrator:
             return self._run_migration(app)
 
     def _run_migration(self, app: HostApplication) -> EnclaveMigrationResult:
-        journal = self._make_wal(app)
-        if journal is not None:
-            journal.append(wal.WAL_BEGIN, {"image": app.image.name})
-        monitor = getattr(self.tb, "monitor", None)
-        if monitor is not None:
-            self._lineage = monitor.register_lineage(app)
+        journal = Journal(
+            self.tb.durable,
+            wal.orchestrator_journal_name(app.image.name, self.tb.wal_epoch),
+            wal.PARTY_ORCHESTRATOR,
+        )
+        journal.append(wal.WAL_BEGIN, {"image": app.image.name})
+        self._lineage = self.tb.monitor.register_lineage(app)
         if self.retry.single_shot and self.faults is None:
             return self._attempt(app, journal)
 
         bytes_before = self.tb.network.bytes_transferred
-        backoff = BASE_BACKOFF_NS
         last_exc: Exception | None = None
         for attempt in range(1, self.retry.max_attempts + 1):
             self.stats.attempts = attempt
@@ -475,8 +475,7 @@ class MigrationOrchestrator:
                 self.stats.retries += 1
                 self.tel.counter("migration.retries_total").inc()
                 self.tb.trace.emit("migration", "retry", attempt=attempt)
-                self.tb.clock.advance(backoff)
-                backoff *= BACKOFF_MULTIPLIER
+                self.tb.clock.advance(backoff_ns(attempt - 1))
             try:
                 return self._attempt(app, journal, bytes_baseline=bytes_before)
             except MigrationAborted:
@@ -524,7 +523,7 @@ class MigrationOrchestrator:
 
     # ------------------------------------------------------------- attempt
     def _attempt(
-        self, app: HostApplication, journal: Journal | None, bytes_baseline: int | None = None
+        self, app: HostApplication, journal: Journal, bytes_baseline: int | None = None
     ) -> EnclaveMigrationResult:
         """One full pass of the protocol table; rolled back on failure."""
         bytes_before = (
@@ -549,9 +548,7 @@ class MigrationOrchestrator:
         except Exception:
             self.rollback(run)
             raise
-        monitor = getattr(self.tb, "monitor", None)
-        if monitor is not None and self._lineage is not None:
-            monitor.join_lineage(self._lineage, run.target)
+        self.tb.monitor.join_lineage(self._lineage, run.target)
         return EnclaveMigrationResult(
             target_app=run.target,
             replay_plan=run.plan,
@@ -647,21 +644,13 @@ class MigrationOrchestrator:
             self.stats.crashes_seen += 1
             self.tel.counter("migration.crashes_seen_total", side=exc.party).inc()
             for app in (run.app, run.target, run.agent and run.agent.app):
-                journal = app and app.library.journal
-                if journal is not None and journal.party == exc.party:
+                if app is not None and app.library.journal.party == exc.party:
                     for thread in app.process.threads:
                         thread.suspended = True
                     app.destroy()
             raise
 
     # ------------------------------------------------------------- durability
-    def _make_wal(self, app: HostApplication) -> Journal | None:
-        durable = getattr(self.tb, "durable", None)
-        if durable is None:
-            return None
-        name = wal.orchestrator_journal_name(app.image.name, getattr(self.tb, "wal_epoch", 0))
-        return Journal(durable, name, wal.PARTY_ORCHESTRATOR)
-
     def _wal_append(self, kind: str, payload: dict | None = None) -> None:
         if self.run is not None and self.run.wal is not None:
             self.run.wal.append(kind, payload)
@@ -721,7 +710,7 @@ def _transfer_checkpoint(orch: MigrationOrchestrator, run: MigrationRun) -> dict
     # source's journal stored are named by its digest, not hashed again;
     # anything else the wire delivered is stored under its own.
     store, sent = run.wal.store, run.checkpoint
-    if sent.blob is not None and sent.blob in store and run.delivered == sent.wire:
+    if sent.blob in store and run.delivered == sent.wire:
         return {"blob": sent.blob}
     return {"blob": store.put_blob(run.delivered)}
 

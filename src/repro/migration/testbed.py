@@ -48,10 +48,13 @@ class Testbed:
     owner: EnclaveOwner
     #: Span tracer + metrics registry of ``trace``.
     telemetry: Telemetry
-    #: Stable storage for write-ahead journals; survives party crashes.
-    durable: DurableStore = field(default_factory=DurableStore)
-    #: Live safety-invariant monitor; attached by :func:`build_testbed`.
-    monitor: InvariantMonitor | None = None
+    #: Stable storage both machines share; survives party crashes.
+    durable: DurableStore
+    #: Live safety-invariant monitor, attached by :func:`build_testbed`.
+    monitor: InvariantMonitor = field(init=False)
+    #: Epoch stamped into the orchestrator WAL's name (an N-hop chain
+    #: stamps the hop number on its view of the testbed).
+    wal_epoch: int = 0
 
 
 def build_testbed(
@@ -76,12 +79,15 @@ def build_testbed(
     telemetry = Telemetry(clock, trace)
     rng = DeterministicRng(seed)
     network = Network(clock, costs, trace)
+    # Durable journals are part of the standard setup: every enclave
+    # library built on these machines journals its state transitions here.
+    durable = DurableStore(clock, trace, costs.journal_commit_ns)
 
     ias_key = KeyPair(role_keypair("ias"), "ias")
     ias = AttestationService(clock, costs, ias_key)
 
-    source = Machine("source", clock, trace, rng, costs, epc_pages=epc_pages)
-    target = Machine("target", clock, trace, rng, costs, epc_pages=epc_pages)
+    source = Machine("source", clock, trace, rng, costs, epc_pages=epc_pages, durable=durable)
+    target = Machine("target", clock, trace, rng, costs, epc_pages=epc_pages, durable=durable)
     source.provision(ias)
     target.provision(ias)
 
@@ -124,19 +130,9 @@ def build_testbed(
         builder=builder,
         owner=owner,
         telemetry=telemetry,
+        durable=durable,
     )
-    # Durable journals + the live invariant monitor are part of the
-    # standard setup: every enclave library built on these machines
-    # journals its state transitions, and the monitor watches every run.
-    source.durable = target.durable = testbed.durable
-    # Journal commits charge their modelled fsync latency to the shared
-    # clock and report it to the shared registry.
-    testbed.durable.clock = clock
-    testbed.durable.metrics = trace.metrics
-    testbed.durable.commit_cost_ns = costs.journal_commit_ns
-    # Journal commits also surface as payload-free trace events, so the
-    # flight recorder's per-party rings include durable transitions.
-    testbed.durable.trace = trace
+    # The live invariant monitor watches every run.
     testbed.monitor = InvariantMonitor(testbed)
     testbed.monitor.attach()
     return testbed

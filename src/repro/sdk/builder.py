@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto.authenc import seal_envelope
+from repro.crypto.authenc import seal_value
 from repro.crypto.keys import KeyPair, SymmetricKey
 from repro.crypto.rsa import role_keypair
 from repro.sdk.image import (
@@ -125,8 +125,10 @@ class SdkBuilder:
         # Key page: §V-B embedded keypair.  The private half is sealed to
         # an owner-held key; it is opaque ciphertext to everyone else.
         owner_seal = SymmetricKey(rng.bytes(32), f"{name}/owner-seal")
-        priv_blob = pack({"n": image_key.private.n, "e": image_key.private.e, "d": image_key.private.d})
-        priv_ct = seal_envelope(owner_seal, priv_blob, rng.bytes(16), "aes").to_bytes()
+        private = image_key.private
+        priv_ct = seal_value(
+            owner_seal, {"n": private.n, "e": private.e, "d": private.d}, rng.bytes(16), b""
+        )
         key_page = pack(
             {"pub_n": image_key.public.n, "pub_e": image_key.public.e, "priv_ct": priv_ct}
         )

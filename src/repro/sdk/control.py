@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Iterator
 
-from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
+from repro.crypto.authenc import Envelope, open_value, seal_value
 from repro.crypto.dh import dh_private, dh_public, dh_session_key
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
@@ -36,6 +36,7 @@ from repro.errors import (
     IntegrityError,
     KeyReused,
     MigrationError,
+    ReproError,
     RestoreError,
     SelfDestroyed,
     StorageRolledBack,
@@ -90,9 +91,9 @@ class CheckpointResult:
 
     ``wire`` is the envelope's wire form, built once by the seal (the
     envelope's ciphertext is a view into it), and ``blob`` the digest the
-    source's journal stored those bytes under (``None`` when the enclave
-    journals nothing): the orchestrator ships ``wire`` as it is and can
-    name the bytes it delivered without hashing them again.
+    source's journal stored those bytes under: the orchestrator ships
+    ``wire`` as it is and can name the bytes it delivered without hashing
+    them again.
     """
 
     envelope: Envelope
@@ -100,7 +101,7 @@ class CheckpointResult:
     skipped_pages: int
     sequence: int
     wire: bytes
-    blob: str | None
+    blob: str
 
 
 def _ensure_not_destroyed(rt: EnclaveRuntime) -> None:
@@ -111,7 +112,7 @@ def _ensure_not_destroyed(rt: EnclaveRuntime) -> None:
 def _check_key_token(rt: EnclaveRuntime, key: bytes, expected: int) -> None:
     """Refuse a K_migrate whose one-use token is not at ``expected``."""
     token = rt.key_token(key)
-    if token is not None and token != expected:
+    if token != expected:
         raise KeyReused(
             f"K_migrate's one-use token is at {token}, not {expected}: this "
             "key was already released, cancelled or used to go live"
@@ -140,6 +141,39 @@ def _fresh_dh_public(rt: EnclaveRuntime) -> int:
     public = dh_public(private)
     rt.session.private[_BOOT_DH] = (private, public)
     return public
+
+
+def open_from_boot(
+    rt: EnclaveRuntime, peer_public: int, sealed: bytes, aad: bytes, missing: ReproError
+):
+    """Open a message sealed under the DH key of the boot slot's exchange.
+
+    The key is agreed between the boot slot's private value (drawn by
+    :func:`_fresh_dh_public`) and the peer's ``peer_public``.  Raises
+    ``missing`` when no exchange is in progress.  The boot slot stays:
+    the caller clears it once the message's contents are in place.
+    """
+    boot = rt.load_obj(OBJ_BOOT)
+    if boot is None:
+        raise missing
+    key = SymmetricKey(dh_session_key(peer_public, boot["dh_private"]), "boot-session")
+    return open_value(key, sealed, aad)
+
+
+def _install_key(rt: EnclaveRuntime, key: bytes, sequence: int | None, go_live: int) -> None:
+    """Put a received K_migrate into the channel object.
+
+    ``sequence`` is the checkpoint sequence the key opens (``None``: no
+    constraint), and ``go_live`` the one-use token step the instance's
+    go-live takes (0, for an owner-keyed resume, leaves the token alone).
+    """
+    channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
+    channel["kmigrate"] = key
+    if sequence is not None:
+        channel["expected_sequence"] = sequence
+    rt.store_obj(OBJ_CHANNEL, channel)
+    if go_live:
+        rt.set_go_live_token(go_live)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +326,13 @@ def provision_request(rt: EnclaveRuntime, qe: QuotingEnclave) -> tuple[Quote, in
 
 def provision_complete(rt: EnclaveRuntime, owner_dh_public: int, sealed: bytes) -> None:
     """Finish provisioning: derive the session key, store the secrets."""
-    boot = rt.load_obj(OBJ_BOOT)
-    if boot is None:
-        raise AttestationError("no provisioning in progress")
-    shared_key = dh_session_key(owner_dh_public, boot["dh_private"])
-    session_key = SymmetricKey(shared_key, "provision-session")
-    payload = unpack(open_envelope(session_key, Envelope.from_bytes(sealed), aad=b"provision"))
+    payload = open_from_boot(
+        rt,
+        owner_dh_public,
+        sealed,
+        b"provision",
+        AttestationError("no provisioning in progress"),
+    )
     rt.store_obj(
         OBJ_IMAGE_PRIVKEY,
         {
@@ -332,19 +367,14 @@ def owner_key_install(
     rt: EnclaveRuntime, owner_dh_public: int, sealed: bytes, purpose: str
 ) -> None:
     """Install an owner-granted key (K_encrypt) into enclave memory."""
-    boot = rt.load_obj(OBJ_BOOT)
-    if boot is None:
-        raise ChannelError("no owner key request in progress")
-    shared_key = dh_session_key(owner_dh_public, boot["dh_private"])
-    session_key = SymmetricKey(shared_key, "owner-session")
-    payload = unpack(
-        open_envelope(session_key, Envelope.from_bytes(sealed), aad=purpose.encode())
+    payload = open_from_boot(
+        rt,
+        owner_dh_public,
+        sealed,
+        purpose.encode(),
+        ChannelError("no owner key request in progress"),
     )
-    channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
-    channel["kmigrate"] = payload["key"]
-    if payload.get("sequence") is not None:
-        channel["expected_sequence"] = payload["sequence"]
-    rt.store_obj(OBJ_CHANNEL, channel)
+    _install_key(rt, payload["key"], payload.get("sequence"), go_live=0)
     rt.delete_obj(OBJ_BOOT)
 
 
@@ -482,12 +512,11 @@ def source_export_storage(rt: EnclaveRuntime) -> bytes:
         raise MigrationError("storage handoff runs after checkpoint generation")
     entries, version = rt.storage_table()
     sequence = int(channel["sequence"])
-    sealed = seal_envelope(
+    sealed = seal_value(
         _session_key(rt),
-        pack({"version": version, "entries": entries, "sequence": sequence}),
+        {"version": version, "entries": entries, "sequence": sequence},
         rt.random_bytes(16),
-        "aes",
-        aad=b"storage-handoff",
+        b"storage-handoff",
     )
     channel["storage_exported"] = version
     rt.store_obj(OBJ_CHANNEL, channel)
@@ -499,7 +528,7 @@ def source_export_storage(rt: EnclaveRuntime) -> bytes:
         {"sequence": sequence, "version": version},
         secret={"sequence": sequence, "version": version, "entries": entries},
     )
-    return sealed.to_bytes()
+    return sealed
 
 
 def _import_storage_table(
@@ -546,9 +575,7 @@ def _import_storage_table(
 
 def target_import_storage(rt: EnclaveRuntime, sealed: bytes) -> int:
     """Re-bind a handed-off namespace to this host; returns its version."""
-    payload = unpack(
-        open_envelope(_session_key(rt), Envelope.from_bytes(sealed), aad=b"storage-handoff")
-    )
+    payload = open_value(_session_key(rt), sealed, b"storage-handoff")
     return _import_storage_table(
         rt, int(payload["sequence"]), int(payload["version"]), dict(payload["entries"])
     )
@@ -606,12 +633,11 @@ def source_release_key(rt: EnclaveRuntime) -> bytes:
     if not channel.get("ckpt_done"):
         raise MigrationError("no checkpoint was generated for this migration")
     _check_key_token(rt, channel["kmigrate"], 0)
-    sealed = seal_envelope(
+    sealed = seal_value(
         _session_key(rt),
-        pack({"kmigrate": channel["kmigrate"], "sequence": channel["sequence"]}),
+        {"kmigrate": channel["kmigrate"], "sequence": channel["sequence"]},
         rt.random_bytes(16),
-        "aes",
-        aad=b"kmigrate",
+        b"kmigrate",
     )
     # Journal the transition *before* flipping the state: whatever the
     # crash timing, a "released" record on disk means this instance must
@@ -627,7 +653,7 @@ def source_release_key(rt: EnclaveRuntime) -> bytes:
     # Self-destroy: the global flag stays set forever and the channel is
     # marked spent, so no second checkpoint, channel or key can exist.
     rt.set_channel_state(CHANNEL_SPENT)
-    return sealed.to_bytes()
+    return sealed
 
 
 def source_cancel_migration(rt: EnclaveRuntime) -> None:
@@ -655,14 +681,8 @@ def source_cancel_migration(rt: EnclaveRuntime) -> None:
 
 def target_receive_key(rt: EnclaveRuntime, sealed: bytes) -> None:
     """Target side: accept K_migrate over the session channel."""
-    payload = unpack(
-        open_envelope(_session_key(rt), Envelope.from_bytes(sealed), aad=b"kmigrate")
-    )
-    channel = rt.load_obj(OBJ_CHANNEL)
-    channel["kmigrate"] = payload["kmigrate"]
-    channel["expected_sequence"] = payload["sequence"]
-    rt.store_obj(OBJ_CHANNEL, channel)
-    rt.set_go_live_token(GO_LIVE_TARGET)
+    payload = open_value(_session_key(rt), sealed, b"kmigrate")
+    _install_key(rt, payload["kmigrate"], payload["sequence"], GO_LIVE_TARGET)
     # Re-sealed under *this* enclave's EGETKEY key: if the target dies
     # after this point, a same-measurement rebuild recovers K_migrate
     # from its own journal instead of begging the (SPENT) source.
@@ -689,11 +709,7 @@ def recovery_install_key(rt: EnclaveRuntime, sealed: bytes) -> None:
             payload = rt.journal_unseal(sealed, aad)
         except IntegrityError:
             continue
-        channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
-        channel["kmigrate"] = payload["kmigrate"]
-        channel["expected_sequence"] = payload["sequence"]
-        rt.store_obj(OBJ_CHANNEL, channel)
-        rt.set_go_live_token(go_live)
+        _install_key(rt, payload["kmigrate"], payload["sequence"], go_live)
         return
     raise IntegrityError("not a K_migrate journaled by this enclave identity")
 
@@ -739,22 +755,19 @@ def source_escrow_to_agent(
     # storage rides inside the escrow payload and is re-bound when the
     # agent releases the key to the attested target.
     storage = None
-    if rt._journal is not None and rt.storage_version():
+    if rt.storage_version():
         entries, version = rt.storage_table()
         storage = {"version": version, "entries": entries}
-    sealed = seal_envelope(
+    sealed = seal_value(
         session_key,
-        pack(
-            {
-                "kmigrate": channel["kmigrate"],
-                "sequence": channel["sequence"],
-                "target_mr": rt.image.mrenclave,
-                "storage": storage,
-            }
-        ),
+        {
+            "kmigrate": channel["kmigrate"],
+            "sequence": channel["sequence"],
+            "target_mr": rt.image.mrenclave,
+            "storage": storage,
+        },
         rt.random_bytes(16),
-        "aes",
-        aad=b"agent-escrow",
+        b"agent-escrow",
     )
     # Point of no return: the key has left this instance.  Same commit
     # order as source_release_key: record first, then tombstone any
@@ -764,7 +777,7 @@ def source_escrow_to_agent(
     if storage is not None:
         _retire_storage(rt, channel["sequence"])
     rt.set_channel_state(CHANNEL_SPENT)
-    return source_dh_public, sealed.to_bytes()
+    return source_dh_public, sealed
 
 
 def target_request_key_from_agent(rt: EnclaveRuntime, agent_mrenclave: bytes):
@@ -787,19 +800,14 @@ def target_install_agent_key(
     rt: EnclaveRuntime, agent_dh_public: int, sealed: bytes
 ) -> None:
     """Target side: install K_migrate received from the agent."""
-    boot = rt.load_obj(OBJ_BOOT)
-    if boot is None:
-        raise ChannelError("no agent key request in progress")
-    shared_key = dh_session_key(agent_dh_public, boot["dh_private"])
-    session_key = SymmetricKey(shared_key, "agent-release")
-    payload = unpack(
-        open_envelope(session_key, Envelope.from_bytes(sealed), aad=b"agent-release")
+    payload = open_from_boot(
+        rt,
+        agent_dh_public,
+        sealed,
+        b"agent-release",
+        ChannelError("no agent key request in progress"),
     )
-    channel = rt.load_obj(OBJ_CHANNEL, default={}) or {}
-    channel["kmigrate"] = payload["kmigrate"]
-    channel["expected_sequence"] = payload["sequence"]
-    rt.store_obj(OBJ_CHANNEL, channel)
-    rt.set_go_live_token(GO_LIVE_TARGET)
+    _install_key(rt, payload["kmigrate"], payload["sequence"], GO_LIVE_TARGET)
     rt.delete_obj(OBJ_BOOT)
     storage = payload.get("storage")
     if storage is not None:

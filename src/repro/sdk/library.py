@@ -66,18 +66,11 @@ class SgxLibrary:
         self.sgx_v2 = False
         #: Write-ahead journal for this enclave's protocol transitions,
         #: named by role so a rebuilt instance finds its own log again.
-        #: None when the machine has no durable store.
-        durable = getattr(machine, "durable", None)
-        if durable is not None:
-            self.journal = Journal(
-                durable,
-                enclave_journal_name(
-                    machine.name, image.name, getattr(machine, "journal_epoch", 0)
-                ),
-                machine.name,
-            )
-        else:
-            self.journal = None
+        self.journal = Journal(
+            machine.durable,
+            enclave_journal_name(machine.name, image.name, machine.journal_epoch),
+            machine.name,
+        )
 
     # ------------------------------------------------------------- plumbing
     @property
@@ -105,9 +98,8 @@ class SgxLibrary:
         return result
 
     def _runtime(self, session) -> EnclaveRuntime:
-        rt = EnclaveRuntime(session, self.image, self._fault, self.rdrand)
+        rt = EnclaveRuntime(session, self.image, self._fault, self.rdrand, self.journal)
         rt.install_ocall_table(self.ocall_handlers)
-        rt._journal = self.journal
         return rt
 
     def register_ocall(self, name: str, handler) -> None:
@@ -237,9 +229,8 @@ class SgxLibrary:
             rt.exit_stub(template.index)
         yield from self._charged(isa.eexit, rt.session)
         self.process.shared_memory[f"result/{entry_name}/{worker_index}"] = result
-        monitor = getattr(self.machine, "monitor", None)
-        if monitor is not None:
-            monitor.on_ecall_result(self)
+        if self.machine.monitor is not None:
+            self.machine.monitor.on_ecall_result(self)
         if on_result is not None:
             on_result(result)
         return result

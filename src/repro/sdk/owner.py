@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.crypto.authenc import seal_envelope
+from repro.crypto.authenc import seal_value
 from repro.crypto.dh import dh_private, dh_public, dh_session_key
 from repro.crypto.keys import SymmetricKey
 from repro.errors import AttestationError
 from repro.sdk.builder import BuiltImage
 from repro.sdk.control import _bind_report_data
-from repro.serde import pack
 from repro.sgx.attestation import AttestationService, verify_avr
 from repro.sgx.structures import Quote
 from repro.sim.clock import VirtualClock
@@ -101,8 +100,7 @@ class EnclaveOwner:
         """Complete the DH exchange and seal ``payload`` for the enclave."""
         private = dh_private(self.rng)
         session_key = SymmetricKey(dh_session_key(enclave_public, private), "owner-session")
-        sealed = seal_envelope(session_key, pack(payload), self.rng.bytes(16), "aes", aad=aad)
-        return dh_public(private), sealed.to_bytes()
+        return dh_public(private), seal_value(session_key, payload, self.rng.bytes(16), aad)
 
     # ------------------------------------------------------------- launch
     def provision(self, image_name: str, quote: Quote, dh_public: int) -> tuple[int, bytes]:

@@ -16,15 +16,14 @@ trusts).  It provides:
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.crypto.authenc import Envelope, open_envelope, seal_envelope
+from repro.crypto.authenc import open_value, seal_value
 from repro.crypto.dh import dh_private
 from repro.crypto.hashes import sha256
 from repro.errors import (
     EnclavePageFault,
     MigrationError,
-    SealedStorageError,
     StorageRetired,
     StorageRolledBack,
 )
@@ -43,6 +42,9 @@ from repro.serde import pack, unpack
 from repro.sgx.cpu import EnclaveSession
 from repro.sim.rng import DeterministicRng
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.durability.journal import Journal
+
 
 class EnclaveRuntime:
     """Runtime services bound to one open enclave session."""
@@ -53,17 +55,17 @@ class EnclaveRuntime:
         image: EnclaveImage,
         fault_handler: Callable[[int], None],
         rdrand: DeterministicRng,
+        journal: "Journal",
     ) -> None:
         self.session = session
         self.image = image
         self.layout = image.layout
         self._fault_handler = fault_handler
         self.rdrand = rdrand  # models the in-enclave RDRAND entropy source
-        #: Write-ahead journal for this enclave's protocol transitions
-        #: (installed by the SDK library when the machine has durable
-        #: storage; None means journaling is off, e.g. unit tests that
-        #: build runtimes by hand).
-        self._journal = None
+        #: Write-ahead journal for this enclave's protocol transitions; its
+        #: store also holds the sealed-storage namespaces and the one-use
+        #: key tokens.
+        self._journal = journal
 
     # ------------------------------------------------------------ raw memory
     def read(self, vaddr: int, n: int) -> bytes:
@@ -349,34 +351,26 @@ class EnclaveRuntime:
         already sees.  ``secret`` is sealed under this enclave's EGETKEY
         sealing key first (MRENCLAVE policy: only a same-measurement
         enclave on this CPU can unseal it after a crash) and stored as
-        ``payload["sealed"]``, bound to ``aad``.  No-op when journaling
-        is off.
+        ``payload["sealed"]``, bound to ``aad``.
 
         With ``defer_charge=True`` the modelled fsync cost is returned
         (instead of charged to the clock) so a cost-yielding caller can
         yield it — the commit then blocks only this thread, not every
         VCPU.  Returns 0 otherwise.
         """
-        if self._journal is None:
-            return 0
         if secret is not None:
             payload = dict(payload or {})
             payload["sealed"] = self.journal_seal(secret, aad)
         self._journal.append(kind, payload, defer_charge=defer_charge)
-        if defer_charge:
-            return int(self._journal.store.commit_cost_ns or 0)
-        return 0
+        return self._journal.store.commit_cost_ns if defer_charge else 0
 
-    def journal_blob(self, data: bytes) -> str | None:
+    def journal_blob(self, data: bytes) -> str:
         """Store ciphertext in the durable blob area; returns its digest.
 
         A record names the blob by this digest instead of carrying the
         bytes, so a multi-MB sealed envelope is written once, raw.  Put
-        it *before* appending the record that names it.  ``None`` when
-        journaling is off.
+        it *before* appending the record that names it.
         """
-        if self._journal is None:
-            return None
         return self._journal.store.put_blob(data)
 
     def journal_seal(self, value, aad: bytes = b"journal") -> bytes:
@@ -386,19 +380,11 @@ class EnclaveRuntime:
         byte to it: only :meth:`journal_unseal` with the same ``aad``
         opens it.
         """
-        envelope = seal_envelope(
-            self._journal_seal_key(),
-            pack(value),
-            self.random_bytes(16),
-            "aes",
-            aad=aad,
-        )
-        return envelope.to_bytes()
+        return seal_value(self._journal_seal_key(), value, self.random_bytes(16), aad)
 
     def journal_unseal(self, blob: bytes, aad: bytes = b"journal"):
         """Open a journal-sealed blob (same measurement, same CPU only)."""
-        envelope = Envelope.from_bytes(blob)
-        return unpack(open_envelope(self._journal_seal_key(), envelope, aad=aad))
+        return open_value(self._journal_seal_key(), blob, aad)
 
     # ------------------------------------------------------------ one-use keys
     # Each K_migrate has a one-use token: a hardware monotonic counter
@@ -406,15 +392,11 @@ class EnclaveRuntime:
     # key is released, cancelled or goes live (see repro.sdk.control).
     # Like the storage counters it costs no virtual time.
 
-    def key_token(self, key: bytes) -> int | None:
-        """The key's token; ``None`` without a durable store (no tokens)."""
-        if self._journal is None:
-            return None
+    def key_token(self, key: bytes) -> int:
         return self._journal.store.counter(_key_token_name(key))
 
     def advance_key_token(self, key: bytes, value: int) -> None:
-        if self._journal is not None:
-            self._journal.store.counter_advance(_key_token_name(key), value)
+        self._journal.store.counter_advance(_key_token_name(key), value)
 
     def _journal_seal_key(self):
         # Imported lazily: instructions/authenc import serde/keys, and a
@@ -435,10 +417,6 @@ class EnclaveRuntime:
     # counters contradict is refused with a typed SealedStorageError.
 
     def storage_namespace(self) -> str:
-        if self._journal is None:
-            raise SealedStorageError(
-                "sealed storage needs a durable store; this enclave has none"
-            )
         from repro.durability import wal
 
         return wal.storage_namespace(self._journal.party, self.image.name)
@@ -483,11 +461,7 @@ class EnclaveRuntime:
                     "sealed table is gone: refusing the empty substitute"
                 )
             return {}, 0
-        payload = unpack(
-            open_envelope(
-                self._storage_seal_key(), Envelope.from_bytes(blob), aad=b"sealed-storage"
-            )
-        )
+        payload = open_value(self._storage_seal_key(), blob, b"sealed-storage")
         blob_version = int(payload["version"])
         if blob_version < version:
             raise StorageRolledBack(
@@ -511,14 +485,13 @@ class EnclaveRuntime:
         """Seal and write the table at ``version``, then commit it."""
         ns = self.storage_namespace()
         store = self._journal.store
-        envelope = seal_envelope(
+        sealed = seal_value(
             self._storage_seal_key(),
-            pack({"version": version, "entries": entries}),
+            {"version": version, "entries": entries},
             self.random_bytes(16),
-            "aes",
-            aad=b"sealed-storage",
+            b"sealed-storage",
         )
-        store.set_log(ns, envelope.to_bytes())
+        store.set_log(ns, sealed)
         store.counter_advance(ns, version)
         return version
 
@@ -534,8 +507,6 @@ class EnclaveRuntime:
 
     def storage_version(self) -> int:
         """The committed version counter (0 when the namespace is empty)."""
-        if self._journal is None:
-            return 0
         return self._journal.store.counter(self.storage_namespace())
 
     # ------------------------------------------------------------ entropy

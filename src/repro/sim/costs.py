@@ -35,12 +35,6 @@ class CostModel:
     sha256_ns_per_byte: float = 1.5
     memcpy_ns_per_byte: float = 0.25
 
-    # -- public-key operations ----------------------------------------------
-    dh_keygen_ns: int = 180_000
-    dh_shared_secret_ns: int = 180_000
-    rsa_sign_ns: int = 650_000
-    rsa_verify_ns: int = 30_000
-
     # -- SGX instruction latencies -------------------------------------------
     ecreate_ns: int = 10_000
     eadd_page_ns: int = 1_500
@@ -62,7 +56,6 @@ class CostModel:
 
     # -- guest scheduling ------------------------------------------------------
     context_switch_ns: int = 1_200
-    scheduler_quantum_ns: int = 15_000
     signal_delivery_ns: int = 3_000
     hypercall_ns: int = 2_000
     upcall_ns: int = 4_000
@@ -92,9 +85,6 @@ class CostModel:
     # 256-byte append+fsync cycles on this repo's filesystem (median
     # 130,503 ns, p10 100,637 ns, p90 202,509 ns, mean 144,555 ns).
     journal_commit_ns: int = 131_000
-
-    # -- misc ------------------------------------------------------------------
-    page_size: int = 4096
 
     # ------------------------------------------------------------------ helpers
     def cipher_ns(self, algorithm: str, n_bytes: int) -> int:

@@ -20,7 +20,8 @@ from tests.test_serde import reference_pack
 
 @pytest.fixture
 def store() -> DurableStore:
-    return DurableStore()
+    clock = VirtualClock()
+    return DurableStore(clock, EventTrace(clock), 0)
 
 
 @pytest.fixture

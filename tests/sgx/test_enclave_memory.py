@@ -181,6 +181,7 @@ class TestPageRuns:
         and resumes there: one fault per eviction, every page served."""
         from types import SimpleNamespace
 
+        from repro.durability import DurableStore, Journal
         from repro.sdk.runtime import EnclaveRuntime
 
         enclave, tcs = build_raw_enclave(cpu, vendor, n_data_pages=3)
@@ -198,7 +199,8 @@ class TestPageRuns:
             isa.eldb(cpu, enclave, blob, va, 0)
 
         session = isa.eenter(cpu, enclave, tcs)
-        rt = EnclaveRuntime(session, SimpleNamespace(layout=None), reload, rdrand=None)
+        journal = Journal(DurableStore(cpu.clock, cpu.trace, 0), "enclave/raw", "source")
+        rt = EnclaveRuntime(session, SimpleNamespace(layout=None), reload, None, journal)
         evict(run[1])
         rt.write_pages(run, pages)
         evict(run[1])
