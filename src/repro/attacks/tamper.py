@@ -9,8 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import CryptoError, IntegrityError, MigrationError, RestoreError
-from repro.migration.orchestrator import MigrationOrchestrator
+from repro.crypto.hashes import sha256
+from repro.errors import (
+    CryptoError,
+    IntegrityError,
+    MigrationAborted,
+    MigrationError,
+    RestoreError,
+)
+from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
 from repro.migration.testbed import build_testbed
 from repro.sdk.host import HostApplication, WorkerSpec
 from repro.workloads.mailserver import build_mailserver_image
@@ -23,6 +30,8 @@ class TamperOutcome:
     mode: str
     detected: bool
     error: str
+    #: Whether a migrated target went live.
+    target_live: bool = False
 
 
 def _flip_byte(payload: bytes, offset_from_end: int = 100) -> bytes:
@@ -32,13 +41,30 @@ def _flip_byte(payload: bytes, offset_from_end: int = 100) -> bytes:
     return bytes(mutated)
 
 
+#: A chunk frame's magic, seq, chunk count, offset and total, before its
+#: 32-byte payload digest (see repro.migration.checkpoint).
+_CHUNK_GEOMETRY = 6 + 4 + 4 + 8 + 8
+
+
+def _rewrite_chunk(frame: bytes) -> bytes:
+    """``frame`` with one payload byte flipped and its frame digest
+    recomputed, so that the chunk reassembler accepts it."""
+    payload = bytearray(frame[_CHUNK_GEOMETRY + 32 :])
+    payload[len(payload) // 2] ^= 0x40
+    return frame[:_CHUNK_GEOMETRY] + sha256(bytes(payload)) + bytes(payload)
+
+
 def run_tamper_scenario(mode: str = "flip", seed: int = 53) -> TamperOutcome:
     """Migrate with a tampering network tap; report what the target did.
 
     Modes: ``flip`` (one bit in the ciphertext), ``truncate`` (drop the
     tail), ``substitute`` (replace with an older capture of itself —
     degenerate here, same bytes, so it must *succeed*; used as the
-    control case by the tests).
+    control case by the tests), and ``chunk``: under
+    :data:`FAULT_TOLERANT_RETRY` one ``checkpoint-chunk`` frame's payload
+    is rewritten with its frame digest recomputed, so that only the
+    envelope MAC can refuse it.  A refusal after the point of no return
+    aborts the migration; the outcome names the refusal behind it.
     """
     tb = build_testbed(seed=seed)
     built = build_mailserver_image(tb.builder, flavor=f"tamper-{mode}")
@@ -49,7 +75,14 @@ def run_tamper_scenario(mode: str = "flip", seed: int = 53) -> TamperOutcome:
     ).launch()
     app.ecall_once(0, "create_mail", {"recipients": ["alice"], "content": "xxx"})
 
+    rewritten = []
+
     def tamper_tap(label: str, payload: bytes) -> bytes | None:
+        if mode == "chunk":
+            if label != "checkpoint-chunk" or rewritten:
+                return None
+            rewritten.append(_rewrite_chunk(payload))
+            return rewritten[0]
         if label != "checkpoint":
             return None
         if mode == "flip":
@@ -59,9 +92,13 @@ def run_tamper_scenario(mode: str = "flip", seed: int = 53) -> TamperOutcome:
         return None  # substitute/control: deliver unchanged
 
     tb.network.add_tap(tamper_tap)
-    orch = MigrationOrchestrator(tb)
+    orch = MigrationOrchestrator(tb, retry=FAULT_TOLERANT_RETRY if mode == "chunk" else None)
     try:
         orch.migrate_enclave(app)
     except (IntegrityError, RestoreError, CryptoError, MigrationError) as exc:
-        return TamperOutcome(mode=mode, detected=True, error=type(exc).__name__)
-    return TamperOutcome(mode=mode, detected=False, error="")
+        if isinstance(exc, MigrationAborted) and exc.__cause__ is not None:
+            exc = exc.__cause__
+        target = orch.run.target if orch.run is not None else None
+        live = target is not None and target.library.enclave_id is not None
+        return TamperOutcome(mode, detected=True, error=type(exc).__name__, target_live=live)
+    return TamperOutcome(mode=mode, detected=False, error="", target_live=True)

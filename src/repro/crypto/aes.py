@@ -34,13 +34,14 @@ def _gf_mul(a: int, b: int) -> int:
 
 def _build_sbox() -> tuple[bytes, bytes]:
     """Derive the AES S-box and its inverse from first principles."""
-    # Multiplicative inverses (0 maps to 0).
-    inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if _gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
+    # Multiplicative inverses (0 maps to 0) from exp/log tables of the
+    # generator 3: x = 3^k has inverse 3^(255 - k).
+    exp, log = [0] * 255, [0] * 256
+    value = 1
+    for k in range(255):
+        exp[k], log[value] = value, k
+        value = _gf_mul(value, 3)
+    inverse = [0] + [exp[(255 - log[x]) % 255] for x in range(1, 256)]
     sbox = bytearray(256)
     for x in range(256):
         b = inverse[x]

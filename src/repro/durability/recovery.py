@@ -98,20 +98,19 @@ class MigrationRecovery:
         # Journals are addressed by machine *name* and journal epoch, not
         # by the literal roles: an N-hop chain swaps which machine plays
         # source, and each hop's journals carry the hop's epoch stamp.
+        # The run's target journals under the run's epoch; the source
+        # under the epoch its machine was stamped with when that
+        # instance was built there.
         self.wal = Journal(
             store,
             wal.orchestrator_journal_name(image, testbed.wal_epoch),
             wal.PARTY_ORCHESTRATOR,
         )
         self.source_journal, self.target_journal = (
-            Journal(
-                store,
-                wal.enclave_journal_name(machine.name, image, machine.journal_epoch),
-                party,
-            )
-            for machine, party in (
-                (testbed.source, wal.PARTY_SOURCE),
-                (testbed.target, wal.PARTY_TARGET),
+            Journal(store, wal.enclave_journal_name(machine.name, image, epoch), party)
+            for machine, epoch, party in (
+                (testbed.source, testbed.source.journal_epoch, wal.PARTY_SOURCE),
+                (testbed.target, testbed.wal_epoch, wal.PARTY_TARGET),
             )
         )
 

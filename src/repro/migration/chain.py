@@ -85,11 +85,10 @@ def hop_view(tb: Testbed, hop: int) -> Testbed:
     Odd hops run in the base orientation; even hops swap the machines.
     The view shares every piece of infrastructure (clock, network,
     durable store, monitor, telemetry) with the base testbed — only the
-    role labels move.  The hop number becomes the journal epoch: the
-    orchestrator WAL's via ``wal_epoch`` on the view, the target
-    enclave's via ``journal_epoch`` on the machine (read when the
-    target's SGX library is constructed, so it must be stamped before
-    the virgin target is built — i.e. here).
+    role labels move.  The hop number becomes the view's ``wal_epoch``:
+    the orchestrator WAL's epoch, and the target enclave's, which the
+    orchestrator stamps on the target machine as it builds the virgin
+    target.  Nothing is written on the shared machines here.
     """
     view = copy.copy(tb)
     if hop % 2 == 0:
@@ -97,7 +96,6 @@ def hop_view(tb: Testbed, hop: int) -> Testbed:
         view.source_vm, view.target_vm = tb.target_vm, tb.source_vm
         view.source_os, view.target_os = tb.target_os, tb.source_os
     view.wal_epoch = hop
-    view.target.journal_epoch = hop
     return view
 
 

@@ -185,31 +185,36 @@ _FRAME_MAGIC = b"CHNK2\x00"
 _FRAME_HEADER_LEN = len(_FRAME_MAGIC) + 4 + 4 + 8 + 8 + 32
 
 
-def chunk_blob(blob: bytes, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> list[bytes]:
-    """Split an opaque blob into self-describing, re-orderable frames."""
+def chunk_count(total: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> int:
+    """How many frames a ``total``-byte blob crosses in (at least one)."""
     if chunk_bytes <= 0:
         raise ChunkError(f"chunk size must be positive, got {chunk_bytes}")
+    return max(1, -(-total // chunk_bytes))
+
+
+def chunk_frame(blob: bytes, seq: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> bytes:
+    """Frame ``seq`` of ``blob``'s chunk stream, built on demand."""
     view = memoryview(blob)
     total = len(view)
-    offsets = range(0, total, chunk_bytes) if total else (0,)
-    n_chunks = len(offsets)
-    frames = []
-    for seq, offset in enumerate(offsets):
-        data = view[offset : offset + chunk_bytes]
-        frames.append(
-            b"".join(
-                [
-                    _FRAME_MAGIC,
-                    seq.to_bytes(4, "big"),
-                    n_chunks.to_bytes(4, "big"),
-                    offset.to_bytes(8, "big"),
-                    total.to_bytes(8, "big"),
-                    sha256(data),
-                    data,
-                ]
-            )
-        )
-    return frames
+    offset = seq * chunk_bytes
+    data = view[offset : offset + chunk_bytes]
+    return b"".join(
+        [
+            _FRAME_MAGIC,
+            seq.to_bytes(4, "big"),
+            chunk_count(total, chunk_bytes).to_bytes(4, "big"),
+            offset.to_bytes(8, "big"),
+            total.to_bytes(8, "big"),
+            sha256(data),
+            data,
+        ]
+    )
+
+
+def chunk_blob(blob: bytes, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> list[bytes]:
+    """Split an opaque blob into self-describing, re-orderable frames."""
+    n_chunks = chunk_count(len(blob), chunk_bytes)
+    return [chunk_frame(blob, seq, chunk_bytes) for seq in range(n_chunks)]
 
 
 class ChunkReassembler:
@@ -220,17 +225,29 @@ class ChunkReassembler:
     the sender retransmits exactly that chunk.  ``missing()`` names what
     a resumed transfer still owes.  Payloads are kept as views into their
     (immutable) frames and copied once, by :meth:`assemble`.
+
+    A receiver that also holds the sender's end (the orchestrator) passes
+    the blob it framed as ``sent``: a frame equal to the one it sent is
+    then kept as a view of ``sent``, not of the frame, and when every
+    frame was, :meth:`assemble` hands on ``sent`` itself instead of a copy.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, sent: bytes | None = None) -> None:
         self.total: int | None = None
         self.n_chunks: int | None = None
         self._parts: dict[int, memoryview] = {}
         self._offsets: dict[int, int] = {}
+        self._sent = sent
+        self._own = 0
         self.duplicates_seen = 0
 
-    def accept(self, frame: bytes) -> bool:
-        """Ingest one frame; returns True when it carried new data."""
+    def accept(self, frame: bytes, sent_frame: bytes | None = None) -> bool:
+        """Ingest one frame; returns True when it carried new data.
+
+        ``sent_frame`` is the frame the sender built from ``sent`` for
+        this delivery; a delivered frame equal to it keeps no bytes of
+        its own.
+        """
         if not isinstance(frame, bytes):
             frame = bytes(frame)  # a view must not see the sender's buffer change
         view = memoryview(frame)
@@ -254,6 +271,9 @@ class ChunkReassembler:
         if seq in self._parts:
             self.duplicates_seen += 1
             return False
+        if self._sent is not None and sent_frame is not None and frame == sent_frame:
+            data = memoryview(self._sent)[offset : offset + len(data)]
+            self._own += 1
         self._parts[seq] = data
         self._offsets[seq] = offset
         return True
@@ -280,7 +300,8 @@ class ChunkReassembler:
                 )
             pieces.append(self._parts[seq])
             cursor += len(self._parts[seq])
-        blob = b"".join(pieces)
+        own = self._own == self.n_chunks and cursor == len(self._sent)
+        blob = self._sent if own else b"".join(pieces)
         if self.total is not None and len(blob) != self.total:
             raise ChunkError(
                 f"assembled {len(blob)} bytes but the stream declared {self.total}"

@@ -61,7 +61,12 @@ from repro.errors import (
     SelfDestroyed,
     StepTimeout,
 )
-from repro.migration.checkpoint import DEFAULT_CHUNK_BYTES, ChunkReassembler, chunk_blob
+from repro.migration.checkpoint import (
+    DEFAULT_CHUNK_BYTES,
+    ChunkReassembler,
+    chunk_count,
+    chunk_frame,
+)
 from repro.migration.protocol import (
     STEP_BUILD_TARGET,
     STEP_CHECKPOINT,
@@ -284,7 +289,13 @@ class MigrationOrchestrator:
             raise StepTimeout(step, str(exc)) from exc
 
     def build_virgin_target(self, app: HostApplication) -> HostApplication:
-        """Step-1: same image, fresh enclave, on the target machine."""
+        """Step-1: same image, fresh enclave, on the target machine.
+
+        The target's journal carries this run's epoch: its SGX library
+        names the journal from the machine's ``journal_epoch`` as it is
+        constructed, so the epoch is stamped from ``wal_epoch`` first.
+        """
+        self.tb.target.journal_epoch = self.tb.wal_epoch
         target_app = HostApplication(
             self.tb.target,
             self.tb.target_os,
@@ -337,19 +348,24 @@ class MigrationOrchestrator:
         return self._transfer_chunked(blob)
 
     def _transfer_chunked(self, blob: bytes) -> bytes:
+        """Frames are built as they are sent; when every accepted frame is
+        the one sent, the sealed wire itself is handed on (see
+        :class:`ChunkReassembler`), and any frame the wire changed makes
+        the delivered bytes be assembled instead."""
         net = self.tb.network
-        frames = chunk_blob(blob, self.retry.chunk_bytes)
-        reassembler = ChunkReassembler()
+        n_chunks = chunk_count(len(blob), self.retry.chunk_bytes)
+        reassembler = ChunkReassembler(sent=blob)
         if self.faults is not None:
-            order = self.faults.chunk_send_order("checkpoint-chunk", len(frames))
+            order = self.faults.chunk_send_order("checkpoint-chunk", n_chunks)
         else:
-            order = list(range(len(frames)))
+            order = list(range(n_chunks))
         pending = order
         for round_no in range(MAX_TRANSFER_ROUNDS):
             failed: list[int] = []
             for seq in pending:
+                frame = chunk_frame(blob, seq, self.retry.chunk_bytes)
                 try:
-                    delivered = net.transfer("checkpoint-chunk", frames[seq])
+                    delivered = net.transfer("checkpoint-chunk", frame)
                 except LinkTimeout:
                     failed.append(seq)
                     continue
@@ -360,7 +376,7 @@ class MigrationOrchestrator:
                     failed.append(seq)
                     break
                 try:
-                    reassembler.accept(delivered)
+                    reassembler.accept(delivered, sent_frame=frame)
                 except ChunkError:
                     failed.append(seq)
             self.stats.duplicate_chunks_ignored = reassembler.duplicates_seen

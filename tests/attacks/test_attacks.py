@@ -94,3 +94,12 @@ class TestTamperAttack:
     def test_control_case_untampered_succeeds(self):
         outcome = run_tamper_scenario("substitute")
         assert not outcome.detected  # delivery unchanged: must succeed
+
+    def test_rewritten_chunk_is_refused_by_the_envelope_mac(self):
+        """A chunk whose payload and frame digest were both rewritten
+        passes the reassembler; only the envelope MAC refuses it, so the
+        transfer must not hand on the sender's wire in its place."""
+        outcome = run_tamper_scenario("chunk")
+        assert outcome.detected
+        assert outcome.error == "IntegrityError"
+        assert not outcome.target_live

@@ -18,7 +18,10 @@ from repro.faults.plan import (
     STEP_HANDOFF_KEY,
     STEP_HANDOFF_STORAGE,
 )
+from repro.durability.journal import Journal
 from repro.migration.chain import hop_view, run_chain
+from repro.migration.orchestrator import MigrationOrchestrator
+from repro.migration.testbed import build_testbed
 from repro.sdk import control
 from tests.conftest import build_counter_app
 
@@ -35,10 +38,25 @@ class TestHopViews:
         assert even.network is testbed.network
 
     def test_hop_number_becomes_the_journal_epoch(self, testbed):
+        app = build_counter_app(testbed, tag="epoch")
         view = hop_view(testbed, 3)
         assert view.wal_epoch == 3
-        assert view.target.journal_epoch == 3
+        assert testbed.target.journal_epoch == 0  # the view writes no machine
+        target = MigrationOrchestrator(view).build_virgin_target(app)
+        assert target.library.journal.name == f"enclave/target/{app.image.name}@3"
         assert wal.orchestrator_journal_name("img", 3) == "orchestrator/img@3"
+
+    def test_chain_epochs_stay_off_a_later_plain_migration(self):
+        """After a chain, a plain migration on the base testbed journals
+        its target under the testbed's own epoch, not a hop's."""
+        tb = build_testbed(seed=3)
+        app = build_counter_app(tb, tag="after-chain")
+        final = run_chain(tb, app, 2).final_app
+        result = MigrationOrchestrator(tb).migrate_enclave(final)
+        name = result.target_app.library.journal.name
+        assert name == wal.enclave_journal_name("target", app.image.name, 0)
+        kinds = [r.kind for r in Journal(tb.durable, name, wal.PARTY_TARGET).records()]
+        assert kinds == ["channel", "key-installed", "live"]
 
 
 class TestCleanChains:
