@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.hashes import sha256
 from repro.errors import (
     CryptoError,
     IntegrityError,
@@ -17,6 +16,7 @@ from repro.errors import (
     MigrationError,
     RestoreError,
 )
+from repro.migration.checkpoint import frame_payload, reframe
 from repro.migration.orchestrator import FAULT_TOLERANT_RETRY, MigrationOrchestrator
 from repro.migration.testbed import build_testbed
 from repro.sdk.host import HostApplication, WorkerSpec
@@ -30,8 +30,8 @@ class TamperOutcome:
     mode: str
     detected: bool
     error: str
-    #: Whether a migrated target went live.
-    target_live: bool = False
+    #: Whether the run's target enclave still exists when it ends.
+    target_exists: bool = False
 
 
 def _flip_byte(payload: bytes, offset_from_end: int = 100) -> bytes:
@@ -41,17 +41,11 @@ def _flip_byte(payload: bytes, offset_from_end: int = 100) -> bytes:
     return bytes(mutated)
 
 
-#: A chunk frame's magic, seq, chunk count, offset and total, before its
-#: 32-byte payload digest (see repro.migration.checkpoint).
-_CHUNK_GEOMETRY = 6 + 4 + 4 + 8 + 8
-
-
 def _rewrite_chunk(frame: bytes) -> bytes:
     """``frame`` with one payload byte flipped and its frame digest
     recomputed, so that the chunk reassembler accepts it."""
-    payload = bytearray(frame[_CHUNK_GEOMETRY + 32 :])
-    payload[len(payload) // 2] ^= 0x40
-    return frame[:_CHUNK_GEOMETRY] + sha256(bytes(payload)) + bytes(payload)
+    payload = frame_payload(frame)
+    return reframe(frame, _flip_byte(payload, len(payload) // 2))
 
 
 def run_tamper_scenario(mode: str = "flip", seed: int = 53) -> TamperOutcome:
@@ -93,12 +87,13 @@ def run_tamper_scenario(mode: str = "flip", seed: int = 53) -> TamperOutcome:
 
     tb.network.add_tap(tamper_tap)
     orch = MigrationOrchestrator(tb, retry=FAULT_TOLERANT_RETRY if mode == "chunk" else None)
+    detected, error = False, ""
     try:
         orch.migrate_enclave(app)
     except (IntegrityError, RestoreError, CryptoError, MigrationError) as exc:
         if isinstance(exc, MigrationAborted) and exc.__cause__ is not None:
             exc = exc.__cause__
-        target = orch.run.target if orch.run is not None else None
-        live = target is not None and target.library.enclave_id is not None
-        return TamperOutcome(mode, detected=True, error=type(exc).__name__, target_live=live)
-    return TamperOutcome(mode=mode, detected=False, error="", target_live=True)
+        detected, error = True, type(exc).__name__
+    target = orch.run.target if orch.run is not None else None
+    exists = target is not None and target.library.enclave_id is not None
+    return TamperOutcome(mode, detected, error, target_exists=exists)

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import buffers
 from repro.crypto.backend import get_backend
 from repro.crypto.hashes import constant_time_equal, sha256
 from repro.crypto.keys import SymmetricKey
@@ -33,6 +34,12 @@ CIPHER_NAMES = ("rc4", "des", "aes", "aes-ni", "aes-cbc")
 _MAGIC = b"SGXMIGv1"
 _DIGEST_LEN = 32
 _MAC_LEN = 32
+
+#: Block size of each CTR cipher: these can start decrypting at any
+#: block, so :class:`OpenedEnvelope` decrypts them a window at a time.
+_CTR_BLOCK = {"des": 8, "aes": 16, "aes-ni": 16}
+#: Plaintext bytes an :class:`OpenedEnvelope` decrypts at a time.
+OPEN_WINDOW = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -124,29 +131,39 @@ def _wire_head(algorithm: str, nonce: bytes, ct_len: int) -> bytes:
 
 
 def _cipher_process(
-    algorithm: str, key: bytes, nonce: bytes, data: bytes, encrypt: bool
+    algorithm: str,
+    key: bytes,
+    nonce: bytes,
+    data: bytes | memoryview,
+    encrypt: bool,
+    out: memoryview | None = None,
+    first_counter: int = 0,
 ) -> bytes | memoryview:
     """Run ``algorithm`` over all of ``data`` in one backend call.
 
-    The stream ciphers write into one buffer of ``len(data)`` bytes
-    allocated here, left uninitialized because the cipher writes every
-    byte (OpenSSL fills it in place); AES-CBC pads, so its backend
-    returns its own output.
+    The stream ciphers write into ``out`` (``len(data)`` bytes; it may
+    be ``data`` itself, which is then encrypted in place), or into a
+    fresh buffer left uninitialized, because the cipher writes every
+    byte.  A CTR cipher starts at block ``first_counter``.  AES-CBC pads,
+    so its backend returns its own output.
     """
     b = get_backend()
     if algorithm == "aes-cbc":
         key16 = sha256(key)[:16]
         iv = sha256(nonce)[:16]
-        return b.aes_cbc_encrypt(key16, iv, data) if encrypt else b.aes_cbc_decrypt(key16, iv, data)
-    out = memoryview(np.empty(len(data), dtype=np.uint8))
+        if encrypt:
+            return b.aes_cbc_encrypt(key16, iv, bytes(data))
+        return b.aes_cbc_decrypt(key16, iv, data)
+    if algorithm not in ("rc4", *_CTR_BLOCK):
+        raise CryptoError(f"unknown cipher algorithm: {algorithm!r}")
+    if out is None:
+        out = memoryview(buffers.fresh(len(data)))
     if algorithm == "rc4":
         # RC4 has no nonce input; bind the nonce into the stream key.
         return b.rc4(sha256(key + nonce), data, out=out)
     if algorithm == "des":
-        return b.des_ctr(sha256(key)[:8], nonce[:4], data, out=out)
-    if algorithm in ("aes", "aes-ni"):
-        return b.aes_ctr(sha256(key)[:16], nonce[:8], data, out=out)
-    raise CryptoError(f"unknown cipher algorithm: {algorithm!r}")
+        return b.des_ctr(sha256(key)[:8], nonce[:4], data, first_counter, out=out)
+    return b.aes_ctr(sha256(key)[:16], nonce[:8], data, first_counter, out=out)
 
 
 def _envelope_mac(
@@ -161,22 +178,38 @@ def _envelope_mac(
     return mac.digest()
 
 
-def seal_parts(
+def sealing_buffer(parts: Sequence[bytes]) -> np.ndarray:
+    """The concatenation of ``parts`` behind its SHA-256 digest, in one
+    fresh buffer (see :mod:`repro.buffers`): what :func:`seal_buffer`
+    encrypts.  This is the one copy the parts take on their way to the
+    cipher; once it is made, the caller may let them go.
+    """
+    inner = buffers.fresh(_DIGEST_LEN + sum(map(len, parts)))
+    view = memoryview(inner)
+    at = _DIGEST_LEN
+    for part in parts:
+        view[at : at + len(part)] = part
+        at += len(part)
+    view[:_DIGEST_LEN] = hashlib.sha256(view[_DIGEST_LEN:]).digest()
+    return inner
+
+
+def seal_buffer(
     key: SymmetricKey,
-    parts: Sequence[bytes],
+    inner: np.ndarray,
     nonce: bytes,
     algorithm: str = "rc4",
     aad: bytes = b"",
 ) -> Envelope:
-    """Seal the concatenation of ``parts`` under ``key``.
+    """Seal a :func:`sealing_buffer` under ``key``, taking it over.
 
     The inner layout is ``sha256(plaintext) || plaintext`` (the paper's
-    hash-then-encrypt), the whole of which is encrypted; the outer MAC
-    covers ``algorithm || nonce || aad || ciphertext``.  The parts are
-    hashed one by one and joined once, behind their digest, so a large
-    plaintext is copied once on its way to the cipher.  The wire form is
-    built once, around the cipher's output buffer, and the returned
-    envelope is parsed from it (see :meth:`Envelope.from_bytes`).
+    hash-then-encrypt), the whole of which is encrypted: in place by the
+    stream ciphers, so ``inner`` then holds the ciphertext, and into the
+    backend's own output by AES-CBC, which pads.  The outer MAC covers
+    ``algorithm || nonce || aad || ciphertext``.  The wire form is joined
+    once, around the ciphertext, and the returned envelope is parsed
+    from it (see :meth:`Envelope.from_bytes`).
     """
     if algorithm not in CIPHER_NAMES:
         raise CryptoError(f"unknown cipher algorithm: {algorithm!r}")
@@ -184,15 +217,26 @@ def seal_parts(
         raise CryptoError("nonce must be at least 8 bytes")
     enc_key = key.derive("enc").material
     mac_key = key.derive("mac").material
-    digest = hashlib.sha256()
-    for part in parts:
-        digest.update(part)
-    inner = b"".join([digest.digest(), *parts])
-    ciphertext = _cipher_process(algorithm, enc_key, nonce, inner, encrypt=True)
+    view = memoryview(inner)
+    ciphertext = _cipher_process(algorithm, enc_key, nonce, view, encrypt=True, out=view)
     mac = _envelope_mac(mac_key, algorithm, nonce, aad, ciphertext)
     return Envelope.from_bytes(
         b"".join([_wire_head(algorithm, nonce, len(ciphertext)), ciphertext, mac])
     )
+
+
+def seal_parts(
+    key: SymmetricKey,
+    parts: Sequence[bytes],
+    nonce: bytes,
+    algorithm: str = "rc4",
+    aad: bytes = b"",
+) -> Envelope:
+    """Seal the concatenation of ``parts`` under ``key`` (see
+    :func:`seal_buffer`)."""
+    if algorithm not in CIPHER_NAMES:
+        raise CryptoError(f"unknown cipher algorithm: {algorithm!r}")
+    return seal_buffer(key, sealing_buffer(parts), nonce, algorithm, aad)
 
 
 def seal_envelope(
@@ -231,6 +275,77 @@ def open_view(key: SymmetricKey, envelope: Envelope, aad: bytes = b"") -> memory
     if not constant_time_equal(digest, sha256(plaintext)):
         raise IntegrityError("inner checkpoint hash mismatch")
     return plaintext
+
+
+class OpenedEnvelope:
+    """An envelope whose MAC and inner digest are checked, its plaintext
+    decrypted again on demand, a window at a time.
+
+    Construction checks the MAC over the ciphertext, then makes pass
+    one: it decrypts the body ``window`` bytes at a time into one reused
+    scratch buffer, hashing as it goes, and checks the inner digest.  It
+    raises :class:`IntegrityError` where :func:`open_view` does.
+    :meth:`read` then decrypts any plaintext span again.  A CTR cipher
+    starts a span at its block counter; RC4 and AES-CBC cannot start
+    mid-stream, so they are decrypted once, whole, and :meth:`read`
+    returns views of that.
+    """
+
+    def __init__(
+        self, key: SymmetricKey, envelope: Envelope, aad: bytes = b"", window: int = OPEN_WINDOW
+    ) -> None:
+        self._key = key.derive("enc").material
+        expected_mac = _envelope_mac(
+            key.derive("mac").material, envelope.algorithm, envelope.nonce, aad,
+            envelope.ciphertext,
+        )
+        if not constant_time_equal(expected_mac, envelope.mac):
+            raise IntegrityError("envelope MAC mismatch")
+        self._envelope = envelope
+        self._block = _CTR_BLOCK.get(envelope.algorithm)
+        if self._block is not None:
+            # A window, and the head of the block it starts in.
+            n = min(window, len(envelope.ciphertext)) + self._block
+            self._scratch = memoryview(buffers.fresh(n))
+        else:
+            try:
+                inner = _cipher_process(
+                    envelope.algorithm, self._key, envelope.nonce, envelope.ciphertext,
+                    encrypt=False,
+                )
+            except CryptoError as exc:
+                raise IntegrityError(f"envelope decryption failed: {exc}") from exc
+            self._inner = memoryview(inner).toreadonly()
+        inner_len = len(envelope.ciphertext) if self._block else len(self._inner)
+        #: Plaintext length: the body behind the inner digest.
+        self.size = max(0, inner_len - _DIGEST_LEN)
+        digest = bytes(self._decrypt(0, min(_DIGEST_LEN, inner_len)))
+        hasher = hashlib.sha256()
+        for offset in range(0, self.size, window):
+            hasher.update(self.read(offset, min(window, self.size - offset)))
+        if not constant_time_equal(digest, hasher.digest()):
+            raise IntegrityError("inner checkpoint hash mismatch")
+
+    def read(self, offset: int, n: int) -> memoryview:
+        """Plaintext bytes ``[offset, offset + n)``, as a read-only view
+        that the next :meth:`read` may overwrite."""
+        return self._decrypt(_DIGEST_LEN + offset, n)
+
+    def _decrypt(self, at: int, n: int) -> memoryview:
+        """Inner bytes ``[at, at + n)``."""
+        if self._block is None:
+            return self._inner[at : at + n]
+        skip = at % self._block  # from the start of the block holding ``at``
+        if len(self._scratch) < skip + n:  # one span longer than a window
+            self._scratch = memoryview(buffers.fresh(skip + n))
+        out = self._scratch[: skip + n]
+        envelope = self._envelope
+        _cipher_process(
+            envelope.algorithm, self._key, envelope.nonce,
+            envelope.ciphertext[at - skip : at + n], encrypt=False, out=out,
+            first_counter=at // self._block,
+        )
+        return out[skip:].toreadonly()
 
 
 def open_envelope(key: SymmetricKey, envelope: Envelope, aad: bytes = b"") -> bytes:

@@ -98,20 +98,18 @@ class MigrationRecovery:
         # Journals are addressed by machine *name* and journal epoch, not
         # by the literal roles: an N-hop chain swaps which machine plays
         # source, and each hop's journals carry the hop's epoch stamp.
-        # The run's target journals under the run's epoch; the source
-        # under the epoch its machine was stamped with when that
-        # instance was built there.
+        # The source's journal is the one its instance opened; the run's
+        # target journals under the run's epoch.
         self.wal = Journal(
             store,
             wal.orchestrator_journal_name(image, testbed.wal_epoch),
             wal.PARTY_ORCHESTRATOR,
         )
-        self.source_journal, self.target_journal = (
-            Journal(store, wal.enclave_journal_name(machine.name, image, epoch), party)
-            for machine, epoch, party in (
-                (testbed.source, testbed.source.journal_epoch, wal.PARTY_SOURCE),
-                (testbed.target, testbed.wal_epoch, wal.PARTY_TARGET),
-            )
+        self.source_journal = Journal(store, source_app.library.journal.name, wal.PARTY_SOURCE)
+        self.target_journal = Journal(
+            store,
+            wal.enclave_journal_name(testbed.target.name, image, testbed.wal_epoch),
+            wal.PARTY_TARGET,
         )
 
     # ------------------------------------------------------------------ main
@@ -260,6 +258,8 @@ class MigrationRecovery:
         K_migrate goes live once at most anyway.
         """
         party = "target" if machine is self.tb.target else "source"
+        # The rebuilt instance appends to the journal of the one it replaces.
+        epoch = self.tb.wal_epoch if party == "target" else self.app.library.journal_epoch
         with self.tb.trace.tracer.span(
             "recovery.rebuild", party=party, image=self.app.image.name, suffix=name_suffix
         ):
@@ -270,7 +270,13 @@ class MigrationRecovery:
             mirror = mirror or self.app
             name = f"{self.app.image.name}-{name_suffix}"
             new_app = HostApplication(
-                machine, guest_os, self.app.image, self.app.workers, owner=None, name=name
+                machine,
+                guest_os,
+                self.app.image,
+                self.app.workers,
+                owner=None,
+                name=name,
+                journal_epoch=epoch,
             )
             new_app.completed_iterations = list(mirror.completed_iterations)
             new_app.results = {k: list(v) for k, v in mirror.results.items()}

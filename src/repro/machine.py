@@ -48,9 +48,6 @@ class Machine:
         if durable is None:
             durable = DurableStore(clock, trace, costs.journal_commit_ns)
         self.durable = durable
-        #: Epoch stamped into the names of enclave journals opened on this
-        #: machine (an N-hop chain stamps the hop number on its target).
-        self.journal_epoch = 0
         #: The testbed's invariant monitor, if one is attached.
         self.monitor = None
 

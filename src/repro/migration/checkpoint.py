@@ -21,14 +21,29 @@ under K_migrate (random, §IV) or the owner's K_encrypt (§V-C snapshots).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
-from repro.crypto.authenc import Envelope, open_view, seal_parts
+import numpy as np
+
+from repro.crypto.authenc import (
+    OPEN_WINDOW,
+    Envelope,
+    OpenedEnvelope,
+    open_view,
+    seal_buffer,
+    sealing_buffer,
+)
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
 from repro.errors import ChunkError, RestoreError
 from repro.serde import SerdeError, pack, unpack
+from repro.sgx.structures import PAGE_SIZE
 
 _CKPT_MAGIC = b"ECKPT2\x00"
+#: Magic and header length: the bytes before the packed header.
+_CKPT_PREFIX = len(_CKPT_MAGIC) + 4
+#: What a sealed checkpoint's MAC binds besides its ciphertext.
+CHECKPOINT_AAD = b"enclave-ckpt"
 
 
 @dataclass(frozen=True)
@@ -109,43 +124,55 @@ class EnclaveCheckpoint:
         it change; an immutable one (bytes, or the read-only view
         :func:`~repro.crypto.authenc.open_view` returns) is used in place.
         """
-        if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-            raise SerdeError("not an ECKPT2 checkpoint (bad magic)")
         view = memoryview(blob)
         if not view.readonly:
             view = memoryview(bytes(view))
-        cursor = len(_CKPT_MAGIC)
-        header_len = int.from_bytes(view[cursor : cursor + 4], "big")
-        cursor += 4
-        try:
-            fields = unpack(bytes(view[cursor : cursor + header_len]))
-        except SerdeError as exc:
-            raise SerdeError(f"malformed checkpoint header: {exc}") from exc
-        cursor += header_len
-        pages: dict[int, memoryview] = {}
-        for vaddr, n_bytes in fields["page_index"]:
-            page = view[cursor : cursor + n_bytes]
-            if len(page) != n_bytes:
-                raise SerdeError("checkpoint page data truncated")
-            pages[int(vaddr)] = page
-            cursor += n_bytes
-        if cursor != len(view):
-            raise SerdeError("checkpoint carries trailing bytes past the page index")
-        return EnclaveCheckpoint(
-            image_name=fields["image_name"],
-            code_id=fields["code_id"],
-            mrenclave=fields["mrenclave"],
-            sequence=fields["sequence"],
-            pages=pages,
-            tcs_states=[
-                TcsState(t["index"], t["cssa"], t["flag"]) for t in fields["tcs"]
-            ],
-            skipped_pages=list(fields["skipped"]),
-            # Absent in blobs sealed before the storage-handoff step
-            # existed; 0 means "no storage constraint", so old captures
-            # keep restoring.
-            storage_version=int(fields.get("storage_version", 0)),
-        )
+        checkpoint, index = _parse(view, len(view))
+        # A repeated vaddr keeps its first place and its last bytes, as a
+        # dict does.
+        checkpoint.pages = {vaddr: view[at : at + n] for vaddr, at, n in index}
+        return checkpoint
+
+
+def _parse(head: bytes | memoryview, total: int) -> tuple[EnclaveCheckpoint, list]:
+    """Parse the front of a ``total``-byte v2 plaintext whose leading
+    bytes are ``head`` (the whole header at least, or all ``total``).
+
+    Returns the checkpoint without its pages, and where each page lies:
+    ``(vaddr, offset, length)`` in checkpoint order.  Raises
+    :class:`SerdeError` for a bad magic, a malformed header, a page the
+    plaintext cuts short, or bytes past the last page.
+    """
+    if head[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
+        raise SerdeError("not an ECKPT2 checkpoint (bad magic)")
+    cursor = _CKPT_PREFIX
+    header_len = int.from_bytes(head[len(_CKPT_MAGIC) : cursor], "big")
+    try:
+        fields = unpack(bytes(head[cursor : cursor + header_len]))
+    except SerdeError as exc:
+        raise SerdeError(f"malformed checkpoint header: {exc}") from exc
+    cursor += header_len
+    index = []
+    for vaddr, n_bytes in fields["page_index"]:
+        if n_bytes < 0 or (n_bytes and cursor + n_bytes > total):
+            raise SerdeError("checkpoint page data truncated")
+        index.append((int(vaddr), cursor, n_bytes))
+        cursor += n_bytes
+    if cursor != total:
+        raise SerdeError("checkpoint carries trailing bytes past the page index")
+    checkpoint = EnclaveCheckpoint(
+        image_name=fields["image_name"],
+        code_id=fields["code_id"],
+        mrenclave=fields["mrenclave"],
+        sequence=fields["sequence"],
+        tcs_states=[TcsState(t["index"], t["cssa"], t["flag"]) for t in fields["tcs"]],
+        skipped_pages=list(fields["skipped"]),
+        # Absent in blobs sealed before the storage-handoff step
+        # existed; 0 means "no storage constraint", so old captures
+        # keep restoring.
+        storage_version=int(fields.get("storage_version", 0)),
+    )
+    return checkpoint, index
 
 
 def seal_checkpoint(
@@ -154,13 +181,81 @@ def seal_checkpoint(
     nonce: bytes,
     algorithm: str = "rc4",
 ) -> Envelope:
-    """Seal a checkpoint for transfer over untrusted channels."""
-    return seal_parts(key, checkpoint.parts(), nonce, algorithm, aad=b"enclave-ckpt")
+    """Seal a checkpoint for transfer over untrusted channels.
+
+    The checkpoint is left as it was.  A caller done with it once its
+    bytes are in the sealing buffer makes the buffer itself
+    (:func:`~repro.crypto.authenc.sealing_buffer` over
+    :meth:`EnclaveCheckpoint.parts`), lets the checkpoint go, and seals
+    the buffer with :func:`seal_checkpoint_buffer`.
+    """
+    return seal_checkpoint_buffer(sealing_buffer(checkpoint.parts()), key, nonce, algorithm)
+
+
+def seal_checkpoint_buffer(
+    inner: np.ndarray, key: SymmetricKey, nonce: bytes, algorithm: str = "rc4"
+) -> Envelope:
+    """Seal a checkpoint's sealing buffer, encrypting it in place."""
+    return seal_buffer(key, inner, nonce, algorithm, aad=CHECKPOINT_AAD)
 
 
 def open_checkpoint(key: SymmetricKey, envelope: Envelope) -> EnclaveCheckpoint:
     """Open and validate a sealed checkpoint (raises on any tampering)."""
-    return EnclaveCheckpoint.from_bytes(open_view(key, envelope, aad=b"enclave-ckpt"))
+    return EnclaveCheckpoint.from_bytes(open_view(key, envelope, aad=CHECKPOINT_AAD))
+
+
+class OpenedCheckpoint:
+    """A sealed checkpoint opened a window at a time.
+
+    Construction checks the envelope's MAC and inner digest (pass one of
+    :class:`~repro.crypto.authenc.OpenedEnvelope`), then parses the
+    header and lays the page index over the plaintext, raising as
+    :func:`open_checkpoint` does, before any page is handed out.
+    :attr:`checkpoint` holds everything but the pages, which
+    :meth:`windows` decrypts again, in checkpoint order.
+    """
+
+    def __init__(self, key: SymmetricKey, envelope: Envelope, window: int = OPEN_WINDOW) -> None:
+        self._plain = OpenedEnvelope(key, envelope, CHECKPOINT_AAD, window)
+        self._window = window
+        total = self._plain.size
+        head = bytes(self._plain.read(0, min(_CKPT_PREFIX, total)))
+        if head[: len(_CKPT_MAGIC)] == _CKPT_MAGIC and len(head) == _CKPT_PREFIX:
+            header_len = int.from_bytes(head[len(_CKPT_MAGIC) :], "big")
+            head = bytes(self._plain.read(0, min(_CKPT_PREFIX + header_len, total)))
+        self.checkpoint, index = _parse(head, total)
+        # A repeated vaddr keeps its first place and its last bytes, as
+        # from_bytes's dict does.
+        spans = {vaddr: (at, n) for vaddr, at, n in index}
+        self._index = [(vaddr, at, n) for vaddr, (at, n) in spans.items()]
+
+    def windows(self) -> Iterator[tuple[list[int], Sequence]]:
+        """The pages, in checkpoint order, a window at a time.
+
+        Each window is ``(vaddrs, pages)``: adjacent pages of at most
+        :data:`~repro.crypto.authenc.OPEN_WINDOW` bytes in all (or one
+        longer page), decrypted into the scratch buffer the next window
+        reuses.  ``pages`` is an array of 4 KB rows when every page in
+        the window is 4 KB, and a list of page views otherwise.
+        """
+        index, at = self._index, 0
+        while at < len(index):
+            start = end = index[at][1]
+            stop = at
+            while stop < len(index):
+                _, offset, n = index[stop]
+                if offset != end or (stop > at and end + n - start > self._window):
+                    break
+                end += n
+                stop += 1
+            view = self._plain.read(start, end - start)
+            vaddrs = [vaddr for vaddr, _, _ in index[at:stop]]
+            if all(n == PAGE_SIZE for _, _, n in index[at:stop]):
+                pages = np.frombuffer(view, np.uint8).reshape(-1, PAGE_SIZE)
+            else:
+                pages = [view[offset - start : offset - start + n] for _, offset, n in index[at:stop]]
+            yield vaddrs, pages
+            at = stop
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +306,17 @@ def chunk_frame(blob: bytes, seq: int, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -
     )
 
 
+def frame_payload(frame: bytes) -> bytes:
+    """The chunk a frame carries."""
+    return frame[_FRAME_HEADER_LEN:]
+
+
+def reframe(frame: bytes, payload: bytes) -> bytes:
+    """``frame`` carrying ``payload`` instead, under a recomputed frame
+    digest: what a tap that rewrites chunks in flight sends on."""
+    return b"".join([frame[: _FRAME_HEADER_LEN - 32], sha256(payload), payload])
+
+
 def chunk_blob(blob: bytes, chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> list[bytes]:
     """Split an opaque blob into self-describing, re-orderable frames."""
     n_chunks = chunk_count(len(blob), chunk_bytes)
@@ -227,9 +333,10 @@ class ChunkReassembler:
     (immutable) frames and copied once, by :meth:`assemble`.
 
     A receiver that also holds the sender's end (the orchestrator) passes
-    the blob it framed as ``sent``: a frame equal to the one it sent is
-    then kept as a view of ``sent``, not of the frame, and when every
-    frame was, :meth:`assemble` hands on ``sent`` itself instead of a copy.
+    the blob it framed as ``sent``: a chunk that carries the bytes ``sent``
+    holds at its offset is then kept as a view of ``sent``, not of its
+    frame, and when every chunk was, :meth:`assemble` hands on ``sent``
+    itself, which equals the join byte for byte, instead of a copy.
     """
 
     def __init__(self, sent: bytes | None = None) -> None:
@@ -241,13 +348,8 @@ class ChunkReassembler:
         self._own = 0
         self.duplicates_seen = 0
 
-    def accept(self, frame: bytes, sent_frame: bytes | None = None) -> bool:
-        """Ingest one frame; returns True when it carried new data.
-
-        ``sent_frame`` is the frame the sender built from ``sent`` for
-        this delivery; a delivered frame equal to it keeps no bytes of
-        its own.
-        """
+    def accept(self, frame: bytes) -> bool:
+        """Ingest one frame; returns True when it carried new data."""
         if not isinstance(frame, bytes):
             frame = bytes(frame)  # a view must not see the sender's buffer change
         view = memoryview(frame)
@@ -271,9 +373,11 @@ class ChunkReassembler:
         if seq in self._parts:
             self.duplicates_seen += 1
             return False
-        if self._sent is not None and sent_frame is not None and frame == sent_frame:
-            data = memoryview(self._sent)[offset : offset + len(data)]
-            self._own += 1
+        if self._sent is not None:
+            sent = memoryview(self._sent)[offset : offset + len(data)]
+            if sent == data:
+                data = sent
+                self._own += 1
         self._parts[seq] = data
         self._offsets[seq] = offset
         return True
@@ -300,6 +404,7 @@ class ChunkReassembler:
                 )
             pieces.append(self._parts[seq])
             cursor += len(self._parts[seq])
+        # Every chunk is ``sent``'s bytes at its offset, and they cover it.
         own = self._own == self.n_chunks and cursor == len(self._sent)
         blob = self._sent if own else b"".join(pieces)
         if self.total is not None and len(blob) != self.total:

@@ -291,11 +291,8 @@ class MigrationOrchestrator:
     def build_virgin_target(self, app: HostApplication) -> HostApplication:
         """Step-1: same image, fresh enclave, on the target machine.
 
-        The target's journal carries this run's epoch: its SGX library
-        names the journal from the machine's ``journal_epoch`` as it is
-        constructed, so the epoch is stamped from ``wal_epoch`` first.
+        The target journals under this run's epoch (``wal_epoch``).
         """
-        self.tb.target.journal_epoch = self.tb.wal_epoch
         target_app = HostApplication(
             self.tb.target,
             self.tb.target_os,
@@ -303,6 +300,7 @@ class MigrationOrchestrator:
             app.workers,
             owner=None,  # no user involvement during migration (§III)
             name=f"{app.image.name}-migrated",
+            journal_epoch=self.tb.wal_epoch,
         )
         # The host application's own memory (loop positions, results)
         # travels with the VM RAM; mirror it onto the target instance.
@@ -348,10 +346,10 @@ class MigrationOrchestrator:
         return self._transfer_chunked(blob)
 
     def _transfer_chunked(self, blob: bytes) -> bytes:
-        """Frames are built as they are sent; when every accepted frame is
-        the one sent, the sealed wire itself is handed on (see
-        :class:`ChunkReassembler`), and any frame the wire changed makes
-        the delivered bytes be assembled instead."""
+        """Frames are built as they are sent.  When every accepted chunk
+        carries the sent bytes at its offset, the sealed wire itself is
+        handed on (see :class:`ChunkReassembler`); a chunk the wire
+        changed makes the delivered bytes be assembled instead."""
         net = self.tb.network
         n_chunks = chunk_count(len(blob), self.retry.chunk_bytes)
         reassembler = ChunkReassembler(sent=blob)
@@ -376,7 +374,7 @@ class MigrationOrchestrator:
                     failed.append(seq)
                     break
                 try:
-                    reassembler.accept(delivered, sent_frame=frame)
+                    reassembler.accept(delivered)
                 except ChunkError:
                     failed.append(seq)
             self.stats.duplicate_chunks_ignored = reassembler.duplicates_seen

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 from itertools import groupby
 from typing import Iterator
 
-from repro.crypto.authenc import Envelope, open_value, seal_value
+from repro import buffers
+from repro.crypto.authenc import Envelope, open_value, seal_value, sealing_buffer
 from repro.crypto.dh import dh_private, dh_public, dh_session_key
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
@@ -43,9 +44,9 @@ from repro.errors import (
 )
 from repro.migration.checkpoint import (
     EnclaveCheckpoint,
+    OpenedCheckpoint,
     TcsState,
-    open_checkpoint,
-    seal_checkpoint,
+    seal_checkpoint_buffer,
 )
 from repro.sdk.image import (
     FLAG_BUSY,
@@ -230,12 +231,18 @@ def generate_checkpoint(
     rt.store_obj(OBJ_CHANNEL, channel)
     yield 500
 
-    pages: dict[int, bytes] = {}
+    # The dump: one buffer of page rows, mapped on its own, filled a
+    # batch at a time; the checkpoint's pages are views of its rows.
     readable = image.readable_reg_vaddrs()
+    dump = buffers.fresh(len(readable) * PAGE_SIZE).reshape(-1, PAGE_SIZE)
     for start in range(0, len(readable), DUMP_PAGES_PER_STEP):
         batch = readable[start : start + DUMP_PAGES_PER_STEP]
-        pages.update(zip(batch, rt.read_pages(batch)))
+        rt.read_pages(batch, dump[start : start + len(batch)])
         yield costs.memcpy_ns(len(batch) * PAGE_SIZE)
+    rows = memoryview(dump.reshape(-1)).toreadonly()
+    pages: dict[int, bytes | memoryview] = {
+        vaddr: rows[at * PAGE_SIZE : (at + 1) * PAGE_SIZE] for at, vaddr in enumerate(readable)
+    }
     if sgx_v2:
         # §IV-B: "this problem can be fixed in SGX v2 which supports
         # dynamically changing page permissions" — EMODPE the W+X pages
@@ -285,7 +292,13 @@ def generate_checkpoint(
     slices = 10
     for _ in range(slices):
         yield crypto_ns // slices
-    envelope = seal_checkpoint(checkpoint, kmigrate, rt.random_bytes(16), algorithm)
+    # Buffer ownership: the checkpoint's bytes are copied once, into the
+    # sealing buffer, and the dump goes back to the host before that
+    # buffer is encrypted in place and joined into the wire.
+    inner = sealing_buffer(checkpoint.parts())
+    del checkpoint, pages, rows, dump
+    envelope = seal_checkpoint_buffer(inner, kmigrate, rt.random_bytes(16), algorithm)
+    del inner
     # Durability: the sealed envelope is ciphertext the host sees anyway,
     # stored once as a blob and named in the record by its digest;
     # K_migrate goes into the record sealed under this enclave's own
@@ -844,6 +857,11 @@ def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[
     Returns the CSSA replay plan {tcs_index: target CSSA} the untrusted
     library must now execute with EENTER/AEX; the enclave will *verify*
     the library actually did it (step-4) before going live.
+
+    The checkpoint is opened a window at a time: its MAC, inner digest
+    and header are checked before any page is written, and then each
+    window of pages is decrypted again and restored from the one
+    scratch buffer the windows share.
     """
     private = rt.session.private
     private.pop(_RESTORE_RECORD, None)
@@ -851,7 +869,8 @@ def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[
     if "kmigrate" not in channel:
         raise RestoreError("K_migrate has not arrived")
     kmigrate = SymmetricKey(channel["kmigrate"], "kmigrate")
-    checkpoint = open_checkpoint(kmigrate, Envelope.from_bytes(sealed_checkpoint))
+    opened = OpenedCheckpoint(kmigrate, Envelope.from_bytes(sealed_checkpoint))
+    checkpoint = opened.checkpoint
     if checkpoint.code_id != rt.image.code_id or checkpoint.mrenclave != rt.image.mrenclave:
         raise RestoreError("checkpoint was taken from a different image")
     if checkpoint.sequence != channel.get("expected_sequence"):
@@ -863,30 +882,37 @@ def target_restore_memory(rt: EnclaveRuntime, sealed_checkpoint: bytes) -> dict[
         for p in rt.image.pages
         if Permissions.W in p.sec_info.permissions
     }
+    ssa_vaddrs = [
+        vaddr
+        for template in rt.image.tcs_templates
+        for vaddr in range(template.ossa, template.ossa + template.nssa * PAGE_SIZE, PAGE_SIZE)
+    ]
+    ssa = set(ssa_vaddrs)
+    kept: dict[int, bytes] = {}
     # In checkpoint order: each run of writable pages is written in one
-    # page-run call; read-only pages (code, embedded keys) are measured
-    # into the image, so the virgin enclave must already hold them.
-    for writes, run in groupby(checkpoint.pages.items(), lambda item: item[0] in writable):
-        if writes:
-            rt.write_pages(*zip(*run))
-            continue
-        for vaddr, data in run:
-            if rt.read(vaddr, len(data)) != data:
-                raise RestoreError(f"immutable page 0x{vaddr:x} differs from the image")
+    # page-run call (a run a window splits, in one per window);
+    # read-only pages (code, embedded keys) are measured into the
+    # image, so the virgin enclave must already hold them.
+    for vaddrs, pages in opened.windows():
+        at = 0
+        for writes, run in groupby(vaddrs, writable.__contains__):
+            stop = at + len(list(run))
+            if writes:
+                rt.write_pages(vaddrs[at:stop], pages[at:stop])
+            else:
+                for vaddr, data in zip(vaddrs[at:stop], map(memoryview, pages[at:stop])):
+                    if rt.read(vaddr, len(data)) != data:
+                        raise RestoreError(f"immutable page 0x{vaddr:x} differs from the image")
+            at = stop
+        kept.update((v, bytes(pages[k])) for k, v in enumerate(vaddrs) if v in ssa)
     # The page writes restored the source's control block; keep ours.
     rt.set_go_live_token(go_live)
     # Enter restore mode: replayed EENTERs are counted, not executed.
     rt.set_restore_mode(1)
     for template in rt.image.tcs_templates:
         rt.set_replay_count(template.index, 0)
-    # The record keeps its SSA pages as bytes: the rest of the checkpoint
-    # is views into the decrypted buffer, which this call then frees.
-    ssa_pages = {
-        vaddr: bytes(checkpoint.pages[vaddr])
-        for template in rt.image.tcs_templates
-        for vaddr in range(template.ossa, template.ossa + template.nssa * PAGE_SIZE, PAGE_SIZE)
-        if vaddr in checkpoint.pages
-    }
+    # The record keeps the SSA pages, as bytes, for step 4.
+    ssa_pages = {vaddr: kept[vaddr] for vaddr in ssa_vaddrs if vaddr in kept}
     private[_RESTORE_RECORD] = replace(checkpoint, pages=ssa_pages, skipped_pages=[])
     return {
         state.index: state.cssa

@@ -55,6 +55,7 @@ class HostApplication:
         workers: list[WorkerSpec],
         owner: "EnclaveOwner | None" = None,
         name: str | None = None,
+        journal_epoch: int = 0,
     ) -> None:
         if len(workers) > image.n_workers:
             raise MigrationError(
@@ -67,7 +68,7 @@ class HostApplication:
         self.workers = workers
         self.owner = owner
         self.process = guest_os.spawn_process(name or image.name)
-        self.library = SgxLibrary(machine, guest_os, self.process, image)
+        self.library = SgxLibrary(machine, guest_os, self.process, image, journal_epoch)
         self.results: dict[str, list[Any]] = {}
         #: Host-loop progress per worker.  This lives in ordinary process
         #: memory, so on migration it travels with the VM: the target

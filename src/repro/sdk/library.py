@@ -41,6 +41,7 @@ class SgxLibrary:
         guest_os: "GuestOs",
         process: GuestProcess,
         image: EnclaveImage,
+        journal_epoch: int = 0,
     ) -> None:
         self.machine = machine
         self.guest_os = guest_os
@@ -65,10 +66,13 @@ class SgxLibrary:
         #: Platform supports SGX v2 EDMM: W+X pages become migratable.
         self.sgx_v2 = False
         #: Write-ahead journal for this enclave's protocol transitions,
-        #: named by role so a rebuilt instance finds its own log again.
+        #: named by machine, image and epoch (an N-hop chain's target
+        #: journals under the hop number) so a rebuilt instance finds its
+        #: own log again.
+        self.journal_epoch = journal_epoch
         self.journal = Journal(
             machine.durable,
-            enclave_journal_name(machine.name, image.name, machine.journal_epoch),
+            enclave_journal_name(machine.name, image.name, journal_epoch),
             machine.name,
         )
 

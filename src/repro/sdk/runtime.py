@@ -18,6 +18,8 @@ from __future__ import annotations
 import struct
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
+import numpy as np
+
 from repro.crypto.authenc import open_value, seal_value
 from repro.crypto.dh import dh_private
 from repro.crypto.hashes import sha256
@@ -84,27 +86,27 @@ class EnclaveRuntime:
             except EnclavePageFault as fault:
                 self._fault_handler(fault.vaddr)
 
-    def read_pages(self, vaddrs: Sequence[int]) -> list[bytes]:
-        """Read whole pages, one per page address, in one page run.
+    def read_pages(self, vaddrs: Sequence[int], rows: np.ndarray) -> None:
+        """Read whole pages into ``rows`` (``rows[i]`` from ``vaddrs[i]``)
+        in one page run.
 
         An evicted page is resolved where the run meets it, and the run
         resumes there: the same faults, in the same order, as one
         :meth:`read` per page.
         """
-        out: list[bytes] = []
-        while True:
-            try:
-                return self.session.read_pages(vaddrs, out)
-            except EnclavePageFault as fault:
-                self._fault_handler(fault.vaddr)
+        self._page_run(self.session.read_pages, vaddrs, rows)
 
     def write_pages(self, vaddrs: Sequence[int], pages: Sequence[bytes]) -> None:
-        """Write whole pages (``pages[i]`` at ``vaddrs[i]``) in one page run,
-        resolving evicted pages as :meth:`read_pages` does."""
+        """Write whole pages (``pages[i]`` at ``vaddrs[i]``; 4 KB rows or
+        page buffers) in one page run, resolving evicted pages as
+        :meth:`read_pages` does."""
+        self._page_run(self.session.write_pages, vaddrs, pages)
+
+    def _page_run(self, run, vaddrs: Sequence[int], pages) -> None:
         start = 0
         while True:
             try:
-                self.session.write_pages(vaddrs, pages, start)
+                run(vaddrs, pages, start)
                 return
             except EnclavePageFault as fault:
                 self._fault_handler(fault.vaddr)

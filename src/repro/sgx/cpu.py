@@ -251,47 +251,55 @@ class EnclaveSession:
         self._check_range(vaddr)
         self._page(vaddr, needed)
 
-    def read_pages(self, vaddrs: Sequence[int], out: list) -> list:
-        """Read whole pages: append the page at each of ``vaddrs[len(out):]``.
+    def read_pages(self, vaddrs: Sequence[int], rows: np.ndarray, start: int = 0) -> None:
+        """Read whole pages into the caller's rows: the page at
+        ``vaddrs[i]`` into ``rows[i]``, from ``start`` on.
 
-        The pages are gathered from the arena in one copy and appended as
-        read-only views of it.  Each page address is checked as a one-page
-        :meth:`read` checks it, in order, so a run faults where and as its
-        first faulting page would alone; ``out`` then holds the pages
-        before that one, and calling again with it resumes there.
-        Returns ``out``.
+        The pages are gathered from the arena straight into ``rows`` (a
+        ``uint8`` array of ``len(vaddrs)`` rows of 4 KB).  Each page
+        address is checked as a one-page :meth:`read` checks it, in
+        order, so a run faults where and as its first faulting page would
+        alone; the rows before that one are filled, and calling again
+        from it resumes there.
         """
         self._require_open()
-        todo = vaddrs[len(out) :]
+        todo = vaddrs[start:]
         indices = self.enclave.page_run(todo, _R)
         if indices:
-            pages = self.cpu.epc.memory[indices]
-            pages.flags.writeable = False
-            flat = memoryview(pages.reshape(-1))
-            out += [flat[at : at + PAGE_SIZE] for at in range(0, len(flat), PAGE_SIZE)]
+            # Every index is an arena row, so "clip" changes none; unlike
+            # "raise" it gathers without a buffer of its own.
+            out = rows[start : start + len(indices)]
+            np.take(self.cpu.epc.memory, indices, axis=0, out=out, mode="clip")
         if len(indices) < len(todo):
             self._fault(todo[len(indices)], _R)
             stop = todo[len(indices)]
             raise AssertionError(f"read run stopped at 0x{stop:x}, which passes every check")
-        return out
 
     def write_pages(self, vaddrs: Sequence[int], pages: Sequence[bytes], start: int = 0) -> None:
         """Write whole 4 KB pages, ``pages[i]`` at ``vaddrs[i]``, from
-        ``start`` on, scattered into the arena a megabyte at a time,
-        checked and faulting as :meth:`read_pages`; a page that is not
-        4 KB faults as content."""
+        ``start`` on, checked and faulting as :meth:`read_pages`.
+
+        ``pages`` is either a ``uint8`` array of 4 KB rows, scattered into
+        the arena straight from its rows, or a sequence of page buffers,
+        joined a megabyte at a time on their way; among those, a page
+        that is not 4 KB faults as content.
+        """
         self._require_open()
         todo = vaddrs[start:]
         indices = self.enclave.page_run(todo, _W)
-        sizes = np.fromiter(map(len, pages[start : start + len(indices)]), np.int64, len(indices))
-        if (sizes != PAGE_SIZE).any():
-            del indices[int(np.argmax(sizes != PAGE_SIZE)) :]
-        self.cpu.epc.reserve(len(indices))
         memory = self.cpu.epc.memory
-        for at in range(0, len(indices), _SCATTER_PAGES):
-            rows = indices[at : at + _SCATTER_PAGES]
-            data = b"".join(pages[start + at : start + at + len(rows)])
-            memory[rows] = np.frombuffer(data, np.uint8).reshape(-1, PAGE_SIZE)
+        if isinstance(pages, np.ndarray):
+            memory[indices] = pages[start : start + len(indices)]
+        else:
+            sizes = np.fromiter(
+                map(len, pages[start : start + len(indices)]), np.int64, len(indices)
+            )
+            if (sizes != PAGE_SIZE).any():
+                del indices[int(np.argmax(sizes != PAGE_SIZE)) :]
+            for at in range(0, len(indices), _SCATTER_PAGES):
+                rows = indices[at : at + _SCATTER_PAGES]
+                data = b"".join(pages[start + at : start + at + len(rows)])
+                memory[rows] = np.frombuffer(data, np.uint8).reshape(-1, PAGE_SIZE)
         if len(indices) < len(todo):
             self._fault(todo[len(indices)], _W)
             raise SgxInstructionFault("a page run writes whole 4 KB pages")

@@ -21,25 +21,15 @@ through which software touches enclave memory.
 
 from __future__ import annotations
 
-import ctypes
 import mmap
 import sys
 from typing import Any
 
 import numpy as np
 
+from repro.buffers import lazy_zero_mapping
 from repro.errors import SgxEpcExhausted, SgxInstructionFault
 from repro.sgx.structures import PAGE_SIZE, PAGE_TYPES, TYPE_CODE, PageType, Permissions
-
-#: Pages a write must back at once before the heap's free memory is handed
-#: back first (see :meth:`Epc.reserve`).
-RESERVE_PAGES = 256
-
-try:  # glibc: return the C heap's free pages to the host
-    _malloc_trim = ctypes.CDLL(None).malloc_trim
-    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
-except (AttributeError, OSError, TypeError):  # pragma: no cover - other libcs
-    _malloc_trim = None
 
 #: EPCM permission column values (R|W|X bits) as Permissions.
 _PERMISSIONS = tuple(Permissions(bits) for bits in range(8))
@@ -47,13 +37,6 @@ _PERMISSIONS = tuple(Permissions(bits) for bits in range(8))
 #: freed page back to the host scrubs it.  Only Linux promises that; on
 #: other hosts it is a hint that may leave the bytes in place.
 _DONTNEED_ZEROES = sys.platform.startswith("linux") and mmap.PAGESIZE == PAGE_SIZE
-
-
-def _lazy_zero_mapping(size: int) -> mmap.mmap:
-    """``size`` bytes of anonymous memory, zero and unbacked until written."""
-    if hasattr(mmap, "MAP_PRIVATE"):
-        return mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    return mmap.mmap(-1, size)  # Windows: a pagefile section, backed as touched
 
 
 class Epc:
@@ -70,7 +53,7 @@ class Epc:
         if n_pages < 8:
             raise ValueError("EPC must have at least 8 pages")
         self.n_pages = n_pages
-        self._map = _lazy_zero_mapping(n_pages * PAGE_SIZE)
+        self._map = lazy_zero_mapping(n_pages * PAGE_SIZE)
         if hasattr(mmap, "MADV_NOHUGEPAGE"):  # back written pages one 4 KB page at a time
             self._map.madvise(mmap.MADV_NOHUGEPAGE)
         #: The content arena, one row per page.
@@ -82,7 +65,7 @@ class Epc:
         # All-zero reads as an invalid REG row; an invalid row's owner
         # reads -1.  A freed row keeps its type and vaddr, as hardware
         # leaves them.
-        self._epcm = _lazy_zero_mapping(19 * n_pages)
+        self._epcm = lazy_zero_mapping(19 * n_pages)
         column = memoryview(self._epcm)
         self.owners = column[: 8 * n_pages].cast("q")
         self.vaddrs = column[8 * n_pages : 16 * n_pages].cast("Q")
@@ -144,18 +127,6 @@ class Epc:
             raise SgxInstructionFault("page content exceeds 4KB")
         start = self.check(index) * PAGE_SIZE + offset
         self.flat[start : start + len(data)] = data
-
-    def reserve(self, n_pages: int) -> None:
-        """Make room before ``n_pages`` arena pages are written at once.
-
-        The arena lives outside the C heap, so the heap's free memory
-        (what a multi-megabyte checkpoint leaves behind) can never back
-        an arena page; a run that backs many pages hands that free
-        memory back to the host first, so the run and the heap's slack
-        are not resident together.
-        """
-        if n_pages >= RESERVE_PAGES and _malloc_trim is not None:
-            _malloc_trim(0)
 
     def pages_of(self, eid: int) -> list[int]:
         """Indices of the valid pages owned by enclave ``eid``."""

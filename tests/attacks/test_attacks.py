@@ -102,4 +102,4 @@ class TestTamperAttack:
         outcome = run_tamper_scenario("chunk")
         assert outcome.detected
         assert outcome.error == "IntegrityError"
-        assert not outcome.target_live
+        assert not outcome.target_exists

@@ -22,7 +22,7 @@ from repro.durability.journal import Journal
 from repro.migration.chain import hop_view, run_chain
 from repro.migration.orchestrator import MigrationOrchestrator
 from repro.migration.testbed import build_testbed
-from repro.sdk import control
+from repro.sdk import HostApplication, control
 from tests.conftest import build_counter_app
 
 CHAIN_SEED = int(os.environ.get("FAULT_SEED", "23"))
@@ -41,7 +41,6 @@ class TestHopViews:
         app = build_counter_app(testbed, tag="epoch")
         view = hop_view(testbed, 3)
         assert view.wal_epoch == 3
-        assert testbed.target.journal_epoch == 0  # the view writes no machine
         target = MigrationOrchestrator(view).build_virgin_target(app)
         assert target.library.journal.name == f"enclave/target/{app.image.name}@3"
         assert wal.orchestrator_journal_name("img", 3) == "orchestrator/img@3"
@@ -57,6 +56,17 @@ class TestHopViews:
         assert name == wal.enclave_journal_name("target", app.image.name, 0)
         kinds = [r.kind for r in Journal(tb.durable, name, wal.PARTY_TARGET).records()]
         assert kinds == ["channel", "key-installed", "live"]
+
+    def test_a_launch_after_a_chain_journals_at_epoch_zero(self):
+        """An instance built on a chain's machine outside any run opens
+        the epoch-0 journal: no hop's epoch stays behind on the machine."""
+        tb = build_testbed(seed=3)
+        app = build_counter_app(tb, tag="launch-after-chain")
+        run_chain(tb, app, 2)
+        fresh = HostApplication(tb.target, tb.target_os, app.image, [], owner=tb.owner).launch()
+        name = fresh.library.journal.name
+        assert name == wal.enclave_journal_name("target", app.image.name, 0)
+        assert Journal(tb.durable, name, wal.PARTY_TARGET).records() == []
 
 
 class TestCleanChains:

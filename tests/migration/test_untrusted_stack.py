@@ -160,13 +160,13 @@ class TestCheckpointOpenedOnce:
 
     def test_one_migration_opens_the_checkpoint_once(self, testbed, orch, monkeypatch):
         opened = []
-        real_open = control.open_checkpoint
+        real_open = control.OpenedCheckpoint
 
-        def counting_open(key, envelope):
+        def counting_open(key, envelope, *window):
             opened.append(envelope.size)
-            return real_open(key, envelope)
+            return real_open(key, envelope, *window)
 
-        monkeypatch.setattr(control, "open_checkpoint", counting_open)
+        monkeypatch.setattr(control, "OpenedCheckpoint", counting_open)
         app = build_counter_app(
             testbed, tag="open-once", workers=[WorkerSpec("slow_incr", args=500, repeat=1)]
         )

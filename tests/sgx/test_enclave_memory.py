@@ -1,5 +1,6 @@
 """EnclaveHw memory mechanics: cross-page access, faults, isolation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -142,11 +143,12 @@ class TestPageRuns:
         session, run = self._run_with(cpu, vendor, fault)
         with pytest.raises(_FAULTS[fault]) as single:
             session.read(run[1], PAGE_SIZE)
-        out: list[bytes] = []
+        rows = np.full((3, PAGE_SIZE), 0xA5, np.uint8)
         with pytest.raises(_FAULTS[fault]) as in_run:
-            session.read_pages(run, out)
+            session.read_pages(run, rows)
         assert type(in_run.value) is type(single.value)
-        assert out == [b"F" * PAGE_SIZE]  # the page before the fault was read
+        assert bytes(rows[0]) == b"F" * PAGE_SIZE  # the page before the fault was read
+        assert (rows[1:] == 0xA5).all()  # and none from it on
 
     @pytest.mark.parametrize("fault", ["evicted page", "missing permission", "outside the range"])
     def test_write_run_faults_mid_run_like_a_single_write(self, cpu, vendor, fault):
@@ -161,18 +163,18 @@ class TestPageRuns:
 
     def test_dead_enclave_faults_on_the_first_page(self, cpu, vendor):
         session, run = self._run_with(cpu, vendor, "dead enclave")
-        out: list[bytes] = []
+        rows = np.full((3, PAGE_SIZE), 0xA5, np.uint8)
         with pytest.raises(SgxInstructionFault):
-            session.read_pages(run, out)
+            session.read_pages(run, rows)
         with pytest.raises(SgxInstructionFault):
             session.write_pages(run, [b"1" * PAGE_SIZE] * 3)
-        assert out == []
+        assert (rows == 0xA5).all()
 
     def test_closed_session_refuses_a_run(self, cpu, vendor):
         session, run = self._run_with(cpu, vendor, "evicted page")
         isa.eexit(session)
         with pytest.raises(SgxAccessFault):
-            session.read_pages(run, [])
+            session.read_pages(run, np.zeros((3, PAGE_SIZE), np.uint8))
         with pytest.raises(SgxAccessFault):
             session.write_pages(run, [b"1" * PAGE_SIZE] * 3)
 
@@ -204,7 +206,9 @@ class TestPageRuns:
         evict(run[1])
         rt.write_pages(run, pages)
         evict(run[1])
-        assert rt.read_pages(run) == pages
+        rows = np.zeros((3, PAGE_SIZE), np.uint8)
+        rt.read_pages(run, rows)
+        assert [bytes(row) for row in rows] == pages
         assert faults == [run[1], run[1]]
         isa.eexit(session)
 

@@ -10,6 +10,7 @@ with a typed fault.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import EnclavePageFault, SgxAccessFault, SgxEpcExhausted, SgxInstructionFault
@@ -211,10 +212,11 @@ class TestSessionRuns:
         enclave, tcs = build_raw_enclave(cpu, vendor, n_data_pages=3)
         unmapped = BASE + enclave.secs.size - PAGE_SIZE
         session = isa.eenter(cpu, enclave, tcs)
-        out: list = []
+        rows = np.full((2, PAGE_SIZE), 0xA5, np.uint8)
         with pytest.raises(SgxAccessFault):
-            session.read_pages([BASE, unmapped], out)
-        assert len(out) == 1
+            session.read_pages([BASE, unmapped], rows)
+        assert bytes(rows[0]) == session.read(BASE, PAGE_SIZE)
+        assert (rows[1] == 0xA5).all()
         with pytest.raises(SgxAccessFault):
             session.write_pages([BASE, unmapped], [b"1" * PAGE_SIZE] * 2)
         assert session.read(BASE, 2) == b"11"
